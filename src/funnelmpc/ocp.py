@@ -6,7 +6,9 @@ The decision variable is the stacked zero-order-hold input over the
 horizon, clamped componentwise to the saturation box.  The solver is
 projected gradient descent with forward finite differences and halving
 backtracking; a brute-force grid search over tiny decision spaces serves
-as an independent reference.
+as an independent reference.  Candidates are costed through batched RK4
+rollouts, or on a linear state-space plant through the exact response of
+``sim.linear_jet_response``, which gives the same jets up to rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ import numpy as np
 from .errchain import chain_matrix
 from .errors import OcpInfeasibleError, PreconditionViolation
 from .funnel import FunnelFunction
-from .sim import ControlSignal, integrate_open_loop, rollout_jets_batch, zoh_feedback_rollout
+from .sim import (
+    ControlSignal,
+    StateSpacePlant,
+    _live_members,
+    integrate_open_loop,
+    linear_jet_response,
+    rollout_jets_batch,
+    zoh_feedback_rollout,
+)
 from .systems import ReferenceSignal
 
 __all__ = [
@@ -151,6 +161,12 @@ class _Workspace:
         w[0] = w[-1] = 0.5 * spec.ode_step
         self.weights = w
         self.evaluations = 0
+        # on a linear plant the jets of every candidate are the free response
+        # of the start state plus its stacked controls times one matrix
+        self.response = None
+        if isinstance(plant, StateSpacePlant) and plant.linear is not None:
+            free, forced = linear_jet_response(plant.linear, spec.ode_step, spec.substeps, self.N)
+            self.response = ((free @ plant.state).ravel(), forced)
 
     def barrier_costs(self, jets: np.ndarray) -> np.ndarray:
         """Trapezoid-integrated barrier for a (B, K, r*m) jet batch."""
@@ -169,17 +185,21 @@ class _Workspace:
         """Cost of each (N, m) control in a (B, N, m) stack."""
         B = values.shape[0]
         self.evaluations += B
-        if self.plant.supports_batch:
+        if self.response is not None:
+            free_jets, forced = self.response
+            jets = (free_jets + values.reshape(B, -1) @ forced).reshape(B, -1, self.r * self.m)
+            alive = _live_members(jets)
+        elif self.plant.supports_batch:
             _, jets, alive = rollout_jets_batch(
                 self.plant.clone(), values, self.spec.control_step, self.spec.ode_step
             )
-            costs = self.barrier_costs(jets) + self.input_costs(values)
-            costs = np.where(alive & np.isfinite(costs), costs, np.inf)
+        else:
+            costs = np.empty(B)
+            for b in range(B):
+                costs[b] = self._cost_rollout(values[b])
             return costs
-        costs = np.empty(B)
-        for b in range(B):
-            costs[b] = self._cost_rollout(values[b])
-        return costs
+        costs = self.barrier_costs(jets) + self.input_costs(values)
+        return np.where(alive & np.isfinite(costs), costs, np.inf)
 
     def _cost_rollout(self, values: np.ndarray) -> float:
         control = ControlSignal(t_start=self.t0, step=self.spec.control_step, values=values)
@@ -227,10 +247,7 @@ def cost_functional(plant, history, control: ControlSignal, sc: StageCost, yref,
         raise ValueError("control does not cover the optimization horizon")
     ws = _Workspace(plant, sc, spec, yref)
     i0 = control.index_at(plant.t)
-    values = control.values[i0 : i0 + spec.n_intervals]
-    if ws.plant.supports_batch:
-        return ws.cost_single(values)
-    return ws._cost_rollout(values)
+    return ws.cost_single(control.values[i0 : i0 + spec.n_intervals])
 
 
 def _fd_gradient(ws: _Workspace, d: np.ndarray, J: float, shape) -> np.ndarray:

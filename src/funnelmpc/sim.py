@@ -37,6 +37,8 @@ __all__ = [
     "feedback_rollout",
     "zoh_feedback_rollout",
     "rollout_jets_batch",
+    "rk4_step_maps",
+    "linear_jet_response",
 ]
 
 BLOWUP_NORM = 1e8
@@ -207,11 +209,17 @@ class StateSpacePlant:
         return np.asarray(self.system.output_jet(X), dtype=float)
 
     def yr_parts(self, t, x):
-        if self.system.yr_parts is None:
+        if self.system.yr_parts is not None:
+            fval, gmat = self.system.yr_parts(x)
+        elif self.linear is not None:
+            # y^(r) = C_{r-1} A x + C_{r-1} B u from the last jet block
+            a, b, c_jet = self.linear
+            top = c_jet[(self.r - 1) * self.m :]
+            fval, gmat = top @ (a @ x), top @ b
+        else:
             raise PreconditionViolation(
                 "state-space plant lacks a highest-derivative decomposition (yr_parts)"
             )
-        fval, gmat = self.system.yr_parts(x)
         return np.asarray(fval, dtype=float).reshape(self.m), np.atleast_2d(
             np.asarray(gmat, dtype=float)
         )
@@ -348,7 +356,9 @@ def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
 
     The step must divide the ZOH step and the span, so input discontinuities
     land on grid points.  Integration stops early with status 'blow-up' when
-    the state norm exceeds 1e8 or turns non-finite.
+    the state norm exceeds 1e8 or turns non-finite.  A state-space plant
+    that declares ``linear`` matrices is stepped under a ControlSignal with
+    the exact RK4 step maps of ``rk4_step_maps``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not h > 0.0:
@@ -372,6 +382,11 @@ def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
     if plant.sigma > 0.0 and h > plant.sigma + 1e-12:
         raise ValueError("integration step must not exceed the operator memory length")
     u_of = _control_callable(control, plant.m)
+    held = isinstance(control, ControlSignal)
+    linear = plant.linear if held and isinstance(plant, StateSpacePlant) else None
+    if linear is not None:
+        # a held input makes each RK4 step the exact affine map x+ = phi x + gam u
+        phi, gam = rk4_step_maps(linear[0], linear[1], h)
 
     grid = t0 + h * np.arange(n_steps + 1)
     grid[-1] = t1
@@ -389,14 +404,17 @@ def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
             t = grid[i]
             u = np.asarray(u_of(t), dtype=float)
             inputs[i] = u
-            k1 = rhs(t, x, u)
-            xk = x + (0.5 * h) * k1
-            k2 = rhs(t + 0.5 * h, xk, u if isinstance(control, ControlSignal) else u_of(t + 0.5 * h))
-            xk = x + (0.5 * h) * k2
-            k3 = rhs(t + 0.5 * h, xk, u if isinstance(control, ControlSignal) else u_of(t + 0.5 * h))
-            xk = x + h * k3
-            k4 = rhs(t + h, xk, u if isinstance(control, ControlSignal) else u_of(t + h))
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if linear is not None:
+                x = phi @ x + gam @ u
+            else:
+                k1 = rhs(t, x, u)
+                xk = x + (0.5 * h) * k1
+                k2 = rhs(t + 0.5 * h, xk, u if held else u_of(t + 0.5 * h))
+                xk = x + (0.5 * h) * k2
+                k3 = rhs(t + 0.5 * h, xk, u if held else u_of(t + 0.5 * h))
+                xk = x + h * k3
+                k4 = rhs(t + h, xk, u if held else u_of(t + h))
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # NaN fails the comparison too, so this covers non-finite states
             if not float(np.max(np.abs(x))) <= BLOWUP_NORM:
                 status = "blow-up"
@@ -786,7 +804,59 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
             X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states[:, i + 1] = X
         jets = plant.output_jet_batch(states)
-        np.nan_to_num(jets, copy=False, nan=np.inf)
-        # inf fails the comparison, so this also flags non-finite members
-        alive = np.all(np.abs(jets) <= BLOWUP_NORM, axis=(1, 2))
-    return grid, jets, alive
+    return grid, jets, _live_members(jets)
+
+
+def _live_members(jets: np.ndarray) -> np.ndarray:
+    """Turn NaN into inf in a (B, K, r*m) jet batch in place; flag bounded members."""
+    np.copyto(jets, np.inf, where=np.isnan(jets))
+    # inf fails the comparison, so this also flags non-finite members
+    return (np.abs(jets) <= BLOWUP_NORM).all(axis=(1, 2))
+
+
+def rk4_step_maps(a: np.ndarray, b: np.ndarray, h: float):
+    """Exact maps of one RK4 step of x' = a x + b u under a held input.
+
+    Returns (phi, gam) with x+ = phi x + gam u, where phi = I + h a T,
+    gam = h T b and T = I + (h a)/2 (I + (h a)/3 (I + (h a)/4)).
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    ha = h * a
+    series = eye + (ha / 2.0) @ (eye + (ha / 3.0) @ (eye + ha / 4.0))
+    return eye + ha @ series, h * (series @ b)
+
+
+def linear_jet_response(linear, h: float, substeps: int, n_intervals: int):
+    """Output jets of RK4 on a linear plant as free plus forced response.
+
+    For x' = A x + B u with flat jet C x, ``substeps`` RK4 steps of length h
+    per ZOH interval and ``n_intervals`` intervals, the jets on the
+    K = n_intervals * substeps + 1 grid points are, for a start x0 and a
+    control stack ``values`` of shape (n_intervals, m),
+
+        jets.reshape(K * r*m) = (free @ x0).ravel() + values.ravel() @ forced
+
+    with ``free`` = C phi^k of shape (K, r*m, n) and ``forced`` of shape
+    (n_intervals * m, K * r*m) holding the ZOH step responses.  Column block
+    k of the response to interval p sums the impulse responses C phi^j gam
+    over the steps of p before k; it is taken as a difference of their
+    cumulative sums.
+    """
+    a, b, c_jet = linear
+    rm, n = c_jet.shape
+    m = b.shape[1]
+    phi, gam = rk4_step_maps(a, b, h)
+    n_grid = n_intervals * substeps + 1
+    free = np.empty((n_grid, rm, n))
+    free[0] = c_jet
+    for k in range(1, n_grid):
+        free[k] = free[k - 1] @ phi
+    # cum[i] = sum_{j < i} C phi^j gam, shape (K, r*m, m)
+    cum = np.zeros((n_grid, rm, m))
+    np.cumsum(free[:-1] @ gam, axis=0, out=cum[1:])
+    k = np.arange(n_grid)[None, :]
+    first = substeps * np.arange(n_intervals)[:, None]
+    resp = cum[np.maximum(k - first, 0)] - cum[np.maximum(k - first - substeps, 0)]
+    forced = resp.transpose(0, 3, 1, 2).reshape(n_intervals * m, n_grid * rm)
+    return free, forced

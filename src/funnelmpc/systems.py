@@ -178,8 +178,8 @@ class StateSpaceSystem:
     """Plant record x' = drift(x) + input_map(x) u with output jet access.
 
     ``yr_parts``, when present, returns (f_value, g_matrix) such that
-    y^(r) = f_value + g_matrix @ u; it is required by the funnel feedback
-    law.  ``vectorized`` marks callables that broadcast over leading axes.
+    y^(r) = f_value + g_matrix @ u; the funnel feedback law needs it, or
+    ``linear``, whose matrices give it.  ``vectorized`` marks callables that broadcast over leading axes.
     ``linear``, when present, declares the plant linear time-invariant as
     matrices (A, B, C_jet): x' = A x + B u and the flat output jet is C_jet x
     (ascending derivative blocks of m rows).  The callables must then agree

@@ -9,6 +9,7 @@ with the dedicated exception rather than return a log.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -31,8 +32,9 @@ from funnelmpc import (
     run_fmpc,
     verify_guarantees,
 )
+from funnelmpc.cli import ResolvedRun
 
-from conftest import make_integrator_plant
+from conftest import config_path, make_integrator_plant
 
 
 def scalar_mpc_config(psi, t_end=1.0, saturation=5.0, horizon=0.2, delta=0.1):
@@ -115,6 +117,29 @@ def test_closed_loop_statuses_settle_after_first_cycle(decay_psi):
         for rec in log.records
     )
     assert sum(rec.status == "converged" for rec in log.records) >= 5
+
+
+def test_closed_loop_representations_agree():
+    # the shipped showcase over its first ten cycles: the state-space record
+    # takes the exact linear response, the normal form batched RK4 rollouts
+    with open(config_path("mass_on_car.json")) as fh:
+        cfg = json.load(fh)
+    cfg["t_span"] = [0.0, 0.4]
+    logs = []
+    for representation in ("state_space", "normal_form"):
+        cfg["plant"]["representation"] = representation
+        res = ResolvedRun(cfg)
+        log = run_fmpc(res.factory(res.t0), res.yref, res.mpc)
+        assert verify_guarantees(log, res.psi, res.saturation).passed
+        logs.append(log)
+    ss, nf = logs
+    assert len(ss.records) == len(nf.records) == 10
+    np.testing.assert_array_equal(ss.trajectory.grid, nf.trajectory.grid)
+    np.testing.assert_allclose(ss.trajectory.output_jet, nf.trajectory.output_jet,
+                               rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(ss.applied.values, nf.applied.values, rtol=0.0, atol=1e-4)
+    np.testing.assert_allclose([rec.cost for rec in ss.records],
+                               [rec.cost for rec in nf.records], rtol=1e-6, atol=0.0)
 
 
 def test_collapsing_funnel_with_tiny_input_box_aborts():

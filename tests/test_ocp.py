@@ -11,6 +11,7 @@ so the total cost with lambda_u = 0.01 is that value plus 0.025.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,11 +26,14 @@ from funnelmpc import (
     StageCost,
     brute_force_ocp,
     cost_functional,
+    make_plant,
+    mass_on_car_state_space,
     solve_ocp,
     stage_cost,
 )
+from funnelmpc.ocp import _Workspace
 
-from conftest import make_integrator_plant
+from conftest import SHOWCASE, make_integrator_plant
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +253,58 @@ def test_brute_force_rejects_large_decision_spaces(scalar_stage, zero_ref):
             make_integrator_plant(0.5), None, scalar_stage, spec, zero_ref,
             grid_resolution=0.5,
         )
+
+
+# ── Cost paths on a linear plant ─────────────────────────────────────────────
+
+
+def _showcase_ocp(showcase_chain):
+    stage = StageCost(theta=showcase_chain.theta, lambda_u=SHOWCASE["lambda_u"],
+                      gains=SHOWCASE["gains"])
+    spec = spec_for(horizon=SHOWCASE["horizon"], control_step=SHOWCASE["control_step"],
+                    saturation=SHOWCASE["saturation"], ode_step=0.02, max_iterations=40)
+    system = mass_on_car_state_space()
+    assert system.linear is not None
+    return stage, spec, system, dataclasses.replace(system, linear=None)
+
+
+def test_linear_response_costs_match_rollouts(showcase_chain, showcase_yref):
+    # the linear record costs candidates through one response matrix; the
+    # same plant without it runs batched RK4, and _cost_rollout integrates
+    # each member on its own
+    stage, spec, linear, generic = _showcase_ocp(showcase_chain)
+    x0 = np.array([0.0, 0.0, 2.0, 0.0])
+    fast = _Workspace(make_plant(linear, 0.0, x0), stage, spec, showcase_yref)
+    slow = _Workspace(make_plant(generic, 0.0, x0), stage, spec, showcase_yref)
+    assert fast.response is not None and slow.response is None
+    values = np.random.default_rng(5).uniform(-20.0, 20.0, size=(12, spec.n_intervals, 1))
+    values[0] = 20.0  # drives the error out of the funnel
+    values[1] = 1e12  # blows up
+    paths = [
+        fast.cost_batch(values),
+        slow.cost_batch(values),
+        np.array([slow._cost_rollout(v) for v in values]),
+    ]
+    finite = np.isfinite(paths[0])
+    assert not finite[0] and not finite[1]
+    assert finite.sum() >= 8
+    for costs in paths[1:]:
+        np.testing.assert_array_equal(np.isfinite(costs), finite)
+        np.testing.assert_allclose(costs[finite], paths[0][finite], rtol=1e-12, atol=0.0)
+    # the single-control entry point takes the same path
+    control = ControlSignal(t_start=0.0, step=spec.control_step, values=values[2])
+    cost = cost_functional(make_plant(linear, 0.0, x0), None, control, stage, showcase_yref, spec)
+    assert cost == pytest.approx(paths[0][2], rel=1e-12, abs=0.0)
+
+
+def test_linear_response_solve_matches_rk4_solve(showcase_chain, showcase_yref):
+    stage, spec, linear, generic = _showcase_ocp(showcase_chain)
+    x0 = np.array([0.0, 0.0, 2.0, 0.0])
+    fast, slow = (
+        solve_ocp(make_plant(record, 0.0, x0), None, stage, spec, showcase_yref,
+                  chain=showcase_chain, gains=SHOWCASE["gains"])
+        for record in (linear, generic)
+    )
+    assert fast.status == slow.status
+    assert math.isfinite(slow.cost)
+    assert fast.cost == pytest.approx(slow.cost, rel=1e-12, abs=0.0)

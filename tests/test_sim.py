@@ -356,6 +356,57 @@ def test_sampled_feedback_matches_manual_receding_loop():
     np.testing.assert_array_equal(traj.state[-1], mirror.state)
 
 
+def test_linear_open_loop_matches_rk4_stages():
+    # under a held input the linear record steps x+ = phi x + gam u; without
+    # it the same plant runs the four RK4 stages
+    system = mass_on_car_state_space()
+    values = np.random.default_rng(3).uniform(-20.0, 20.0, size=(15, 1))
+    runs = []
+    for record in (system, dataclasses.replace(system, linear=None)):
+        plant = make_plant(record, 0.0, np.array([0.1, -0.2, 0.3, 0.0]))
+        control = ControlSignal(t_start=0.0, step=0.04, values=values)
+        traj = integrate_open_loop(plant, control, (0.0, 0.6), 0.02)
+        assert traj.status == "completed"
+        np.testing.assert_array_equal(plant.state, traj.state[-1])
+        runs.append(traj)
+    exact, stages = runs
+    scale = float(np.max(np.abs(stages.state)))
+    np.testing.assert_allclose(exact.state, stages.state, rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_allclose(exact.output_jet, stages.output_jet, rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_array_equal(exact.input, stages.input)
+    # both stop at the same step and leave the plant at the last good point
+    stops = []
+    for record in (system, dataclasses.replace(system, linear=None)):
+        plant = make_plant(record, 0.0, np.zeros(4))
+        control = ControlSignal(t_start=0.0, step=0.04, values=np.full((15, 1), 2e9))
+        traj = integrate_open_loop(plant, control, (0.0, 0.6), 0.02)
+        assert traj.status == "blow-up"
+        assert plant.t == traj.grid[-1]
+        stops.append(len(traj))
+    assert 2 < stops[0] == stops[1] < 31
+
+
+def test_linear_record_supplies_the_highest_derivative_parts(showcase_chain, showcase_yref):
+    # without yr_parts the feedback law reads f = C_1 A x and g = C_1 B
+    # from the declared matrices
+    system = mass_on_car_state_space()
+    runs = [
+        zoh_feedback_rollout(
+            make_plant(record, 0.0, np.zeros(4)), showcase_chain, SHOWCASE["gains"],
+            showcase_yref, (0.0, 0.6), SHOWCASE["control_step"], 0.02,
+            saturation=SHOWCASE["saturation"],
+        )
+        for record in (system, dataclasses.replace(system, yr_parts=None))
+    ]
+    (given, given_zoh), (derived, derived_zoh) = runs
+    assert given.status == derived.status == "completed"
+    np.testing.assert_allclose(derived.state, given.state, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(derived_zoh.values, given_zoh.values, rtol=0.0, atol=1e-12)
+    bare = dataclasses.replace(system, yr_parts=None, linear=None)
+    with pytest.raises(PreconditionViolation):
+        make_plant(bare, 0.0, np.zeros(4)).yr_parts(0.0, np.zeros(4))
+
+
 def test_sampled_feedback_validates_span():
     psi, chain, yref = _scalar_decay_setup(0.5)
     plant = make_integrator_plant(0.5)

@@ -315,7 +315,7 @@ class ResolvedRun:
             )
         self.bound_probe = (f_max, g_max)
         grid = np.linspace(self.t0, self.t_end, 2001)
-        highest = np.stack([np.atleast_1d(self.yref.highest(t)) for t in grid])
+        highest = self.yref.jet_array(grid, self.r + 1)[:, self.r]
         yref_r_sup = float(np.max(np.linalg.norm(highest, axis=1)))
         return saturation_bound(f_max, g_max, self.gains, self.chain, yref_r_sup)
 

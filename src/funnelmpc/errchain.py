@@ -139,17 +139,6 @@ def error_derivative_row(gains, j: int, order: int) -> np.ndarray:
     return row
 
 
-def _error_series(jets: np.ndarray, gains: np.ndarray) -> list[np.ndarray]:
-    """Chain recursion applied samplewise to a (K, r, m) jet array."""
-    r = gains.size + 1
-    level = [jets[:, l, :] for l in range(r)]
-    values = [level[0]]
-    for i in range(1, r):
-        level = [level[l + 1] + gains[i - 1] * level[l] for l in range(r - i)]
-        values.append(level[0])
-    return values
-
-
 def highest_error_identity_check(gains, ts, jets) -> float:
     """Max residual of the identity tying e_r to derivatives of the lower chain.
 
@@ -181,12 +170,13 @@ def highest_error_identity_check(gains, ts, jets) -> float:
     if h <= 0 or not np.allclose(steps, h, rtol=0.0, atol=1e-12 * max(1.0, abs(h))):
         raise ValueError("time grid must be uniformly spaced")
 
-    series = _error_series(jets, k)
-    e_r = series[-1]
+    m = jets.shape[2]
+    series = (jets.reshape(n_samples, r * m) @ chain_matrix(k, r, m).T).reshape(jets.shape)
+    e_r = series[:, -1]
     total = jets[:, r - 1, :].copy()
     for j in range(1, r):
         order = r - j - 1
-        term = series[j - 1]
+        term = series[:, j - 1]
         for _ in range(order):
             term = (term[2:] - term[:-2]) / (2.0 * h)
         offset = trim - order

@@ -190,7 +190,7 @@ def funnel_from_callables(
     vals = np.asarray(value(grid), dtype=float)
     ders = np.asarray(derivative(grid), dtype=float)
     if vals.shape != grid.shape or ders.shape != grid.shape:
-        raise ValueError("funnel callables must be vectorized over time arrays")
+        raise ValueError("funnel callables must map a time array to values of its shape")
     return FunnelFunction(
         value=value,
         derivative=derivative,

@@ -59,8 +59,7 @@ def closed_loop_table(trajectory, chain, gains, yref) -> TrajectoryTable:
     ref = yref.jet_array(grid)
     zeta = (jets - ref).reshape(K, r * m)
     gains = np.asarray(gains, dtype=float)
-    rows = chain_matrix(gains, r, m) if r > 1 else np.eye(m)
-    top = zeta @ rows[(r - 1) * m :, :].T
+    top = zeta @ chain_matrix(gains, r, m)[(r - 1) * m :, :].T
     y = jets[:, 0, :]
     y_ref = ref[:, 0, :]
     if m == 1:

@@ -177,7 +177,6 @@ def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig, y0=None) -> Closed
         try:
             sol = solve_ocp(
                 plant,
-                None,
                 config.stage,
                 spec,
                 yref,

@@ -72,8 +72,7 @@ class StageCost:
     def top_error_block(self, m: int) -> np.ndarray:
         """Rows mapping a flat error jet to e_r, shape (m, r*m)."""
         r = self.r
-        full = chain_matrix(self.gains, r, m) if r > 1 else np.eye(m)
-        return full[(r - 1) * m :, :]
+        return chain_matrix(self.gains, r, m)[(r - 1) * m :, :]
 
 
 def stage_cost(t, xi, u, sc: StageCost) -> float:
@@ -100,7 +99,6 @@ class OcpSpec:
     control_step: float
     saturation: float
     ode_step: float
-    quadrature: str = "trapezoid"
     max_iterations: int = 200
     max_evaluations: int = 20000
     stall_iterations: int = 8
@@ -111,8 +109,6 @@ class OcpSpec:
             raise ValueError("horizon, control step and ode step must be positive")
         if not self.saturation > 0:
             raise ValueError("saturation level must be positive")
-        if self.quadrature != "trapezoid":
-            raise ValueError(f"unsupported quadrature rule '{self.quadrature}'")
         for name, num, den in (
             ("control_step", self.horizon, self.control_step),
             ("ode_step", self.control_step, self.ode_step),
@@ -155,7 +151,8 @@ class _Workspace:
         n_steps = self.N * spec.substeps
         self.grid = self.t0 + spec.ode_step * np.arange(n_steps + 1)
         self.ref_flat = yref.jet_array(self.grid).reshape(n_steps + 1, self.r * self.m)
-        self.theta_grid = np.asarray(sc.theta.value(self.grid), dtype=float)
+        # theta^2 on the grid, fixed for the OCP, enters every barrier cost
+        self.theta_sq = np.asarray(sc.theta.value(self.grid), dtype=float) ** 2
         self.er_block = sc.top_error_block(self.m)
         w = np.full(n_steps + 1, spec.ode_step)
         w[0] = w[-1] = 0.5 * spec.ode_step
@@ -173,7 +170,7 @@ class _Workspace:
         zeta = jets - self.ref_flat[None, :, :]
         er = zeta @ self.er_block.T
         nrm2 = np.sum(er * er, axis=-1)
-        denom = self.theta_grid[None, :] ** 2 - nrm2
+        denom = self.theta_sq - nrm2
         with np.errstate(divide="ignore", invalid="ignore"):
             barrier = np.where(denom > 0.0, nrm2 / denom, np.inf)
         return barrier @ self.weights
@@ -189,7 +186,7 @@ class _Workspace:
             free_jets, forced = self.response
             jets = (free_jets + values.reshape(B, -1) @ forced).reshape(B, -1, self.r * self.m)
             alive = _live_members(jets)
-        elif self.plant.supports_batch:
+        elif self.plant.sigma == 0.0:
             _, jets, alive = rollout_jets_batch(
                 self.plant.clone(), values, self.spec.control_step, self.spec.ode_step
             )
@@ -237,11 +234,10 @@ class _Workspace:
         return control.values
 
 
-def cost_functional(plant, history, control: ControlSignal, sc: StageCost, yref, spec: OcpSpec) -> float:
+def cost_functional(plant, control: ControlSignal, sc: StageCost, yref, spec: OcpSpec) -> float:
     """Cost of one control over the horizon starting at the plant's time.
 
-    The plant carries its own history buffer; passing one explicitly is
-    supported for operators with memory whose segment predates the plant.
+    A plant with memory reads its own history buffer.
     """
     if control.t_start > plant.t + 1e-9 or control.t_end < plant.t + spec.horizon - 1e-9:
         raise ValueError("control does not cover the optimization horizon")
@@ -275,7 +271,6 @@ def _fd_gradient(ws: _Workspace, d: np.ndarray, J: float, shape) -> np.ndarray:
 
 def solve_ocp(
     plant,
-    history,
     sc: StageCost,
     spec: OcpSpec,
     yref: ReferenceSignal,
@@ -416,7 +411,7 @@ def solve_ocp(
 
 
 def brute_force_ocp(
-    plant, history, sc: StageCost, spec: OcpSpec, yref: ReferenceSignal, grid_resolution: float
+    plant, sc: StageCost, spec: OcpSpec, yref: ReferenceSignal, grid_resolution: float
 ) -> OcpSolution:
     """Exhaustive grid search over the control box; exact argmin on the grid.
 

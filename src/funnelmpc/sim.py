@@ -161,7 +161,9 @@ class JetHistory:
 class StateSpacePlant:
     """Simulation wrapper for a StateSpaceSystem positioned at (t, x).
 
-    A system that declares ``linear`` matrices is stepped with them directly.
+    ``rhs`` and ``output_jet`` map states with any leading axes, so one call
+    covers a batch of members or a whole trajectory.  A system that declares
+    ``linear`` matrices is stepped with them directly.
     """
 
     def __init__(self, system: StateSpaceSystem, t0: float, x0):
@@ -170,7 +172,6 @@ class StateSpacePlant:
         self.r = system.r
         self.state_dim = system.n
         self.sigma = 0.0
-        self.supports_batch = system.vectorized
         self.t = float(t0)
         self.state = np.asarray(x0, dtype=float).reshape(system.n).copy()
         self.history = None
@@ -180,33 +181,22 @@ class StateSpacePlant:
         return StateSpacePlant(self.system, self.t, self.state)
 
     def rhs(self, t, x, u):
+        """State derivative for states (..., n) and inputs (..., m)."""
         if self.linear is not None:
             a, b, _ = self.linear
-            return a @ x + b @ u
-        sys = self.system
-        if self.m == 1:
-            return sys.drift(x) + sys.input_map(x)[..., 0] * float(u[0])
-        return sys.drift(x) + sys.input_map(x) @ u
+            return x @ a.T + u @ b.T
+        return self.system.drift(x) + _times_input(self.system.input_map(x), u)
 
-    def rhs_batch(self, t, X, U):
-        if self.linear is not None:
-            a, b, _ = self.linear
-            return X @ a.T + U @ b.T
-        sys = self.system
-        if self.m == 1:
-            return sys.drift(X) + sys.input_map(X)[..., 0] * U
-        return sys.drift(X) + np.einsum("...ij,...j->...i", sys.input_map(X), U)
+    # the benchmark's tracer hooks this name; kept until the benchmark drops it
+    rhs_batch = rhs
 
     def output_jet(self, x=None):
+        """Flat output jets (..., r*m) of states (..., n); the plant's own by default."""
         x = self.state if x is None else x
         if self.linear is not None:
-            return self.linear[2] @ x
-        return np.asarray(self.system.output_jet(x), dtype=float).ravel()
-
-    def output_jet_batch(self, X):
-        if self.linear is not None:
-            return X @ self.linear[2].T
-        return np.asarray(self.system.output_jet(X), dtype=float)
+            return x @ self.linear[2].T
+        jet = np.asarray(self.system.output_jet(x), dtype=float)
+        return jet.reshape(np.shape(x)[:-1] + (self.r * self.m,))
 
     def yr_parts(self, t, x):
         if self.system.yr_parts is not None:
@@ -234,7 +224,10 @@ class NormalFormPlant:
 
     The integration state stacks the flat output jet and the operator's
     internal state.  When the operator has memory, a jet history buffer is
-    maintained; the initial segment must cover [t0 - sigma, t0].
+    maintained; the initial segment must cover [t0 - sigma, t0].  ``rhs``
+    and ``output_jet`` map states with any leading axes, except that an
+    operator with memory reads the plant's own history, so ``rhs`` then takes
+    one member at a time.
     """
 
     def __init__(self, system: RelativeDegreeSystem, t0: float, xi0, eta0=None, initial_segment=None):
@@ -245,7 +238,6 @@ class NormalFormPlant:
         op_dim = system.T.state_dim
         self.state_dim = self._rm + op_dim
         self.sigma = system.sigma
-        self.supports_batch = system.vectorized and system.sigma == 0.0
         self.t = float(t0)
         xi0 = np.asarray(xi0, dtype=float).reshape(self._rm)
         if op_dim:
@@ -265,57 +257,38 @@ class NormalFormPlant:
         out._rm = self._rm
         out.state_dim = self.state_dim
         out.sigma = self.sigma
-        out.supports_batch = self.supports_batch
         out.t = self.t
         out.state = self.state.copy()
         out.history = self.history.clone() if self.history is not None else None
         return out
 
-    def _operator_value(self, t, xi, eta):
+    def _operator_value(self, t, x):
         T = self.system.T
-        return T.evaluate(t, xi, self.history, eta if T.state_dim else None)
+        xi = x[..., : self._rm]
+        return xi, T.evaluate(t, xi, self.history, x[..., self._rm :] if T.state_dim else None)
 
     def rhs(self, t, x, u):
-        rm = self._rm
-        xi = x[:rm]
-        eta = x[rm:]
-        w = self._operator_value(t, xi, eta)
-        top = np.asarray(self.system.f(w), dtype=float).reshape(self.m) + np.atleast_2d(
-            np.asarray(self.system.g(w), dtype=float)
-        ) @ u
+        """State derivative for states (..., n) and inputs (..., m)."""
+        rm, m = self._rm, self.m
+        sys = self.system
+        xi, w = self._operator_value(t, x)
         out = np.empty_like(x)
-        out[: rm - self.m] = xi[self.m :]
-        out[rm - self.m : rm] = top
-        if eta.size:
-            out[rm:] = self.system.T.state_derivative(t, xi, eta)
+        out[..., : rm - m] = xi[..., m:]
+        out[..., rm - m : rm] = sys.f(w) + _times_input(np.asarray(sys.g(w), dtype=float), u)
+        if sys.T.state_dim:
+            out[..., rm:] = sys.T.state_derivative(t, xi, x[..., rm:])
         return out
 
-    def rhs_batch(self, t, X, U):
-        rm = self._rm
-        xi = X[:, :rm]
-        eta = X[:, rm:]
-        T = self.system.T
-        w = T.evaluate(t, xi, None, eta if T.state_dim else None)
-        gmat = np.asarray(self.system.g(w), dtype=float)
-        top = np.asarray(self.system.f(w), dtype=float) + np.einsum("...ij,...j->...i", gmat, U)
-        out = np.empty_like(X)
-        out[:, : rm - self.m] = xi[:, self.m :]
-        out[:, rm - self.m : rm] = top
-        if eta.shape[1]:
-            out[:, rm:] = T.state_derivative(t, xi, eta)
-        return out
+    # the benchmark's tracer hooks this name; kept until the benchmark drops it
+    rhs_batch = rhs
 
     def output_jet(self, x=None):
+        """Flat output jets (..., r*m) of states (..., n); the plant's own by default."""
         x = self.state if x is None else x
-        return x[: self._rm]
-
-    def output_jet_batch(self, X):
-        return X[..., : self._rm]
+        return x[..., : self._rm]
 
     def yr_parts(self, t, x):
-        xi = x[: self._rm]
-        eta = x[self._rm :]
-        w = self._operator_value(t, xi, eta)
+        _, w = self._operator_value(t, x)
         fval = np.asarray(self.system.f(w), dtype=float).reshape(self.m)
         gmat = np.atleast_2d(np.asarray(self.system.g(w), dtype=float))
         return fval, gmat
@@ -325,6 +298,13 @@ class NormalFormPlant:
         self.state = np.asarray(state, dtype=float)
         if self.history is not None and t > self.history.latest():
             self.history.append(t, state[: self._rm])
+
+
+def _times_input(gmat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """gmat @ u over leading axes; a plain product when there is one input."""
+    if u.shape[-1] == 1:
+        return gmat[..., 0] * u
+    return (gmat @ u[..., None])[..., 0]
 
 
 def make_plant(system, t0: float, initial, eta0=None, initial_segment=None):
@@ -349,6 +329,70 @@ def _control_callable(control, m: int):
     if callable(control):
         return lambda t: np.atleast_1d(np.asarray(control(t), dtype=float)).reshape(m)
     raise TypeError("control must be a ControlSignal or a callable of time")
+
+
+def _rk4(field, t: float, x: np.ndarray, h: float):
+    """One classical RK4 step of x' = field(t, x)[0].
+
+    ``field(t, x)`` returns the derivative and the input it applied; the
+    step returns the new state and the input applied at t.
+    """
+    k1, u = field(t, x)
+    k2, _ = field(t + 0.5 * h, x + (0.5 * h) * k1)
+    k3, _ = field(t + 0.5 * h, x + (0.5 * h) * k2)
+    k4, _ = field(t + h, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), u
+
+
+def _held_step(plant, h: float):
+    """One step of length h under an input held over it: (t, x, u) -> x+.
+
+    A state-space plant that declares ``linear`` matrices takes the exact
+    RK4 map x+ = phi x + gam u of ``rk4_step_maps``; any other plant runs
+    the four RK4 stages, each with the same held u.
+    """
+    if isinstance(plant, StateSpacePlant) and plant.linear is not None:
+        phi, gam = rk4_step_maps(plant.linear[0], plant.linear[1], h)
+        return lambda t, x, u: phi @ x + gam @ u
+    rhs = plant.rhs
+    return lambda t, x, u: _rk4(lambda s, y: (rhs(s, y, u), u), t, x, h)[0]
+
+
+def _march(plant, step, grid: np.ndarray):
+    """Step the plant along the grid with ``step(i, x) -> (x_next, u_i)``.
+
+    Stores the states and the input applied at each grid point and advances
+    the plant to every stored point, so operators with memory see the
+    trajectory's history.  Stops at the first state whose norm exceeds
+    BLOWUP_NORM or that is not finite, leaving the plant at the last good
+    point.  Returns (states, inputs, count): the first ``count`` rows are
+    valid, and count < grid.size means the step to row ``count`` blew up.
+    The input at the final point of a completed run is left to the caller.
+    """
+    n_steps = grid.size - 1
+    states = np.empty((n_steps + 1, plant.state_dim))
+    inputs = np.empty((n_steps + 1, plant.m))
+    x = plant.state.copy()
+    states[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            x, inputs[i] = step(i, x)
+            # NaN fails the comparison too, so this covers non-finite states
+            if not float(np.max(np.abs(x))) <= BLOWUP_NORM:
+                return states, inputs, i + 1
+            states[i + 1] = x
+            plant.advance(grid[i + 1], x)
+    return states, inputs, n_steps + 1
+
+
+def _trajectory(plant, grid, states, inputs, count: int) -> Trajectory:
+    return Trajectory(
+        grid=grid[:count],
+        state=states[:count],
+        output_jet=plant.output_jet(states[:count]),
+        input=inputs[:count],
+        status="completed" if count == grid.size else "blow-up",
+    )
 
 
 def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
@@ -382,57 +426,32 @@ def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
     if plant.sigma > 0.0 and h > plant.sigma + 1e-12:
         raise ValueError("integration step must not exceed the operator memory length")
     u_of = _control_callable(control, plant.m)
-    held = isinstance(control, ControlSignal)
-    linear = plant.linear if held and isinstance(plant, StateSpacePlant) else None
-    if linear is not None:
-        # a held input makes each RK4 step the exact affine map x+ = phi x + gam u
-        phi, gam = rk4_step_maps(linear[0], linear[1], h)
 
     grid = t0 + h * np.arange(n_steps + 1)
     grid[-1] = t1
-    states = np.empty((n_steps + 1, plant.state_dim))
-    jets = np.empty((n_steps + 1, plant.r * plant.m))
-    inputs = np.empty((n_steps + 1, plant.m))
-    x = plant.state.copy()
-    states[0] = x
-    jets[0] = plant.output_jet(x)
-    status = "completed"
-    count = n_steps + 1
-    rhs = plant.rhs
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            t = grid[i]
-            u = np.asarray(u_of(t), dtype=float)
-            inputs[i] = u
-            if linear is not None:
-                x = phi @ x + gam @ u
-            else:
-                k1 = rhs(t, x, u)
-                xk = x + (0.5 * h) * k1
-                k2 = rhs(t + 0.5 * h, xk, u if held else u_of(t + 0.5 * h))
-                xk = x + (0.5 * h) * k2
-                k3 = rhs(t + 0.5 * h, xk, u if held else u_of(t + 0.5 * h))
-                xk = x + h * k3
-                k4 = rhs(t + h, xk, u if held else u_of(t + h))
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # NaN fails the comparison too, so this covers non-finite states
-            if not float(np.max(np.abs(x))) <= BLOWUP_NORM:
-                status = "blow-up"
-                count = i + 1
-                break
-            states[i + 1] = x
-            jets[i + 1] = plant.output_jet(x)
-            plant.advance(grid[i + 1], x)
-    if status == "completed":
-        inputs[n_steps] = np.asarray(u_of(grid[-1] - 1e-12), dtype=float)
-        plant.advance(t1, x)
-    return Trajectory(
-        grid=grid[:count],
-        state=states[:count],
-        output_jet=jets[:count],
-        input=inputs[:count],
-        status=status,
-    )
+    if isinstance(control, ControlSignal):
+        # the interval's own value feeds every stage: u_of(t + h) at a knot
+        # would already read the next interval
+        held = _held_step(plant, h)
+
+        def step(i, x):
+            u = u_of(grid[i])
+            return held(grid[i], x, u), u
+
+    else:
+        rhs = plant.rhs
+
+        def field(t, x):
+            u = u_of(t)
+            return rhs(t, x, u), u
+
+        def step(i, x):
+            return _rk4(field, grid[i], x, h)
+
+    states, inputs, count = _march(plant, step, grid)
+    if count == grid.size:
+        inputs[-1] = u_of(t1 - 1e-12)
+    return _trajectory(plant, grid, states, inputs, count)
 
 
 class FeedbackLaw:
@@ -454,25 +473,16 @@ class FeedbackLaw:
             raise ValueError(f"need {r - 1} gains, got {self.gains.size}")
         self.r = r
         # row i gives e_{i+1} as ascending jet-block coefficients
-        self.rows = chain_matrix(self.gains, r, 1) if r > 1 else np.eye(1)
+        self.rows = chain_matrix(self.gains, r, 1)
         correction = np.zeros(r)
         for j in range(1, r):
             correction += self.gains[j - 1] * error_derivative_row(self.gains, j, r - j)
         self.correction_row = correction
 
-    def error_matrix(self, t, jet_mat):
-        return self.rows @ (jet_mat - self.yref.jet(t))
-
     def __call__(self, t, plant, x, check: bool = True):
         jet_mat = plant.output_jet(x).reshape(self.r, plant.m)
-        ext = self.yref.jet_ext
-        if ext is not None:
-            ref = ext(t)
-            zeta = jet_mat - ref[: self.r]
-            ref_high = ref[self.r]
-        else:
-            zeta = jet_mat - self.yref.jet(t)
-            ref_high = self.yref.highest(t)
+        ref = self.yref.jet(t, self.r + 1)
+        zeta = jet_mat - ref[: self.r]
         theta = self.chain.theta
         theta_t = float(theta.value(t))
         if check:
@@ -490,7 +500,7 @@ class FeedbackLaw:
         fval, gmat = plant.yr_parts(t, x)
         target = (
             -fval
-            + ref_high
+            + ref[self.r]
             - self.correction_row @ zeta
             + top * (float(theta.derivative(t)) / theta_t)
         )
@@ -542,60 +552,23 @@ def feedback_rollout(
     linear = plant.linear if isinstance(plant, StateSpacePlant) else None
     if linear is not None:
         states, inputs, count = _affine_feedback(law, linear, plant.state, grid, h)
-        jets = plant.output_jet_batch(states[:count])
+        plant.advance(grid[count - 1], states[count - 1].copy())
     else:
-        states, jets, inputs, count = _stagewise_feedback(law, plant, grid, h)
-    plant.advance(grid[count - 1], states[count - 1].copy())
+        rhs = plant.rhs
 
-    trajectory = Trajectory(
-        grid=grid[:count],
-        state=states[:count],
-        output_jet=jets[:count],
-        input=inputs[:count],
-        status="completed" if count == n_steps + 1 else "blow-up",
-    )
+        def field(t, x):
+            u = np.atleast_1d(law(t, plant, x, check=False))
+            return rhs(t, x, u), u
+
+        states, inputs, count = _march(plant, lambda i, x: _rk4(field, grid[i], x, h), grid)
+        if count == grid.size:
+            inputs[-1] = np.atleast_1d(law(t1, plant, states[-1], check=False))
+
+    trajectory = _trajectory(plant, grid, states, inputs, count)
     _verify_membership_on_grid(trajectory, chain, law, yref)
     zoh_values = inputs[: min(count, n_steps) : substeps].copy()
     control = ControlSignal(t_start=t0, step=step, values=zoh_values)
     return trajectory, control
-
-
-def _stagewise_feedback(law: FeedbackLaw, plant, grid, h: float):
-    """RK4 under the law evaluated at each stage, for any plant.
-
-    Returns (states, jets, inputs, count): the first ``count`` rows are
-    valid, and count < grid.size means the step to row ``count`` blew up.
-    The plant is advanced along the grid so operators with memory see the
-    trajectory's history.
-    """
-    n_steps = grid.size - 1
-    states = np.empty((n_steps + 1, plant.state_dim))
-    jets = np.empty((n_steps + 1, plant.r * plant.m))
-    inputs = np.empty((n_steps + 1, plant.m))
-    x = plant.state.copy()
-    states[0] = x
-    jets[0] = plant.output_jet(x)
-    rhs = plant.rhs
-
-    def closed_rhs(t, x_stage):
-        u = np.atleast_1d(law(t, plant, x_stage, check=False))
-        return rhs(t, x_stage, u), u
-
-    for i in range(n_steps):
-        t = grid[i]
-        k1, inputs[i] = closed_rhs(t, x)
-        k2, _ = closed_rhs(t + 0.5 * h, x + (0.5 * h) * k1)
-        k3, _ = closed_rhs(t + 0.5 * h, x + (0.5 * h) * k2)
-        k4, _ = closed_rhs(t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # NaN fails the comparison too, so this covers non-finite states
-        if not float(np.max(np.abs(x))) <= BLOWUP_NORM:
-            return states, jets, inputs, i + 1
-        states[i + 1] = x
-        jets[i + 1] = plant.output_jet(x)
-        plant.advance(grid[i + 1], x)
-    inputs[n_steps] = np.atleast_1d(law(grid[-1], plant, x, check=False))
-    return states, jets, inputs, n_steps + 1
 
 
 def _affine_feedback(law: FeedbackLaw, linear, x0, grid, h: float):
@@ -609,7 +582,7 @@ def _affine_feedback(law: FeedbackLaw, linear, x0, grid, h: float):
     evaluated once on all stage times; the maps are built in blocks of
     AFFINE_BLOCK steps and x is stepped through them in order.
 
-    Returns (states, inputs, count) as ``_stagewise_feedback`` does.
+    Returns (states, inputs, count) as ``_march`` does.
     """
     a, b, c_jet = linear
     n, m = b.shape
@@ -707,51 +680,26 @@ def zoh_feedback_rollout(
     if plant.sigma > 0.0 and h > plant.sigma + 1e-12:
         raise ValueError("integration step must not exceed the operator memory length")
     substeps = round(step / h)
-    n_steps = n_knots * substeps
-    grid = t0 + h * np.arange(n_steps + 1)
+    grid = t0 + h * np.arange(n_knots * substeps + 1)
     grid[-1] = t1
-    states = np.empty((n_steps + 1, plant.state_dim))
-    jets = np.empty((n_steps + 1, plant.r * plant.m))
-    inputs = np.empty((n_steps + 1, plant.m))
     values = np.empty((n_knots, plant.m))
-    states[0] = plant.state
-    jets[0] = plant.output_jet(plant.state)
-    status = "completed"
-    count = n_steps + 1
-    knots_done = 0
-    for i in range(n_knots):
-        t_knot = float(grid[i * substeps])
-        u = np.atleast_1d(law(t_knot, plant, plant.state, check=check))
-        if saturation is not None:
-            u = np.clip(u, -saturation, saturation)
-        values[i] = u
-        knots_done = i + 1
-        hold = ControlSignal(
-            t_start=t_knot, step=step, values=u.reshape(1, plant.m), saturation=saturation
-        )
-        seg = integrate_open_loop(plant, hold, (t_knot, t_knot + step), h)
-        lo = i * substeps
-        n_got = len(seg) - 1
-        states[lo + 1 : lo + 1 + n_got] = seg.state[1:]
-        jets[lo + 1 : lo + 1 + n_got] = seg.output_jet[1:]
-        inputs[lo : lo + 1 + n_got] = u
-        if seg.status != "completed":
-            status = seg.status
-            count = lo + 1 + n_got
-            break
-    if status == "completed":
-        inputs[n_steps] = values[-1]
-    trajectory = Trajectory(
-        grid=grid[:count],
-        state=states[:count],
-        output_jet=jets[:count],
-        input=inputs[:count],
-        status=status,
-    )
+    held = _held_step(plant, h)
+
+    def hold_law(i, x):
+        knot, offset = divmod(i, substeps)
+        if offset == 0:
+            u = np.atleast_1d(law(grid[i], plant, x, check=check))
+            values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
+        u = values[knot]
+        return held(grid[i], x, u), u
+
+    states, inputs, count = _march(plant, hold_law, grid)
+    if count == grid.size:
+        inputs[-1] = values[-1]
     control = ControlSignal(
-        t_start=t0, step=step, values=values[:knots_done], saturation=saturation
+        t_start=t0, step=step, values=values[: (count - 1) // substeps + 1], saturation=saturation
     )
-    return trajectory, control
+    return _trajectory(plant, grid, states, inputs, count), control
 
 
 def _verify_membership_on_grid(trajectory: Trajectory, chain: FunnelChain, law: FeedbackLaw, yref):
@@ -760,8 +708,7 @@ def _verify_membership_on_grid(trajectory: Trajectory, chain: FunnelChain, law: 
     jets = trajectory.output_jet.reshape(len(trajectory), r, m)
     ref = yref.jet_array(trajectory.grid)
     zeta = (jets - ref).reshape(len(trajectory), r * m)
-    rows_full = chain_matrix(law.gains, r, m) if r > 1 else np.eye(m)
-    evals = zeta @ rows_full.T
+    evals = zeta @ chain_matrix(law.gains, r, m).T
     for i, member in enumerate(chain.members):
         norms = np.linalg.norm(evals[:, i * m : (i + 1) * m], axis=1)
         radii = np.asarray(member.value(trajectory.grid), dtype=float)
@@ -780,8 +727,8 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
     plant's current time.  Returns (grid, jets (B, K, r*m), inputs_ok) where
     inputs_ok flags batch members that stayed finite and bounded.
     """
-    if not plant.supports_batch or plant.sigma > 0.0:
-        raise ValueError("batched rollout needs a memoryless vectorized plant")
+    if plant.sigma > 0.0:
+        raise ValueError("batched rollout needs a plant without memory")
     B, N, m = values.shape
     substeps = round(step / h)
     if not _is_multiple(step, h):
@@ -792,18 +739,13 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
     X = np.broadcast_to(plant.state, (B, plant.state_dim)).copy()
     states = np.empty((B, n_steps + 1, plant.state_dim))
     states[:, 0] = X
-    rhs = plant.rhs_batch
+    rhs = plant.rhs
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            t = grid[i]
             U = values[:, i // substeps, :]
-            k1 = rhs(t, X, U)
-            k2 = rhs(t + 0.5 * h, X + (0.5 * h) * k1, U)
-            k3 = rhs(t + 0.5 * h, X + (0.5 * h) * k2, U)
-            k4 = rhs(t + h, X + h * k3, U)
-            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            X, _ = _rk4(lambda t, x: (rhs(t, x, U), U), grid[i], X, h)
             states[:, i + 1] = X
-        jets = plant.output_jet_batch(states)
+        jets = plant.output_jet(states)
     return grid, jets, _live_members(jets)
 
 

@@ -69,10 +69,6 @@ class CausalOperator:
     def state_derivative(self, t, xi, state) -> np.ndarray:
         return np.zeros(0)
 
-    def evaluate_hist(self, t, history, state=None) -> np.ndarray:
-        """Evaluate from a history function alone (probing interface)."""
-        return self.evaluate(t, np.asarray(history(t), dtype=float), history, state)
-
     def probe_value(self, t, xi, state=None) -> np.ndarray:
         """Evaluate against a history frozen at xi (used by bound probes)."""
         return self.evaluate(t, xi, lambda s: xi, state)
@@ -158,7 +154,8 @@ class RelativeDegreeSystem:
     """Normal-form plant record (f, g, T) with relative degree r.
 
     ``f`` maps operator values to R^m and ``g`` to invertible m x m matrices;
-    both must accept stacked leading axes when ``vectorized`` is set.
+    both must broadcast over leading axes, (..., q) to (..., m) and
+    (..., m, m), so a batch of states is stepped in one call.
     """
 
     m: int
@@ -166,7 +163,6 @@ class RelativeDegreeSystem:
     f: Callable
     g: Callable
     T: CausalOperator
-    vectorized: bool = False
 
     @property
     def sigma(self) -> float:
@@ -177,9 +173,11 @@ class RelativeDegreeSystem:
 class StateSpaceSystem:
     """Plant record x' = drift(x) + input_map(x) u with output jet access.
 
-    ``yr_parts``, when present, returns (f_value, g_matrix) such that
-    y^(r) = f_value + g_matrix @ u; the funnel feedback law needs it, or
-    ``linear``, whose matrices give it.  ``vectorized`` marks callables that broadcast over leading axes.
+    ``drift``, ``input_map``, ``output`` and ``output_jet`` must broadcast
+    over leading axes: states (..., n) map to (..., n), (..., n, m), (..., m)
+    and (..., r*m).  ``yr_parts``, when present, returns (f_value, g_matrix)
+    such that y^(r) = f_value + g_matrix @ u at one state; the funnel
+    feedback law needs it, or ``linear``, whose matrices give it.
     ``linear``, when present, declares the plant linear time-invariant as
     matrices (A, B, C_jet): x' = A x + B u and the flat output jet is C_jet x
     (ascending derivative blocks of m rows).  The callables must then agree
@@ -194,7 +192,6 @@ class StateSpaceSystem:
     output: Callable
     output_jet: Callable
     yr_parts: Callable | None = None
-    vectorized: bool = False
     linear: tuple | None = None
 
 
@@ -217,81 +214,51 @@ class MassOnCarParams:
 
 @dataclass(frozen=True)
 class ReferenceSignal:
-    """Reference trajectory with jet and highest-derivative access.
+    """Reference trajectory given by its jets on time arrays.
 
-    ``jet(t)`` returns the (r, m) reference jet at a scalar time, ``highest``
-    the r-th derivative.  ``jet_array(ts, order=r)`` evaluates derivatives
-    0..order-1 on a time array and returns (K, order, m); order r + 1
-    includes the r-th derivative.  ``jet_ext``, when provided, returns the
-    (r+1, m) extended jet in one evaluation; tight loops prefer it.
+    ``jet_array(ts, order=r)`` evaluates derivatives 0..order-1 on a time
+    array and returns (K, order, m); order r + 1 includes the r-th
+    derivative.
     """
 
     r: int
     m: int
-    jet: Callable
-    highest: Callable
     jet_array: Callable
-    jet_ext: Callable | None = None
 
-    def describe(self) -> str:
-        return f"reference(r={self.r}, m={self.m})"
+    def jet(self, t: float, order: int | None = None) -> np.ndarray:
+        """The (order, m) jet at one time; order defaults to r."""
+        return self.jet_array(np.array([float(t)]), self.r if order is None else order)[0]
 
 
 def constant_reference(value, r: int) -> ReferenceSignal:
     """Constant reference y_ref(t) = value with all derivatives zero."""
     val = np.atleast_1d(np.asarray(value, dtype=float))
-    m = val.size
-    base = np.zeros((r + 1, m))
-    base[0] = val
-    base.setflags(write=False)
-
-    def jet_ext(t):
-        return base
-
-    def jet(t):
-        return base[:r]
-
-    def highest(t):
-        return base[r]
 
     def jet_array(ts, order=r):
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros((ts.size, order, m))
+        out = np.zeros((np.size(ts), order, val.size))
         out[:, 0, :] = val
         return out
 
-    return ReferenceSignal(
-        r=r, m=m, jet=jet, highest=highest, jet_array=jet_array, jet_ext=jet_ext
-    )
+    return ReferenceSignal(r=r, m=val.size, jet_array=jet_array)
 
 
 def cosine_reference(amplitude: float, omega: float, r: int, phase: float = 0.0) -> ReferenceSignal:
     """Scalar reference y_ref(t) = amplitude * cos(omega t + phase)."""
-    a = float(amplitude)
     w = float(omega)
-    orders = np.arange(r + 1)
-    # d^n/dt^n cos(w t + phi) = w^n cos(w t + phi + n pi/2)
-    scales = a * w**orders
-    shifts = phase + orders * (math.pi / 2.0)
-
-    def jet_ext(t):
-        return (scales * np.cos(w * t + shifts))[:, None]
-
-    def jet(t):
-        return (scales[:r] * np.cos(w * t + shifts[:r]))[:, None]
-
-    def highest(t):
-        return np.atleast_1d(scales[r] * math.cos(w * t + shifts[r]))
+    # d^n/dt^n cos(w t + phi) = w^n cos(w t + phi + n pi/2) for n = 0..r,
+    # formed once since the feedback law asks for them at every RK4 stage
+    n = np.arange(r + 1)
+    scales = float(amplitude) * w**n
+    shifts = phase + n * (math.pi / 2.0)
 
     def jet_array(ts, order=r):
+        if order > r + 1:
+            raise ValueError(f"cosine reference of order {r} has no jet of order {order}")
         ts = np.asarray(ts, dtype=float)
-        n = np.arange(order)
-        out = (a * w**n) * np.cos(w * ts[:, None] + (phase + n * (math.pi / 2.0)))
+        out = scales[:order] * np.cos(w * ts[:, None] + shifts[:order])
         return out[:, :, None]
 
-    return ReferenceSignal(
-        r=r, m=1, jet=jet, highest=highest, jet_array=jet_array, jet_ext=jet_ext
-    )
+    return ReferenceSignal(r=r, m=1, jet_array=jet_array)
 
 
 def integrator_chain(r: int, m: int = 1) -> RelativeDegreeSystem:
@@ -309,7 +276,7 @@ def integrator_chain(r: int, m: int = 1) -> RelativeDegreeSystem:
         return np.broadcast_to(eye, w.shape[:-1] + (m, m))
 
     T = static_operator(lambda xi: xi, q=r * m)
-    return RelativeDegreeSystem(m=m, r=r, f=f, g=g, T=T, vectorized=True)
+    return RelativeDegreeSystem(m=m, r=r, f=f, g=g, T=T)
 
 
 def _mass_on_car_constants(p: MassOnCarParams):
@@ -373,7 +340,6 @@ def mass_on_car_state_space(params: MassOnCarParams | None = None) -> StateSpace
         output=output,
         output_jet=output_jet,
         yr_parts=yr_parts,
-        vectorized=True,
         linear=(a_mat, b_mat, c_jet),
     )
 
@@ -418,7 +384,7 @@ def mass_on_car_normal_form(params: MassOnCarParams | None = None) -> RelativeDe
         w = np.asarray(w, dtype=float)
         return np.broadcast_to(g_matrix, w.shape[:-1] + (1, 1))
 
-    return RelativeDegreeSystem(m=1, r=2, f=f, g=g, T=T, vectorized=True)
+    return RelativeDegreeSystem(m=1, r=2, f=f, g=g, T=T)
 
 
 def mass_on_car_initial_data(params: MassOnCarParams, x0) -> tuple[np.ndarray, np.ndarray]:

@@ -172,7 +172,7 @@ def test_criterion_04_finite_cost_iff_membership():
         values = rng.uniform(-3.0, 3.0, size=(5, 1))
         control = ControlSignal(t_start=0.0, step=0.1, values=values)
         cost = cost_functional(
-            make_integrator_plant(0.5), None, control, sc, yref, spec
+            make_integrator_plant(0.5), control, sc, yref, spec
         )
         traj = integrate_open_loop(make_integrator_plant(0.5), control, (0.0, 0.5), 0.01)
         theta_vals = np.asarray(theta.value(traj.grid), dtype=float)
@@ -212,10 +212,10 @@ def test_criterion_05_solver_matches_brute_force():
             horizon=0.1 * n, control_step=0.1, saturation=sat, ode_step=0.01
         )
         brute = brute_force_ocp(
-            make_integrator_plant(y0), None, sc, spec, yref, grid_resolution=res
+            make_integrator_plant(y0), sc, spec, yref, grid_resolution=res
         )
         sol = solve_ocp(
-            make_integrator_plant(y0), None, sc, spec, yref,
+            make_integrator_plant(y0), sc, spec, yref,
             chain=chain, gains=np.array([]),
         )
         # cost increase across one grid cell around the exhaustive argmin
@@ -226,7 +226,7 @@ def test_criterion_05_solver_matches_brute_force():
                 shifted = base.copy()
                 shifted[i, 0] = float(np.clip(shifted[i, 0] + sign * res, -sat, sat))
                 cost = cost_functional(
-                    make_integrator_plant(y0), None,
+                    make_integrator_plant(y0),
                     ControlSignal(t_start=0.0, step=0.1, values=shifted),
                     sc, yref, spec,
                 )

@@ -134,9 +134,10 @@ def test_single_link_chain_is_the_identity():
 
 def test_chain_matrix_is_unit_lower_triangular():
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        r = int(rng.integers(2, 6))
-        m = int(rng.integers(1, 4))
+    # r = 1 has no gains: the matrix is the identity the callers rely on
+    shapes = [(1, 1), (1, 3)]
+    shapes += [(int(rng.integers(2, 6)), int(rng.integers(1, 4))) for _ in range(25)]
+    for r, m in shapes:
         gains = rng.uniform(0.2, 25.0, size=r - 1)
         mat = chain_matrix(gains, r, m)
         assert mat.shape == (r * m, r * m)

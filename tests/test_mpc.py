@@ -27,11 +27,15 @@ from funnelmpc import (
     Trajectory,
     build_funnel_chain,
     constant_reference,
+    cosine_reference,
+    delay_operator,
     exponential_sum_funnel,
     integrator_chain,
+    make_plant,
     run_fmpc,
     verify_guarantees,
 )
+from funnelmpc.systems import RelativeDegreeSystem
 from funnelmpc.cli import ResolvedRun
 
 from conftest import config_path, make_integrator_plant
@@ -140,6 +144,31 @@ def test_closed_loop_representations_agree():
     np.testing.assert_allclose(ss.applied.values, nf.applied.values, rtol=0.0, atol=1e-4)
     np.testing.assert_allclose([rec.cost for rec in ss.records],
                                [rec.cost for rec in nf.records], rtol=1e-6, atol=0.0)
+
+
+def test_delay_plant_closed_loop():
+    # y'(t) = -y(t - 0.1)/2 + u with y = 1/2 on (-inf, 0]: the OCP costs each
+    # candidate on its own clone, whose rhs reads the clone's jet history
+    system = RelativeDegreeSystem(
+        m=1, r=1, f=lambda w: -0.5 * np.asarray(w, dtype=float), g=lambda w: np.eye(1),
+        T=delay_operator(0.1, lambda xi: xi, q=1),
+    )
+    plant = make_plant(system, 0.0, np.array([0.5]), initial_segment=lambda s: np.array([0.5]))
+    yref = cosine_reference(1.0, 1.0, r=1)
+    psi = exponential_sum_funnel(0.2, [(1.5, 1.0)], alpha=1.0, beta=0.2)
+    data = InitialJetData(0.0, np.array([[0.5]]), yref.jet(0.0))
+    chain = build_funnel_chain(psi, data, [], 0.5, r=1)
+    spec = OcpSpec(horizon=0.5, control_step=0.1, saturation=5.0, ode_step=0.01,
+                   max_iterations=3)
+    config = MpcConfig(
+        t0=0.0, t_end=0.2, delta=0.1, spec=spec, chain=chain, gains=np.array([]),
+        stage=StageCost(theta=chain.theta, lambda_u=0.01, gains=np.array([])),
+    )
+    log = run_fmpc(plant, yref, config)
+    assert verify_guarantees(log, psi, 5.0).passed
+    assert len(log.records) == 2
+    assert all(math.isfinite(rec.cost) for rec in log.records)
+    assert plant.history.latest() == 0.2
 
 
 def test_collapsing_funnel_with_tiny_input_box_aborts():

@@ -111,7 +111,7 @@ def test_stage_cost_validates_shapes(theta_one, scalar_stage):
 def test_cost_functional_matches_antiderivative(scalar_stage, zero_ref):
     plant = make_integrator_plant(0.5)
     control = ControlSignal(t_start=0.0, step=0.1, values=[[-5.0]])
-    cost = cost_functional(plant, None, control, scalar_stage, zero_ref, spec_for())
+    cost = cost_functional(plant, control, scalar_stage, zero_ref, spec_for())
     expected = (math.atanh(0.5) - 0.5) / 5.0 + 0.025
     assert cost == pytest.approx(expected, abs=1e-6)
 
@@ -119,14 +119,14 @@ def test_cost_functional_matches_antiderivative(scalar_stage, zero_ref):
 def test_cost_functional_infinite_outside_funnel(scalar_stage, zero_ref):
     plant = make_integrator_plant(0.5)
     control = ControlSignal(t_start=0.0, step=0.1, values=[[6.0]])
-    cost = cost_functional(plant, None, control, scalar_stage, zero_ref, spec_for())
+    cost = cost_functional(plant, control, scalar_stage, zero_ref, spec_for())
     assert cost == math.inf
 
 
 def test_cost_functional_zero_on_exact_tracking(scalar_stage, zero_ref):
     plant = make_integrator_plant(0.0)
     control = ControlSignal(t_start=0.0, step=0.1, values=[[0.0]])
-    cost = cost_functional(plant, None, control, scalar_stage, zero_ref, spec_for())
+    cost = cost_functional(plant, control, scalar_stage, zero_ref, spec_for())
     assert cost == 0.0
 
 
@@ -139,15 +139,13 @@ def test_spec_discretization_counts():
     assert spec.substeps == 2
 
 
-def test_spec_validates_divisibility_and_quadrature():
+def test_spec_validates_divisibility():
     with pytest.raises(ValueError):
         spec_for(horizon=0.5, control_step=0.3)
     with pytest.raises(ValueError):
         spec_for(control_step=0.1, ode_step=0.03)
     with pytest.raises(ValueError):
         spec_for(saturation=0.0)
-    with pytest.raises(ValueError):
-        spec_for(quadrature="simpson")
 
 
 # ── Projected-gradient solver against exhaustive search ─────────────────────
@@ -156,11 +154,11 @@ def test_spec_validates_divisibility_and_quadrature():
 def test_solver_matches_brute_force_single_interval(scalar_stage, zero_ref, scalar_chain):
     spec = spec_for(saturation=2.0, ode_step=5e-3)
     brute = brute_force_ocp(
-        make_integrator_plant(0.5), None, scalar_stage, spec, zero_ref,
+        make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
         grid_resolution=0.01,
     )
     sol = solve_ocp(
-        make_integrator_plant(0.5), None, scalar_stage, spec, zero_ref,
+        make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
         chain=scalar_chain, gains=np.array([]),
     )
     assert sol.status == "converged"
@@ -172,11 +170,11 @@ def test_solver_matches_brute_force_single_interval(scalar_stage, zero_ref, scal
 def test_solver_matches_brute_force_two_intervals(scalar_stage, zero_ref, scalar_chain):
     spec = spec_for(horizon=0.2, saturation=1.0, ode_step=5e-3)
     brute = brute_force_ocp(
-        make_integrator_plant(0.4), None, scalar_stage, spec, zero_ref,
+        make_integrator_plant(0.4), scalar_stage, spec, zero_ref,
         grid_resolution=0.05,
     )
     sol = solve_ocp(
-        make_integrator_plant(0.4), None, scalar_stage, spec, zero_ref,
+        make_integrator_plant(0.4), scalar_stage, spec, zero_ref,
         chain=scalar_chain, gains=np.array([]),
     )
     assert sol.cost <= brute.cost + 1e-9
@@ -187,10 +185,10 @@ def test_solver_never_worsens_a_feasible_warm_start(scalar_stage, zero_ref):
     spec = spec_for(horizon=0.2, saturation=5.0, ode_step=5e-3)
     warm = ControlSignal(t_start=0.0, step=0.1, values=np.zeros((2, 1)))
     warm_cost = cost_functional(
-        make_integrator_plant(0.5), None, warm, scalar_stage, zero_ref, spec
+        make_integrator_plant(0.5), warm, scalar_stage, zero_ref, spec
     )
     sol = solve_ocp(
-        make_integrator_plant(0.5), None, scalar_stage, spec, zero_ref, warm_start=warm
+        make_integrator_plant(0.5), scalar_stage, spec, zero_ref, warm_start=warm
     )
     assert math.isfinite(sol.cost)
     assert sol.cost <= warm_cost
@@ -200,7 +198,7 @@ def test_solver_never_worsens_a_feasible_warm_start(scalar_stage, zero_ref):
 def test_solver_reports_budget_exhaustion(scalar_stage, zero_ref, scalar_chain):
     spec = spec_for(saturation=2.0, ode_step=5e-3, max_iterations=1)
     sol = solve_ocp(
-        make_integrator_plant(0.5), None, scalar_stage, spec, zero_ref,
+        make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
         chain=scalar_chain, gains=np.array([]),
     )
     assert sol.status == "budget-exhausted"
@@ -211,7 +209,7 @@ def test_solver_recovers_from_infinite_warm_start(scalar_stage, zero_ref, scalar
     spec = spec_for(saturation=20.0, ode_step=5e-3)
     bad = ControlSignal(t_start=0.0, step=0.1, values=[[20.0]])
     sol = solve_ocp(
-        make_integrator_plant(0.5), None, scalar_stage, spec, zero_ref,
+        make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
         warm_start=bad, chain=scalar_chain, gains=np.array([]),
     )
     assert sol.status == "infeasible-start-recovered"
@@ -223,13 +221,13 @@ def test_solver_raises_without_any_feasible_start(scalar_stage, zero_ref, scalar
     bad = ControlSignal(t_start=0.0, step=0.1, values=[[20.0]])
     with pytest.raises(OcpInfeasibleError):
         solve_ocp(
-            make_integrator_plant(0.5), None, scalar_stage, spec, zero_ref,
+            make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
             warm_start=bad,
         )
     # a start outside the funnel cannot be recovered by the feedback either
     with pytest.raises(OcpInfeasibleError):
         solve_ocp(
-            make_integrator_plant(1.5), None, scalar_stage, spec, zero_ref,
+            make_integrator_plant(1.5), scalar_stage, spec, zero_ref,
             chain=scalar_chain, gains=np.array([]),
         )
 
@@ -237,7 +235,7 @@ def test_solver_raises_without_any_feasible_start(scalar_stage, zero_ref, scalar
 def test_solver_residual_small_at_convergence(scalar_stage, zero_ref, scalar_chain):
     spec = spec_for(saturation=2.0, ode_step=5e-3)
     sol = solve_ocp(
-        make_integrator_plant(0.5), None, scalar_stage, spec, zero_ref,
+        make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
         chain=scalar_chain, gains=np.array([]),
     )
     assert sol.status == "converged"
@@ -250,7 +248,7 @@ def test_brute_force_rejects_large_decision_spaces(scalar_stage, zero_ref):
     spec = spec_for(horizon=0.4, saturation=1.0, ode_step=5e-3)
     with pytest.raises(ValueError):
         brute_force_ocp(
-            make_integrator_plant(0.5), None, scalar_stage, spec, zero_ref,
+            make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
             grid_resolution=0.5,
         )
 
@@ -293,7 +291,7 @@ def test_linear_response_costs_match_rollouts(showcase_chain, showcase_yref):
         np.testing.assert_allclose(costs[finite], paths[0][finite], rtol=1e-12, atol=0.0)
     # the single-control entry point takes the same path
     control = ControlSignal(t_start=0.0, step=spec.control_step, values=values[2])
-    cost = cost_functional(make_plant(linear, 0.0, x0), None, control, stage, showcase_yref, spec)
+    cost = cost_functional(make_plant(linear, 0.0, x0), control, stage, showcase_yref, spec)
     assert cost == pytest.approx(paths[0][2], rel=1e-12, abs=0.0)
 
 
@@ -301,7 +299,7 @@ def test_linear_response_solve_matches_rk4_solve(showcase_chain, showcase_yref):
     stage, spec, linear, generic = _showcase_ocp(showcase_chain)
     x0 = np.array([0.0, 0.0, 2.0, 0.0])
     fast, slow = (
-        solve_ocp(make_plant(record, 0.0, x0), None, stage, spec, showcase_yref,
+        solve_ocp(make_plant(record, 0.0, x0), stage, spec, showcase_yref,
                   chain=showcase_chain, gains=SHOWCASE["gains"])
         for record in (linear, generic)
     )

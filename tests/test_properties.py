@@ -49,7 +49,6 @@ def test_linear_response_matches_batched_rk4(data, n, m, r, h, substeps, n_inter
         input_map=lambda x: np.broadcast_to(b, np.shape(x)[:-1] + (n, m)),
         output=lambda x: x @ c_jet[:m].T,
         output_jet=lambda x: x @ c_jet.T,
-        vectorized=True,
         linear=(a, b, c_jet),
     )
     step = substeps * h

@@ -26,7 +26,6 @@ from .sim import (
     ControlSignal,
     StateSpacePlant,
     _live_members,
-    integrate_open_loop,
     linear_jet_response,
     rollout_jets_batch,
     zoh_feedback_rollout,
@@ -186,32 +185,12 @@ class _Workspace:
             free_jets, forced = self.response
             jets = (free_jets + values.reshape(B, -1) @ forced).reshape(B, -1, self.r * self.m)
             alive = _live_members(jets)
-        elif self.plant.sigma == 0.0:
-            _, jets, alive = rollout_jets_batch(
-                self.plant.clone(), values, self.spec.control_step, self.spec.ode_step
-            )
         else:
-            costs = np.empty(B)
-            for b in range(B):
-                costs[b] = self._cost_rollout(values[b])
-            return costs
+            _, jets, alive = rollout_jets_batch(
+                self.plant, values, self.spec.control_step, self.spec.ode_step
+            )
         costs = self.barrier_costs(jets) + self.input_costs(values)
         return np.where(alive & np.isfinite(costs), costs, np.inf)
-
-    def _cost_rollout(self, values: np.ndarray) -> float:
-        control = ControlSignal(t_start=self.t0, step=self.spec.control_step, values=values)
-        clone = self.plant.clone()
-        traj = integrate_open_loop(
-            clone, control, (self.t0, self.t0 + self.spec.horizon), self.spec.ode_step
-        )
-        if traj.status != "completed":
-            logger.debug("rollout from t=%g aborted: %s", self.t0, traj.status)
-            return math.inf
-        cost = float(
-            self.barrier_costs(traj.output_jet[None, :, :])[0]
-            + self.input_costs(values[None, :, :])[0]
-        )
-        return cost if math.isfinite(cost) else math.inf
 
     def cost_single(self, values: np.ndarray) -> float:
         return float(self.cost_batch(values[None, :, :])[0])
@@ -237,7 +216,7 @@ class _Workspace:
 def cost_functional(plant, control: ControlSignal, sc: StageCost, yref, spec: OcpSpec) -> float:
     """Cost of one control over the horizon starting at the plant's time.
 
-    A plant with memory reads its own history buffer.
+    A plant with memory is rolled out on a clone that extends its history.
     """
     if control.t_start > plant.t + 1e-9 or control.t_end < plant.t + spec.horizon - 1e-9:
         raise ValueError("control does not cover the optimization horizon")

@@ -106,7 +106,8 @@ class JetHistory:
 
     Queries at s <= t0 use the supplied initial segment; later queries use
     cubic Lagrange interpolation over the four nearest stored samples.
-    Queries beyond the newest sample raise PreconditionViolation.
+    Queries beyond the newest sample raise PreconditionViolation.  Samples
+    keep their shape, so a batch's (B, r*m) rows broadcast with the (r*m,) past.
     """
 
     def __init__(self, t0: float, jet0: np.ndarray, initial_segment=None):
@@ -115,12 +116,13 @@ class JetHistory:
         self.segment = initial_segment
         self.ts = [self.t0]
         self.jets = [jet0.copy()]
+        self._memo = None  # the k2 and k3 stages of an RK4 step query one time
 
     def append(self, t: float, jet: np.ndarray):
         if t <= self.ts[-1]:
             raise ValueError("history samples must be appended in increasing time order")
         self.ts.append(float(t))
-        self.jets.append(np.asarray(jet, dtype=float).ravel().copy())
+        self.jets.append(np.array(jet, dtype=float))
 
     def latest(self) -> float:
         return self.ts[-1]
@@ -131,6 +133,7 @@ class JetHistory:
         out.segment = self.segment
         out.ts = list(self.ts)
         out.jets = [j.copy() for j in self.jets]
+        out._memo = None
         return out
 
     def __call__(self, s: float) -> np.ndarray:
@@ -143,18 +146,21 @@ class JetHistory:
                 f"history queried at {s} beyond newest sample {self.ts[-1]}"
             )
         ts = self.ts
+        if self._memo is not None and self._memo[0] == (s, len(ts)):
+            return self._memo[1]
         idx = bisect.bisect_left(ts, s)
         if idx < len(ts) and ts[idx] == s:
             return self.jets[idx]
         lo = max(0, min(idx - 2, len(ts) - 4))
         hi = min(len(ts), lo + 4)
-        out = np.zeros_like(self.jets[0])
+        out = 0.0
         for j in range(lo, hi):
             w = 1.0
             for l in range(lo, hi):
                 if l != j:
                     w *= (s - ts[l]) / (ts[j] - ts[l])
-            out += w * self.jets[j]
+            out = out + w * self.jets[j]
+        self._memo = ((s, len(ts)), out)
         return out
 
 
@@ -225,9 +231,8 @@ class NormalFormPlant:
     The integration state stacks the flat output jet and the operator's
     internal state.  When the operator has memory, a jet history buffer is
     maintained; the initial segment must cover [t0 - sigma, t0].  ``rhs``
-    and ``output_jet`` map states with any leading axes, except that an
-    operator with memory reads the plant's own history, so ``rhs`` then takes
-    one member at a time.
+    and ``output_jet`` map states with any leading axes; with memory, a
+    batch is stepped on a clone whose history holds one row per member.
     """
 
     def __init__(self, system: RelativeDegreeSystem, t0: float, xi0, eta0=None, initial_segment=None):
@@ -297,7 +302,7 @@ class NormalFormPlant:
         self.t = float(t)
         self.state = np.asarray(state, dtype=float)
         if self.history is not None and t > self.history.latest():
-            self.history.append(t, state[: self._rm])
+            self.history.append(t, state[..., : self._rm])
 
 
 def _times_input(gmat: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -721,21 +726,23 @@ def _verify_membership_on_grid(trajectory: Trajectory, chain: FunnelChain, law: 
 
 
 def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
-    """Integrate a batch of ZOH controls on clones of a memoryless plant.
+    """Integrate a batch of ZOH controls on a clone of the plant.
 
     ``values`` has shape (B, N, m); the rollout covers N*step from the
-    plant's current time.  Returns (grid, jets (B, K, r*m), inputs_ok) where
-    inputs_ok flags batch members that stayed finite and bounded.
+    plant's current time.  The clone is advanced after every step, so on a
+    plant with memory each member reads its own predicted past.  Returns
+    (grid, jets (B, K, r*m), inputs_ok) where inputs_ok flags batch members
+    that stayed finite and bounded.
     """
-    if plant.sigma > 0.0:
-        raise ValueError("batched rollout needs a plant without memory")
     B, N, m = values.shape
     substeps = round(step / h)
     if not _is_multiple(step, h):
         raise ValueError(f"step {h} does not divide the ZOH interval {step}")
+    if plant.sigma > 0.0 and h > plant.sigma + 1e-12:
+        raise ValueError("integration step must not exceed the operator memory length")
     n_steps = N * substeps
-    t0 = plant.t
-    grid = t0 + h * np.arange(n_steps + 1)
+    plant = plant.clone()
+    grid = plant.t + h * np.arange(n_steps + 1)
     X = np.broadcast_to(plant.state, (B, plant.state_dim)).copy()
     states = np.empty((B, n_steps + 1, plant.state_dim))
     states[:, 0] = X
@@ -745,6 +752,7 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
             U = values[:, i // substeps, :]
             X, _ = _rk4(lambda t, x: (rhs(t, x, U), U), grid[i], X, h)
             states[:, i + 1] = X
+            plant.advance(grid[i + 1], X)
         jets = plant.output_jet(states)
     return grid, jets, _live_members(jets)
 

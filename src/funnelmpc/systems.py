@@ -129,7 +129,11 @@ def static_operator(func: Callable, q: int) -> CausalOperator:
 
 
 def delay_operator(tau: float, func: Callable, q: int) -> CausalOperator:
-    """Pure delay T(xi)(t) = func(xi(t - tau)) with sigma = tau."""
+    """Pure delay T(xi)(t) = func(xi(t - tau)) with sigma = tau.
+
+    ``func`` must broadcast over leading axes: a batched rollout passes it
+    one delayed (r*m,) jet per member.
+    """
     if not tau > 0.0:
         raise ValueError("delay must be positive")
     return _DelayOperator(tau, func, q)

@@ -147,8 +147,8 @@ def test_closed_loop_representations_agree():
 
 
 def test_delay_plant_closed_loop():
-    # y'(t) = -y(t - 0.1)/2 + u with y = 1/2 on (-inf, 0]: the OCP costs each
-    # candidate on its own clone, whose rhs reads the clone's jet history
+    # y'(t) = -y(t - 0.1)/2 + u with y = 1/2 on (-inf, 0]: the OCP rolls a
+    # candidate batch out on a clone whose jet history holds a row per member
     system = RelativeDegreeSystem(
         m=1, r=1, f=lambda w: -0.5 * np.asarray(w, dtype=float), g=lambda w: np.eye(1),
         T=delay_operator(0.1, lambda xi: xi, q=1),

@@ -26,6 +26,7 @@ from funnelmpc import (
     StageCost,
     brute_force_ocp,
     cost_functional,
+    integrate_open_loop,
     make_plant,
     mass_on_car_state_space,
     solve_ocp,
@@ -266,9 +267,21 @@ def _showcase_ocp(showcase_chain):
     return stage, spec, system, dataclasses.replace(system, linear=None)
 
 
+def _member_cost(ws, values):
+    """Cost of one control from its own open-loop integration."""
+    control = ControlSignal(t_start=ws.t0, step=ws.spec.control_step, values=values)
+    traj = integrate_open_loop(
+        ws.plant.clone(), control, (ws.t0, ws.t0 + ws.spec.horizon), ws.spec.ode_step
+    )
+    if traj.status != "completed":
+        return math.inf
+    cost = float(ws.barrier_costs(traj.output_jet[None])[0] + ws.input_costs(values[None])[0])
+    return cost if math.isfinite(cost) else math.inf
+
+
 def test_linear_response_costs_match_rollouts(showcase_chain, showcase_yref):
     # the linear record costs candidates through one response matrix; the
-    # same plant without it runs batched RK4, and _cost_rollout integrates
+    # same plant without it runs batched RK4, and the reference integrates
     # each member on its own
     stage, spec, linear, generic = _showcase_ocp(showcase_chain)
     x0 = np.array([0.0, 0.0, 2.0, 0.0])
@@ -281,7 +294,7 @@ def test_linear_response_costs_match_rollouts(showcase_chain, showcase_yref):
     paths = [
         fast.cost_batch(values),
         slow.cost_batch(values),
-        np.array([slow._cost_rollout(v) for v in values]),
+        np.array([_member_cost(slow, v) for v in values]),
     ]
     finite = np.isfinite(paths[0])
     assert not finite[0] and not finite[1]

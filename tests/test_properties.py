@@ -1,8 +1,10 @@
-"""Property tests over randomly drawn small linear plants.
+"""Property tests over randomly drawn small linear plants and control grids.
 
 The exact linear response (free response of the start plus a forced
 response matrix applied to the stacked controls) must reproduce batched RK4
 rollouts of the same plant for any matrices, steps, horizons and inputs.
+A zero-order-hold control must pick the interval of every integration grid
+point the way the batched rollout does.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from funnelmpc import StateSpaceSystem, make_plant  # noqa: E402
+from funnelmpc import ControlSignal, StateSpaceSystem, make_plant  # noqa: E402
 from funnelmpc.sim import linear_jet_response, rollout_jets_batch  # noqa: E402
 
 
@@ -62,3 +64,19 @@ def test_linear_response_matches_batched_rk4(data, n, m, r, h, substeps, n_inter
     jets = ((free @ x0).ravel() + values.reshape(batch, -1) @ forced).reshape(rollout.shape)
     scale = float(np.max(np.abs(rollout)))
     assert float(np.max(np.abs(jets - rollout))) <= 1e-10 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t0=st.floats(-10.0, 10.0),
+    h=st.floats(1e-4, 0.1),
+    substeps=st.integers(1, 20),
+    n_intervals=st.integers(1, 50),
+    data=st.data(),
+)
+def test_control_index_at_grid_points(t0, h, substeps, n_intervals, data):
+    # grid point i lies in interval i // substeps, knots included; the end
+    # of the grid holds the last interval
+    i = data.draw(st.integers(0, n_intervals * substeps))
+    control = ControlSignal(t_start=t0, step=substeps * h, values=np.zeros((n_intervals, 1)))
+    assert control.index_at(t0 + h * i) == min(i // substeps, n_intervals - 1)

@@ -439,3 +439,39 @@ def test_batched_rollout_flags_divergent_members():
     _, _, alive = rollout_jets_batch(base, values, 1.0, 0.01)
     assert alive[0]
     assert not alive[1]
+
+
+def test_batched_rollout_on_delay_plant_matches_members():
+    # y'(t) = -y(t - 0.1)/2 + u with y = 1/2 on (-inf, 0], positioned at
+    # t = 0.2: over a 0.5 horizon every member reads the shared stored past
+    # first and its own predicted past afterwards
+    system = RelativeDegreeSystem(
+        m=1, r=1, f=lambda w: -0.5 * np.asarray(w, dtype=float), g=lambda w: np.eye(1),
+        T=delay_operator(0.1, lambda xi: xi, q=1),
+    )
+    plant = make_plant(system, 0.0, np.array([0.5]), initial_segment=lambda s: np.array([0.5]))
+    ramp = ControlSignal(t_start=0.0, step=0.1, values=[[1.0], [-2.0]])
+    integrate_open_loop(plant, ramp, (0.0, 0.2), 0.01)
+    t_hat, state, latest = plant.t, plant.state.copy(), plant.history.latest()
+
+    values = np.random.default_rng(3).uniform(-5.0, 5.0, size=(6, 5, 1))
+    values[4] = 1e12  # blows up
+    grid, jets, alive = rollout_jets_batch(plant, values, 0.1, 0.01)
+    assert grid.shape == (51,)
+    assert plant.t == t_hat and plant.history.latest() == latest
+    np.testing.assert_array_equal(plant.state, state)
+    assert alive.tolist() == [True, True, True, True, False, True]
+
+    for b in np.flatnonzero(alive):
+        control = ControlSignal(t_start=t_hat, step=0.1, values=values[b])
+        traj = integrate_open_loop(plant.clone(), control, (t_hat, t_hat + 0.5), 0.01)
+        assert traj.status == "completed"
+        scale = float(np.max(np.abs(traj.output_jet)))
+        assert float(np.max(np.abs(jets[b] - traj.output_jet))) <= 1e-13 * scale
+    # the blown member leaves the others untouched
+    _, kept, kept_alive = rollout_jets_batch(plant, values[alive], 0.1, 0.01)
+    assert kept_alive.all()
+    np.testing.assert_array_equal(kept, jets[alive])
+
+    with pytest.raises(ValueError, match="memory"):
+        rollout_jets_batch(plant, values, 0.2, 0.2)

@@ -141,7 +141,6 @@ def _shifted_warm_start(plant, config: MpcConfig, yref, previous: ControlSignal,
             spec.control_step,
             spec.ode_step,
             saturation=spec.saturation,
-            check=False,
         )
         if tail_traj.status != "completed":
             return None

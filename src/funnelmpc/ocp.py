@@ -7,8 +7,9 @@ horizon, clamped componentwise to the saturation box.  The solver is
 projected gradient descent with forward finite differences and halving
 backtracking; a brute-force grid search over tiny decision spaces serves
 as an independent reference.  Candidates are costed through batched RK4
-rollouts, or on a linear state-space plant through the exact response of
-``sim.linear_jet_response``, which gives the same jets up to rounding.
+rollouts, or, on a plant whose ``linear`` matrices are set (state space or
+normal form), through the exact response of ``sim.linear_jet_response``,
+which gives the same jets up to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import OcpInfeasibleError, PreconditionViolation
 from .funnel import FunnelFunction
 from .sim import (
     ControlSignal,
-    StateSpacePlant,
     _live_members,
     linear_jet_response,
     rollout_jets_batch,
@@ -160,7 +160,7 @@ class _Workspace:
         # on a linear plant the jets of every candidate are the free response
         # of the start state plus its stacked controls times one matrix
         self.response = None
-        if isinstance(plant, StateSpacePlant) and plant.linear is not None:
+        if plant.linear is not None:
             free, forced = linear_jet_response(plant.linear, spec.ode_step, spec.substeps, self.N)
             self.response = ((free @ plant.state).ravel(), forced)
 
@@ -206,7 +206,6 @@ class _Workspace:
             self.spec.control_step,
             self.spec.ode_step,
             saturation=self.spec.saturation,
-            check=False,
         )
         if control.values.shape[0] != self.N:
             raise PreconditionViolation("feedback rollout blew up inside the horizon")

@@ -168,8 +168,9 @@ class StateSpacePlant:
     """Simulation wrapper for a StateSpaceSystem positioned at (t, x).
 
     ``rhs`` and ``output_jet`` map states with any leading axes, so one call
-    covers a batch of members or a whole trajectory.  A system that declares
-    ``linear`` matrices is stepped with them directly.
+    covers a batch of members or a whole trajectory.  ``linear`` is the
+    record's (A, B, C_jet) or None; the exact-map paths read it, and
+    ``yr_parts`` falls back on it.
     """
 
     def __init__(self, system: StateSpaceSystem, t0: float, x0):
@@ -188,9 +189,6 @@ class StateSpacePlant:
 
     def rhs(self, t, x, u):
         """State derivative for states (..., n) and inputs (..., m)."""
-        if self.linear is not None:
-            a, b, _ = self.linear
-            return x @ a.T + u @ b.T
         return self.system.drift(x) + _times_input(self.system.input_map(x), u)
 
     # the benchmark's tracer hooks this name; kept until the benchmark drops it
@@ -199,8 +197,6 @@ class StateSpacePlant:
     def output_jet(self, x=None):
         """Flat output jets (..., r*m) of states (..., n); the plant's own by default."""
         x = self.state if x is None else x
-        if self.linear is not None:
-            return x @ self.linear[2].T
         jet = np.asarray(self.system.output_jet(x), dtype=float)
         return jet.reshape(np.shape(x)[:-1] + (self.r * self.m,))
 
@@ -233,6 +229,7 @@ class NormalFormPlant:
     maintained; the initial segment must cover [t0 - sigma, t0].  ``rhs``
     and ``output_jet`` map states with any leading axes; with memory, a
     batch is stepped on a clone whose history holds one row per member.
+    ``linear`` is the record's (A, B, C_jet) in these coordinates, or None.
     """
 
     def __init__(self, system: RelativeDegreeSystem, t0: float, xi0, eta0=None, initial_segment=None):
@@ -243,6 +240,7 @@ class NormalFormPlant:
         op_dim = system.T.state_dim
         self.state_dim = self._rm + op_dim
         self.sigma = system.sigma
+        self.linear = system.linear
         self.t = float(t0)
         xi0 = np.asarray(xi0, dtype=float).reshape(self._rm)
         if op_dim:
@@ -262,6 +260,7 @@ class NormalFormPlant:
         out._rm = self._rm
         out.state_dim = self.state_dim
         out.sigma = self.sigma
+        out.linear = self.linear
         out.t = self.t
         out.state = self.state.copy()
         out.history = self.history.clone() if self.history is not None else None
@@ -328,6 +327,32 @@ def _is_multiple(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs(ratio - round(ratio)) <= tol * max(1.0, abs(ratio))
 
 
+def _step_grid(plant, t_span, h: float, step: float):
+    """Check a rollout span; return its RK4 grid and the RK4 steps per ZOH step.
+
+    Both steps must be positive and the span nonempty; the plant must sit at
+    the span start; h must divide the ZOH step and the span, and must not
+    exceed the memory length of an operator with memory.  The last grid
+    point is t1 itself.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (h > 0.0 and step > 0.0):
+        raise ValueError(f"integration step {h} and ZOH step {step} must be positive")
+    if not t1 > t0:
+        raise ValueError(f"empty integration span [{t0}, {t1}]")
+    if abs(plant.t - t0) > 1e-9:
+        raise ValueError(f"plant is positioned at t = {plant.t}, span starts at {t0}")
+    if not _is_multiple(step, h):
+        raise ValueError(f"step {h} does not divide the ZOH interval {step}")
+    if not _is_multiple(t1 - t0, h):
+        raise ValueError(f"span length {t1 - t0} is not a multiple of the step {h}")
+    if plant.sigma > 0.0 and h > plant.sigma + 1e-12:
+        raise ValueError("integration step must not exceed the operator memory length")
+    grid = t0 + h * np.arange(round((t1 - t0) / h) + 1)
+    grid[-1] = t1
+    return grid, round(step / h)
+
+
 def _control_callable(control, m: int):
     if isinstance(control, ControlSignal):
         return control.value_at
@@ -352,11 +377,11 @@ def _rk4(field, t: float, x: np.ndarray, h: float):
 def _held_step(plant, h: float):
     """One step of length h under an input held over it: (t, x, u) -> x+.
 
-    A state-space plant that declares ``linear`` matrices takes the exact
-    RK4 map x+ = phi x + gam u of ``rk4_step_maps``; any other plant runs
-    the four RK4 stages, each with the same held u.
+    A plant whose ``linear`` matrices are set takes the exact RK4 map
+    x+ = phi x + gam u of ``rk4_step_maps``; any other plant runs the four
+    RK4 stages, each with the same held u.
     """
-    if isinstance(plant, StateSpacePlant) and plant.linear is not None:
+    if plant.linear is not None:
         phi, gam = rk4_step_maps(plant.linear[0], plant.linear[1], h)
         return lambda t, x, u: phi @ x + gam @ u
     rhs = plant.rhs
@@ -405,36 +430,19 @@ def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
 
     The step must divide the ZOH step and the span, so input discontinuities
     land on grid points.  Integration stops early with status 'blow-up' when
-    the state norm exceeds 1e8 or turns non-finite.  A state-space plant
-    that declares ``linear`` matrices is stepped under a ControlSignal with
-    the exact RK4 step maps of ``rk4_step_maps``.
+    the state norm exceeds 1e8 or turns non-finite.  A plant whose
+    ``linear`` matrices are set is stepped under a ControlSignal with the
+    exact RK4 step maps of ``rk4_step_maps``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not h > 0.0:
-        raise ValueError("integration step must be positive")
-    if t1 <= t0:
-        raise ValueError("empty integration span")
-    if abs(plant.t - t0) > 1e-9:
-        raise ValueError(f"plant is positioned at t = {plant.t}, span starts at {t0}")
-    n_steps = round((t1 - t0) / h)
-    if not _is_multiple(t1 - t0, h):
-        raise ValueError(f"span length {t1 - t0} is not a multiple of the step {h}")
-    if isinstance(control, ControlSignal):
-        if not _is_multiple(control.step, h):
-            raise ValueError(
-                f"step {h} does not divide the ZOH interval {control.step}"
-            )
+    held_input = isinstance(control, ControlSignal)
+    grid, _ = _step_grid(plant, t_span, h, control.step if held_input else h)
+    u_of = _control_callable(control, plant.m)
+    if held_input:
         if not _is_multiple(t0 - control.t_start, h):
             raise ValueError("control breakpoints are not aligned with the grid")
         if control.t_start > t0 + 1e-9 or control.t_end < t1 - 1e-9:
             raise ValueError("control does not cover the integration span")
-    if plant.sigma > 0.0 and h > plant.sigma + 1e-12:
-        raise ValueError("integration step must not exceed the operator memory length")
-    u_of = _control_callable(control, plant.m)
-
-    grid = t0 + h * np.arange(n_steps + 1)
-    grid[-1] = t1
-    if isinstance(control, ControlSignal):
         # the interval's own value feeds every stage: u_of(t + h) at a knot
         # would already read the next interval
         held = _held_step(plant, h)
@@ -535,28 +543,16 @@ def feedback_rollout(
     The feedback is evaluated at every integrator stage (exact law); the
     returned ControlSignal holds its samples at the ZOH grid for warm-start
     use.  Funnel membership is verified at every grid point afterwards.
-    On a state-space plant that declares ``linear`` matrices the same law
-    is applied as affine RK4 step maps (see ``_affine_feedback``).
+    On a plant whose ``linear`` matrices are set the same law is applied
+    as affine RK4 step maps (see ``_affine_feedback``).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    law = FeedbackLaw(chain, gains, yref)
-    if abs(plant.t - t0) > 1e-9:
-        raise ValueError(f"plant is positioned at t = {plant.t}, span starts at {t0}")
-    n_steps = round((t1 - t0) / h)
-    if not _is_multiple(t1 - t0, h):
-        raise ValueError(f"span length {t1 - t0} is not a multiple of the step {h}")
     step = h if zoh_step is None else float(zoh_step)
-    if not _is_multiple(step, h):
-        raise ValueError("ZOH sampling step must be a multiple of the integration step")
-    if plant.sigma > 0.0 and h > plant.sigma + 1e-12:
-        raise ValueError("integration step must not exceed the operator memory length")
-    substeps = round(step / h)
-
-    grid = t0 + h * np.arange(n_steps + 1)
-    grid[-1] = t1
-    linear = plant.linear if isinstance(plant, StateSpacePlant) else None
-    if linear is not None:
-        states, inputs, count = _affine_feedback(law, linear, plant.state, grid, h)
+    grid, substeps = _step_grid(plant, t_span, h, step)
+    n_steps = grid.size - 1
+    law = FeedbackLaw(chain, gains, yref)
+    if plant.linear is not None:
+        states, inputs, count = _affine_feedback(law, plant.linear, plant.state, grid, h)
         plant.advance(grid[count - 1], states[count - 1].copy())
     else:
         rhs = plant.rhs
@@ -662,7 +658,6 @@ def zoh_feedback_rollout(
     zoh_step: float,
     h: float,
     saturation: float | None = None,
-    check: bool = False,
 ):
     """Receding zero-order-hold application of the funnel feedback.
 
@@ -673,27 +668,18 @@ def zoh_feedback_rollout(
     solver's recovery start.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    law = FeedbackLaw(chain, gains, yref)
-    if abs(plant.t - t0) > 1e-9:
-        raise ValueError(f"plant is positioned at t = {plant.t}, span starts at {t0}")
+    grid, substeps = _step_grid(plant, t_span, h, zoh_step)
     step = float(zoh_step)
-    n_knots = round((t1 - t0) / step)
     if not _is_multiple(t1 - t0, step):
         raise ValueError(f"span length {t1 - t0} is not a multiple of the ZOH step {step}")
-    if not _is_multiple(step, h):
-        raise ValueError("integration step must divide the ZOH interval")
-    if plant.sigma > 0.0 and h > plant.sigma + 1e-12:
-        raise ValueError("integration step must not exceed the operator memory length")
-    substeps = round(step / h)
-    grid = t0 + h * np.arange(n_knots * substeps + 1)
-    grid[-1] = t1
-    values = np.empty((n_knots, plant.m))
+    law = FeedbackLaw(chain, gains, yref)
+    values = np.empty((round((t1 - t0) / step), plant.m))
     held = _held_step(plant, h)
 
     def hold_law(i, x):
         knot, offset = divmod(i, substeps)
         if offset == 0:
-            u = np.atleast_1d(law(grid[i], plant, x, check=check))
+            u = np.atleast_1d(law(grid[i], plant, x, check=False))
             values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
         u = values[knot]
         return held(grid[i], x, u), u
@@ -735,14 +721,9 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
     that stayed finite and bounded.
     """
     B, N, m = values.shape
-    substeps = round(step / h)
-    if not _is_multiple(step, h):
-        raise ValueError(f"step {h} does not divide the ZOH interval {step}")
-    if plant.sigma > 0.0 and h > plant.sigma + 1e-12:
-        raise ValueError("integration step must not exceed the operator memory length")
-    n_steps = N * substeps
+    grid, substeps = _step_grid(plant, (plant.t, plant.t + N * step), h, step)
+    n_steps = grid.size - 1
     plant = plant.clone()
-    grid = plant.t + h * np.arange(n_steps + 1)
     X = np.broadcast_to(plant.state, (B, plant.state_dim)).copy()
     states = np.empty((B, n_steps + 1, plant.state_dim))
     states[:, 0] = X

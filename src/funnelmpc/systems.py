@@ -9,9 +9,9 @@ Three operator constructors are provided: a memoryless map, a fixed delay,
 and finite-dimensional internal dynamics driven by the output jet.  The
 local Lipschitz property of user-supplied maps is assumed, not verified.
 
-A state-space wrapper covers plants given as x' = drift(x) + input_map(x) u,
-y = output(x), together with the output jet as a function of the state.  The
-mass-on-car benchmark is provided in both representations.
+A state-space wrapper covers plants given as x' = drift(x) + input_map(x) u
+with the output jet as a function of the state.  Either record may declare
+``linear`` matrices.  The mass-on-car benchmark is provided in both.
 """
 
 from __future__ import annotations
@@ -159,7 +159,9 @@ class RelativeDegreeSystem:
 
     ``f`` maps operator values to R^m and ``g`` to invertible m x m matrices;
     both must broadcast over leading axes, (..., q) to (..., m) and
-    (..., m, m), so a batch of states is stepped in one call.
+    (..., m, m), so a batch of states is stepped in one call.  ``linear``
+    is as for StateSpaceSystem, in the plant's coordinates x = (xi, eta) of
+    flat jet and operator state, so C_jet = [I 0]; memory forbids it.
     """
 
     m: int
@@ -167,6 +169,11 @@ class RelativeDegreeSystem:
     f: Callable
     g: Callable
     T: CausalOperator
+    linear: tuple | None = None
+
+    def __post_init__(self):
+        if self.linear is not None and self.sigma > 0.0:
+            raise ValueError("a plant with memory (sigma > 0) cannot declare linear matrices")
 
     @property
     def sigma(self) -> float:
@@ -177,15 +184,16 @@ class RelativeDegreeSystem:
 class StateSpaceSystem:
     """Plant record x' = drift(x) + input_map(x) u with output jet access.
 
-    ``drift``, ``input_map``, ``output`` and ``output_jet`` must broadcast
-    over leading axes: states (..., n) map to (..., n), (..., n, m), (..., m)
-    and (..., r*m).  ``yr_parts``, when present, returns (f_value, g_matrix)
-    such that y^(r) = f_value + g_matrix @ u at one state; the funnel
-    feedback law needs it, or ``linear``, whose matrices give it.
-    ``linear``, when present, declares the plant linear time-invariant as
-    matrices (A, B, C_jet): x' = A x + B u and the flat output jet is C_jet x
-    (ascending derivative blocks of m rows).  The callables must then agree
-    with it; simulation steps such plants with the matrices directly.
+    ``drift``, ``input_map`` and ``output_jet`` must broadcast over leading
+    axes: states (..., n) map to (..., n), (..., n, m) and (..., r*m), the
+    output being the first jet block.  ``yr_parts``, when present, returns
+    (f_value, g_matrix) such that y^(r) = f_value + g_matrix @ u at one
+    state; the funnel feedback law needs it, or ``linear``, whose matrices
+    give it.  ``linear``, when present, declares the plant linear
+    time-invariant as matrices (A, B, C_jet): x' = A x + B u and the flat
+    output jet is C_jet x (ascending derivative blocks of m rows).  The
+    callables must then agree with it; simulation steps such plants with
+    the matrices directly.
     """
 
     n: int
@@ -193,7 +201,6 @@ class StateSpaceSystem:
     r: int
     drift: Callable
     input_map: Callable
-    output: Callable
     output_jet: Callable
     yr_parts: Callable | None = None
     linear: tuple | None = None
@@ -266,10 +273,15 @@ def cosine_reference(amplitude: float, omega: float, r: int, phase: float = 0.0)
 
 
 def integrator_chain(r: int, m: int = 1) -> RelativeDegreeSystem:
-    """Chain of r integrators per channel: y^(r) = u."""
+    """Chain of r integrators per channel: y^(r) = u, linear in the flat jet."""
     if r < 1 or m < 1:
         raise ValueError("integrator chain needs r >= 1 and m >= 1")
     eye = np.eye(m)
+    a_mat = np.kron(np.eye(r, k=1), eye)
+    b_mat = np.kron(np.eye(r)[:, -1:], eye)
+    c_jet = np.eye(r * m)
+    for mat in (a_mat, b_mat, c_jet):
+        mat.setflags(write=False)
 
     def f(w):
         w = np.asarray(w, dtype=float)
@@ -280,7 +292,7 @@ def integrator_chain(r: int, m: int = 1) -> RelativeDegreeSystem:
         return np.broadcast_to(eye, w.shape[:-1] + (m, m))
 
     T = static_operator(lambda xi: xi, q=r * m)
-    return RelativeDegreeSystem(m=m, r=r, f=f, g=g, T=T)
+    return RelativeDegreeSystem(m=m, r=r, f=f, g=g, T=T, linear=(a_mat, b_mat, c_jet))
 
 
 def _mass_on_car_constants(p: MassOnCarParams):
@@ -326,9 +338,6 @@ def mass_on_car_state_space(params: MassOnCarParams | None = None) -> StateSpace
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(b_mat, x.shape[:-1] + (4, 1))
 
-    def output(x):
-        return np.asarray(x, dtype=float) @ c_t[:, :1]
-
     def output_jet(x):
         return np.asarray(x, dtype=float) @ c_t
 
@@ -341,7 +350,6 @@ def mass_on_car_state_space(params: MassOnCarParams | None = None) -> StateSpace
         r=2,
         drift=drift,
         input_map=input_map,
-        output=output,
         output_jet=output_jet,
         yr_parts=yr_parts,
         linear=(a_mat, b_mat, c_jet),
@@ -354,41 +362,49 @@ def mass_on_car_normal_form(params: MassOnCarParams | None = None) -> RelativeDe
     The operator state is eta = (s, s' + z' cos(vartheta)), chosen so that
     its drift does not involve the input; the readout exposes
     (y, y', s, s') and f, g read the last two components.  g is the constant
-    sin^2(vartheta) / (m1 + m2 sin^2(vartheta)).
+    sin^2(vartheta) / (m1 + m2 sin^2(vartheta)).  The readout, f and the
+    eta drift are rows on x = (y, y', eta) and w; the callables and the
+    declared (A, B, C_jet) are built from those rows.
     """
     p = params or MassOnCarParams()
     c, s2, d0 = _mass_on_car_constants(p)
+    if s2 == 0.0:
+        raise ValueError("the normal form needs vartheta > 0: its input gain vanishes")
     k, d = p.k, p.d
     m2 = p.m2
-    g_const = s2 / d0
     f_coeff = -c * p.m1 / (m2 * d0)
 
-    def eta_drift(eta, xi):
-        eta = np.asarray(eta, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        sd = (eta[..., 1] - c * xi[..., 1]) / s2
-        return np.stack([sd, -(k * eta[..., 0] + d * sd) / m2], axis=-1)
+    # w = (y, y', s, s') from x = (y, y', eta), with s' = (eta_2 - c y') / sin^2
+    readout_rows = np.eye(4)
+    readout_rows[3] = [0.0, -c / s2, 0.0, 1.0 / s2]
+    # f(w) = f_coeff (k s + d s'); eta' = (s', -(k s + d s') / m2)
+    f_row = np.array([[0.0, 0.0, f_coeff * k, f_coeff * d]])
+    eta_rows = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -k / m2, -d / m2]])
+    g_matrix = np.array([[s2 / d0]])
+    a_mat = np.vstack([[0.0, 1.0, 0.0, 0.0], f_row @ readout_rows, eta_rows @ readout_rows])
+    b_mat = np.array([[0.0], [g_matrix[0, 0]], [0.0], [0.0]])
+    c_jet = np.eye(2, 4)
+    for mat in (g_matrix, a_mat, b_mat, c_jet):
+        mat.setflags(write=False)
+    xi_t, eta_t = readout_rows[:, :2].T, readout_rows[:, 2:].T
+    f_t, drift_t = f_row.T, eta_rows.T
 
     def readout(eta, xi):
-        eta = np.asarray(eta, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        sd = (eta[..., 1] - c * xi[..., 1]) / s2
-        return np.stack([xi[..., 0], xi[..., 1], eta[..., 0], sd], axis=-1)
+        return np.asarray(xi, dtype=float) @ xi_t + np.asarray(eta, dtype=float) @ eta_t
+
+    def eta_drift(eta, xi):
+        return readout(eta, xi) @ drift_t
 
     T = internal_dynamics_operator(2, eta_drift, readout, eta0=np.zeros(2), q=4)
 
-    g_matrix = np.array([[g_const]])
-    g_matrix.setflags(write=False)
-
     def f(w):
-        w = np.asarray(w, dtype=float)
-        return (f_coeff * (k * w[..., 2] + d * w[..., 3]))[..., None]
+        return np.asarray(w, dtype=float) @ f_t
 
     def g(w):
         w = np.asarray(w, dtype=float)
         return np.broadcast_to(g_matrix, w.shape[:-1] + (1, 1))
 
-    return RelativeDegreeSystem(m=1, r=2, f=f, g=g, T=T)
+    return RelativeDegreeSystem(m=1, r=2, f=f, g=g, T=T, linear=(a_mat, b_mat, c_jet))
 
 
 def mass_on_car_initial_data(params: MassOnCarParams, x0) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ with the dedicated exception rather than return a log.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -124,8 +125,9 @@ def test_closed_loop_statuses_settle_after_first_cycle(decay_psi):
 
 
 def test_closed_loop_representations_agree():
-    # the shipped showcase over its first ten cycles: the state-space record
-    # takes the exact linear response, the normal form batched RK4 rollouts
+    # the shipped showcase over its first ten cycles: both records take the
+    # exact linear response, each from matrices built from its own formulas
+    # in its own coordinates, so agreement checks the two models
     with open(config_path("mass_on_car.json")) as fh:
         cfg = json.load(fh)
     cfg["t_span"] = [0.0, 0.4]
@@ -144,6 +146,39 @@ def test_closed_loop_representations_agree():
     np.testing.assert_allclose(ss.applied.values, nf.applied.values, rtol=0.0, atol=1e-4)
     np.testing.assert_allclose([rec.cost for rec in ss.records],
                                [rec.cost for rec in nf.records], rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("plant_cfg,reference", [
+    pytest.param({"kind": "integrator_chain", "params": {"r": 3, "m": 1}, "x0": [0.3, 0.0, 0.0]},
+                 {"kind": "cosine", "amplitude": 0.5}, id="r3"),
+    pytest.param({"kind": "integrator_chain", "params": {"r": 2, "m": 2},
+                  "x0": [0.3, -0.2, 0.0, 0.1]},
+                 {"kind": "constant", "value": [0.1, -0.1]}, id="m2"),
+])
+def test_integrator_chain_closed_loop_matches_generic_path(plant_cfg, reference):
+    # r = 3 and m = 2 through the CLI setup: the declared matrices (exact
+    # maps, response-matrix costs) against the same record without them
+    # (batched RK4, stage-wise law), with the tolerances of the
+    # representation test above
+    res = ResolvedRun({
+        "plant": plant_cfg, "reference": reference,
+        "funnel": {"offset": 0.2, "terms": [[1.8, 1.0]], "alpha": 1.0, "beta": 0.2},
+        "lambda_u": 1e-3, "delta": 0.04, "horizon": 0.4, "ode_step": 0.01,
+        "t_span": [0.0, 0.4],
+    })
+    logs = []
+    for system in (res.system, dataclasses.replace(res.system, linear=None)):
+        log = run_fmpc(make_plant(system, 0.0, plant_cfg["x0"]), res.yref, res.mpc)
+        assert verify_guarantees(log, res.psi, res.saturation).passed
+        logs.append(log)
+    exact, generic = logs
+    assert len(exact.records) == len(generic.records) == 10
+    np.testing.assert_array_equal(exact.trajectory.grid, generic.trajectory.grid)
+    np.testing.assert_allclose(exact.trajectory.output_jet, generic.trajectory.output_jet,
+                               rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(exact.applied.values, generic.applied.values, rtol=0.0, atol=1e-4)
+    np.testing.assert_allclose([rec.cost for rec in exact.records],
+                               [rec.cost for rec in generic.records], rtol=1e-6, atol=0.0)
 
 
 def test_delay_plant_closed_loop():

@@ -312,7 +312,6 @@ def test_affine_feedback_matches_stagewise_law_with_two_inputs():
         n=4, m=2, r=2,
         drift=lambda x: x @ a.T,
         input_map=lambda x: np.broadcast_to(b, np.shape(x)[:-1] + (4, 2)),
-        output=lambda x: x[..., :2],
         output_jet=lambda x: np.asarray(x, dtype=float),
         yr_parts=lambda x: (x @ a[2:].T, b[2:]),
         linear=(a, b, np.eye(4)),
@@ -414,6 +413,45 @@ def test_sampled_feedback_validates_span():
         zoh_feedback_rollout(plant, chain, [], yref, (0.0, 0.55), 0.1, 0.01)
     with pytest.raises(ValueError):
         zoh_feedback_rollout(plant, chain, [], yref, (0.0, 1.0), 0.1, 0.03)
+
+
+# each entry point on the scalar integrator at t = 0 over (0, t1) with RK4
+# step h and ZOH step `step`; rollout_jets_batch covers round(t1 / 0.1)
+# intervals of length `step`
+ROLLOUTS = {
+    "integrate_open_loop": lambda plant, chain, yref, t1, h, step: integrate_open_loop(
+        plant, ControlSignal(t_start=0.0, step=0.1, values=np.zeros((4, 1))), (0.0, t1), h
+    ),
+    "feedback_rollout": lambda plant, chain, yref, t1, h, step: feedback_rollout(
+        plant, chain, [], yref, (0.0, t1), h, zoh_step=step
+    ),
+    "zoh_feedback_rollout": lambda plant, chain, yref, t1, h, step: zoh_feedback_rollout(
+        plant, chain, [], yref, (0.0, t1), step, h
+    ),
+    "rollout_jets_batch": lambda plant, chain, yref, t1, h, step: rollout_jets_batch(
+        plant, np.zeros((1, round(t1 / 0.1), 1)), step, h
+    ),
+}
+BAD_SPANS = {
+    "h=0": (0.4, 0.0, 0.1),
+    "t1<t0": (-0.1, 0.01, 0.1),
+    "t1=t0": (0.0, 0.01, 0.1),
+    "step=0": (0.4, 0.01, 0.0),
+}
+
+
+@pytest.mark.parametrize("name,bad", [
+    (name, bad) for name in ROLLOUTS for bad in BAD_SPANS
+    # a ControlSignal refuses a zero step itself, and no batch has fewer than
+    # zero intervals
+    if (name, bad) not in {("integrate_open_loop", "step=0"), ("rollout_jets_batch", "t1<t0")}
+])
+def test_rollouts_reject_degenerate_spans(name, bad):
+    _, chain, yref = _scalar_decay_setup(0.5)
+    rollout = ROLLOUTS[name]
+    rollout(make_integrator_plant(0.5), chain, yref, 0.4, 0.01, 0.1)
+    with pytest.raises(ValueError):
+        rollout(make_integrator_plant(0.5), chain, yref, *BAD_SPANS[bad])
 
 
 # ── Batched rollouts ─────────────────────────────────────────────────────────

@@ -17,6 +17,7 @@ import pytest
 from funnelmpc import (
     MassOnCarParams,
     PreconditionViolation,
+    RelativeDegreeSystem,
     SingularGainError,
     constant_reference,
     cosine_reference,
@@ -73,7 +74,6 @@ def test_state_space_drift_and_output_jet():
     np.testing.assert_allclose(sys.drift(x), expected, rtol=1e-13)
     jet = sys.output_jet(x)
     np.testing.assert_allclose(jet, [x[0] + C * x[1], x[2] + C * x[3]], rtol=1e-14)
-    assert sys.output(x)[0] == pytest.approx(jet[0], abs=1e-15)
 
 
 @pytest.mark.parametrize("m2", [1.0, 2.0])
@@ -201,6 +201,42 @@ def test_integrator_chain_validates_arguments():
         integrator_chain(0)
     with pytest.raises(ValueError):
         integrator_chain(2, m=0)
+
+
+# ── Declared linear matrices of normal-form records ──────────────────────────
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param(integrator_chain(r, m), id=f"chain-r{r}-m{m}") for r in (1, 2, 3) for m in (1, 2)
+] + [
+    pytest.param(mass_on_car_normal_form(MassOnCarParams(m2=m2)), id=f"car-m2-{m2:g}")
+    for m2 in (1.0, 2.0)
+])
+def test_normal_form_linear_matrices_match_callables(system):
+    # (A, B, C_jet) act on the plant's own integration state x = (xi, eta)
+    a, b, c_jet = system.linear
+    plant = make_plant(system, 0.0, np.zeros(system.r * system.m))
+    assert plant.linear is system.linear and plant.clone().linear is system.linear
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(7, plant.state_dim))
+    u = rng.normal(size=(7, system.m))
+    expected = x @ a.T + u @ b.T
+    scale = float(np.max(np.abs(expected)))
+    assert float(np.max(np.abs(plant.rhs(0.0, x, u) - expected))) <= 1e-12 * scale
+    np.testing.assert_array_equal(plant.output_jet(x), x @ c_jet.T)
+
+
+def test_linear_matrices_need_a_memoryless_operator():
+    linear = (np.zeros((1, 1)), np.ones((1, 1)), np.eye(1))
+    f, g = (lambda w: 0.0 * w), (lambda w: np.ones(np.shape(w)[:-1] + (1, 1)))
+    RelativeDegreeSystem(m=1, r=1, f=f, g=g, T=static_operator(lambda xi: xi, q=1), linear=linear)
+    with pytest.raises(ValueError, match="memory"):
+        RelativeDegreeSystem(
+            m=1, r=1, f=f, g=g, T=delay_operator(0.1, lambda xi: xi, q=1), linear=linear
+        )
+    # at vartheta = 0 the input does not reach y'': no normal form of degree 2
+    with pytest.raises(ValueError):
+        mass_on_car_normal_form(MassOnCarParams(vartheta=0.0))
 
 
 # ── Causal operators ─────────────────────────────────────────────────────────

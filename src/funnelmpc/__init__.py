@@ -10,9 +10,12 @@ front end (``cli``).
 
 from .errchain import (
     chain_matrix,
+    error_derivative_row,
     error_variables,
     highest_error_identity_check,
+    jet_matrix,
     polynomial_coefficients,
+    top_error_rows,
 )
 from .errors import (
     FunnelMpcError,
@@ -30,6 +33,7 @@ from .funnel import (
     GainVector,
     InitialJetData,
     build_funnel_chain,
+    chain_margins,
     class_g_check,
     default_gamma,
     exponential_sum_funnel,
@@ -40,7 +44,22 @@ from .funnel import (
     saturation_bound,
     select_gains,
 )
-from .mpc import ClosedLoopLog, GuaranteeReport, MpcConfig, run_fmpc, verify_guarantees
+from .logio import (
+    TrajectoryTable,
+    closed_loop_table,
+    read_trajectory_csv,
+    write_closed_loop_svg,
+    write_records_csv,
+    write_trajectory_csv,
+)
+from .mpc import (
+    ClosedLoopLog,
+    GuaranteeReport,
+    MpcConfig,
+    OcpRecord,
+    run_fmpc,
+    verify_guarantees,
+)
 from .ocp import (
     OcpSolution,
     OcpSpec,
@@ -59,9 +78,12 @@ from .sim import (
     Trajectory,
     feasibility_feedback,
     feedback_rollout,
-    zoh_feedback_rollout,
     integrate_open_loop,
+    linear_jet_response,
     make_plant,
+    rk4_step_maps,
+    rollout_jets_batch,
+    zoh_feedback_rollout,
 )
 from .systems import (
     CausalOperator,

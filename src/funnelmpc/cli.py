@@ -8,9 +8,9 @@ Subcommands:
 
 Configs are single JSON documents; every derivable quantity (gamma, gains,
 saturation level) may be omitted and is then computed from the funnel data.
-Explicitly given values are validated and violations are reported as
-warnings, not errors.  Exit codes: 0 pass, 1 guarantee failure, 2 config
-error, 3 runtime failure.
+An explicit gamma outside [gamma_min, 1) or gain below its lower bound is a
+config error; a funnel failing its class-G certificate is a warning.  Exit
+codes: 0 pass, 1 guarantee failure, 2 config error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from .errors import (
     SingularGainError,
 )
 from .funnel import (
+    FunnelChain,
     InitialJetData,
     build_funnel_chain,
+    chain_margins,
     class_g_check,
     default_gamma,
     exponential_sum_funnel,
@@ -208,7 +210,7 @@ class ResolvedRun:
             self.gamma = float(cfg["gamma"])
             self.gamma_source = "explicit"
             if not self.gamma_min <= self.gamma < 1.0:
-                self.warnings.append(
+                raise ConfigError(
                     f"gamma = {self.gamma} outside the admissible range "
                     f"[{self.gamma_min:.6g}, 1)"
                 )
@@ -224,15 +226,10 @@ class ResolvedRun:
         self.gains = np.asarray(selection.gains, dtype=float)
         self.gain_bounds = selection.bounds
         self.gains_source = "explicit" if user_gains is not None else "derived"
-        if not selection.satisfied:
-            for i, (k, b) in enumerate(zip(self.gains, self.gain_bounds)):
-                if k < b - 1e-12:
-                    self.warnings.append(
-                        f"gain k_{i + 1} = {k:g} is below its lower bound {b:.6g}"
-                    )
-        self.chain = build_funnel_chain(
-            self.psi, self.data, self.gains, self.gamma, self.r, strict=False
-        )
+        try:
+            self.chain = build_funnel_chain(self.psi, self.data, self.gains, self.gamma, self.r)
+        except PreconditionViolation as exc:
+            raise ConfigError(str(exc)) from exc
 
         self.lambda_u = float(cfg.get("lambda_u", 0.01))
         self.bound_probe = None
@@ -323,7 +320,6 @@ class ResolvedRun:
         """Closed forms of the chain members for reporting."""
         out = []
         floor = self.psi.beta / (self.psi.alpha * self.gamma ** (self.r - 1))
-        ej = self.data.e_jets(self.gains)
         for i, member in enumerate(self.chain.members, start=1):
             entry = {
                 "index": i,
@@ -334,11 +330,9 @@ class ResolvedRun:
             if i == 1:
                 entry["form"] = "given funnel"
             else:
-                e0, edot0 = ej[i - 2]
-                amp = (
-                    float(np.linalg.norm(edot0))
-                    + self.gains[i - 2] * float(np.linalg.norm(e0))
-                ) / self.gamma ** (self.r - (i - 1))
+                # members after the first decay at rate alpha from amplitude A,
+                # so their derivative peaks at alpha * A
+                amp = member.sup_norm_derivative / self.psi.alpha
                 entry["form"] = (
                     f"{amp:g}*exp(-{self.psi.alpha:g}*(t-{self.t0:g})) + {floor:g}"
                 )
@@ -503,9 +497,8 @@ def cmd_gains(args) -> int:
         "gain_bounds": [float(b) for b in res.gain_bounds],
         "gains": [float(k) for k in res.gains],
         "gains_source": res.gains_source,
-        "bounds_satisfied": bool(
-            np.all(res.gains >= res.gain_bounds - 1e-12) if res.gains.size else True
-        ),
+        # ResolvedRun rejects gains below their bounds
+        "bounds_satisfied": True,
         "chain": chain_rows,
         "theta_t0": float(res.chain.theta.value(res.t0)),
         "class_g": {"passed": g_report.passed, "min_residual": g_report.min_residual},
@@ -520,8 +513,7 @@ def cmd_gains(args) -> int:
     print(f"gamma_min = {res.gamma_min:.12g}")
     print(f"gamma     = {res.gamma:.12g} ({res.gamma_source})")
     for i, (b, k) in enumerate(zip(res.gain_bounds, res.gains), start=1):
-        ok = "ok" if k >= b - 1e-12 else "BELOW BOUND"
-        print(f"k_{i}: bound = {b:.12g}, chosen = {k:.12g} ({ok})")
+        print(f"k_{i}: bound = {b:.12g}, chosen = {k:.12g}")
     for row in chain_rows:
         print(
             f"psi_{row['index']}: {row['form']}; value(t0) = {row['value_t0']:.12g}, "
@@ -537,19 +529,25 @@ def cmd_gains(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Check a log against the config: its echoed settings, the outer funnel,
+    e_r against theta recomputed from the config, and the input box."""
     res = ResolvedRun(_load_config(args.config))
     try:
         cols, echo_lines = read_trajectory_csv(args.log)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read log CSV: {exc}") from exc
-    # baseline logs carry the unconstrained law, so only membership applies
-    bound = res.saturation
     try:
         echoed = json.loads("".join(line[2:] + "\n" for line in echo_lines))
-        if echoed.get("command") == "baseline":
-            bound = math.inf
-    except (json.JSONDecodeError, AttributeError):
-        pass
+    except json.JSONDecodeError:
+        echoed = {}
+    echoed = echoed if isinstance(echoed, dict) else {}
+    # baseline logs carry the unconstrained law, so only membership applies
+    bound = math.inf if echoed.pop("command", None) == "baseline" else res.saturation
+    # the echo as it reads back from a log header
+    expected = json.loads(json.dumps(res.echo))
+    mismatch = sorted(
+        k for k in expected.keys() | echoed.keys() if echoed.get(k) != expected.get(k)
+    )
     m = res.m
     y_names = ["y"] if m == 1 else [f"y_{i + 1}" for i in range(m)]
     ref_names = ["y_ref"] if m == 1 else [f"y_ref_{i + 1}" for i in range(m)]
@@ -574,23 +572,35 @@ def cmd_verify(args) -> int:
         status="completed",
     )
     report = verify_guarantees(log, res.psi, bound)
+    # the logged e_r against theta rebuilt from the config, as a chain of one
+    top = FunnelChain(r=1, members=(res.chain.theta,), gamma=res.gamma)
+    theta_margins = chain_margins(top, (), cols["t"], cols["e_r"])[:, 0]
+    i_theta = int(np.argmin(theta_margins))
+    passed = report.passed and bool(theta_margins[i_theta] > 0.0) and not mismatch
     payload = {
-        "passed": report.passed,
+        "passed": passed,
         "rows": int(K),
         "min_margin": report.min_margin,
         "margin_t": report.margin_t,
+        "min_theta_margin": float(theta_margins[i_theta]),
+        "theta_margin_t": float(cols["t"][i_theta]),
         "max_input": report.max_input,
         "max_input_t": report.max_input_t,
+        "settings_mismatch": mismatch,
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(
             f"{K} rows: min margin {report.min_margin:.6g} at t = {report.margin_t:g}, "
+            f"min e_r margin to theta {payload['min_theta_margin']:.6g} at "
+            f"t = {payload['theta_margin_t']:g}, "
             f"max input {report.max_input:.6g} at t = {report.max_input_t:g}"
         )
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_GUARANTEE
+        if mismatch:
+            print(f"settings differ from the config: {', '.join(mismatch)}")
+        print("PASS" if passed else "FAIL")
+    return EXIT_OK if passed else EXIT_GUARANTEE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,10 +19,10 @@ import numpy as np
 
 __all__ = [
     "jet_matrix",
-    "shift_jet",
     "error_variables",
     "polynomial_coefficients",
     "chain_matrix",
+    "top_error_rows",
     "error_derivative_row",
     "highest_error_identity_check",
 ]
@@ -40,15 +40,6 @@ def jet_matrix(xi, r: int) -> np.ndarray:
             raise ValueError(f"jet has {arr.shape[0]} blocks, expected {r}")
         return arr
     raise ValueError("jet must be a 1-d or 2-d array")
-
-
-def shift_jet(xi, r: int | None = None) -> np.ndarray:
-    """Shift the jet one derivative up and pad the last block with zeros."""
-    arr = np.asarray(xi, dtype=float)
-    jet = jet_matrix(arr, arr.shape[0] if r is None else r)
-    out = np.zeros_like(jet)
-    out[:-1] = jet[1:]
-    return out if arr.ndim == 2 else out.ravel()
 
 
 def _validated_gains(gains) -> np.ndarray:
@@ -113,6 +104,12 @@ def chain_matrix(gains, r: int, m: int = 1) -> np.ndarray:
         for l, c in enumerate(coeffs):
             mat[(i - 1) * m : i * m, l * m : (l + 1) * m] = c * eye
     return mat
+
+
+def top_error_rows(gains, m: int = 1) -> np.ndarray:
+    """Last block row of ``chain_matrix``: the (m, r*m) map from the flat jet to e_r."""
+    r = np.size(gains) + 1
+    return chain_matrix(gains, r, m)[(r - 1) * m :]
 
 
 def error_derivative_row(gains, j: int, order: int) -> np.ndarray:

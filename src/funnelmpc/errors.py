@@ -25,7 +25,11 @@ class InternalDynamicsDiverged(FunnelMpcError):
 
 
 class OcpInfeasibleError(FunnelMpcError):
-    """No finite-cost control could be found for an optimal control problem."""
+    """No finite-cost control could be found for an optimal control problem.
+
+    ``margin`` holds the margins psi_i - ||e_i|| of the start state to the
+    r chained funnels (``funnel.chain_margins``) when they are known.
+    """
 
     def __init__(self, message, t_start=None, margin=None):
         super().__init__(message)

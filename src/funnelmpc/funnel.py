@@ -4,9 +4,10 @@ A funnel boundary psi is a positive function with a decay certificate
 (alpha, beta) meaning psi'(t) >= -alpha*psi(t) + beta.  From a boundary, an
 initial jet, and chain gains, a chain of funnels psi_1..psi_r is built whose
 last member theta is the barrier radius of the stage cost.  The module also
-evaluates the gain lower bounds that make the construction valid, the strict
-membership test for the feasible jet set, and the saturation level M that
-bounds the funnel feedback law.
+evaluates the gain lower bounds that make the construction valid, the
+margins of the chained errors to their funnels (the one strict membership
+test for the feasible jet set), and the saturation level M that bounds the
+funnel feedback law.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errchain import jet_matrix, polynomial_coefficients
+from .errchain import chain_matrix, top_error_rows
 from .errors import PreconditionViolation
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "gain_lower_bounds",
     "select_gains",
     "build_funnel_chain",
+    "chain_margins",
     "funnel_membership",
     "saturation_bound",
 ]
@@ -142,33 +144,20 @@ class InitialJetData:
     def error_jet(self) -> np.ndarray:
         return self.y0_jet - self.yref_jet
 
-    def e_jets(self, gains) -> list:
-        """Initial chain values (e_i^0, de_i^0/dt) for i = 1..r-1.
-
-        Both are exact linear functions of the initial error jet once the
-        gains k_1..k_{i-1} are fixed, so no input convention is involved.
-        """
-        k = np.asarray(gains, dtype=float)
-        out = []
-        for i in range(1, self.r):
-            out.append(_initial_chain_values(self.error_jet, k, i))
-        return out
-
 
 def _initial_chain_values(error_jet: np.ndarray, gains: np.ndarray, i: int):
     """(e_i^0, de_i^0/dt) from the error jet, using gains k_1..k_{i-1} only.
 
     e_i(t) = p_{i-1}(d/dt) e(t), so its value and first derivative at t0 are
-    dot products of the polynomial coefficients with jet blocks; the
-    derivative touches block i, which exists as long as i <= r-1.
+    the last block row of the length-i chain matrix applied to jet blocks
+    0..i-1 and 1..i; the derivative touches block i, which exists as long
+    as i <= r-1.
     """
-    r = error_jet.shape[0]
+    r, m = error_jet.shape
     if not 1 <= i <= r - 1:
         raise ValueError(f"chain index {i} outside 1..{r - 1}")
-    coeffs = np.array([1.0]) if i == 1 else polynomial_coefficients(gains[: i - 1], i - 1)
-    e0 = coeffs @ error_jet[:i]
-    edot0 = coeffs @ error_jet[1 : i + 1]
-    return e0, edot0
+    rows = top_error_rows(gains[: i - 1], m)
+    return rows @ error_jet[:i].ravel(), rows @ error_jet[1 : i + 1].ravel()
 
 
 def funnel_from_callables(
@@ -435,15 +424,14 @@ def build_funnel_chain(
     gains,
     gamma: float,
     r: int,
-    strict: bool = True,
 ) -> FunnelChain:
     """Build psi_1..psi_r; members after the first follow the closed form
 
         psi_{i+1}(t) = (||de_i^0/dt|| + k_i ||e_i^0||) / gamma^(r-i)
                         * exp(-alpha (t - t0)) + beta / (alpha gamma^(r-1)).
 
-    With ``strict`` the gains are validated against their lower bounds and a
-    violation raises PreconditionViolation naming the failing index.
+    The gains are validated against their lower bounds; a gain below its
+    bound by more than 1e-12 raises PreconditionViolation naming its index.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -454,15 +442,14 @@ def build_funnel_chain(
     k = np.asarray(gains, dtype=float)
     if k.size != r - 1:
         raise ValueError(f"need {r - 1} gains, got {k.size}")
-    if strict:
-        bounds = gain_lower_bounds(
-            data, psi.alpha, psi.beta, gamma, float(psi.value(data.t0)), r, gains=k
-        )
-        for idx in range(r - 1):
-            if k[idx] < bounds[idx] - 1e-12:
-                raise PreconditionViolation(
-                    f"gain k_{idx + 1} = {k[idx]} is below its lower bound {bounds[idx]}"
-                )
+    bounds = gain_lower_bounds(
+        data, psi.alpha, psi.beta, gamma, float(psi.value(data.t0)), r, gains=k
+    )
+    for idx in range(r - 1):
+        if k[idx] < bounds[idx] - 1e-12:
+            raise PreconditionViolation(
+                f"gain k_{idx + 1} = {k[idx]:g} is below its lower bound {bounds[idx]:.6g}"
+            )
     floor = psi.beta / (psi.alpha * gamma ** (r - 1))
     members = [psi]
     ej = data.error_jet
@@ -479,19 +466,35 @@ def build_funnel_chain(
     return FunnelChain(r=r, members=tuple(members), gamma=gamma)
 
 
+def chain_margins(chain: FunnelChain, gains, ts, zeta) -> np.ndarray:
+    """Margins psi_i(t_k) - ||e_i(zeta_k)|| of the chained errors, shape (K, r).
+
+    ``zeta`` holds the error jets at the K times ``ts`` as (K, r*m) or
+    (K, r, m); the chained errors are e = zeta @ chain_matrix(gains, r, m).T.
+    A point whose jet is not finite gets margin -inf in every column, so
+    strict membership at point k is all(margins[k] > 0).
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    r = chain.r
+    zeta = np.asarray(zeta, dtype=float).reshape(ts.size, -1)
+    m = zeta.shape[1] // r
+    if m < 1 or m * r != zeta.shape[1]:
+        raise ValueError(f"jet of length {zeta.shape[1]} does not split into {r} blocks")
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = (zeta @ chain_matrix(gains, r, m).T).reshape(ts.size, r, m)
+        norms = np.linalg.norm(errors, axis=2)
+    radii = np.stack(
+        [np.broadcast_to(np.asarray(member.value(ts), dtype=float), ts.shape)
+         for member in chain.members],
+        axis=1,
+    )
+    finite = np.isfinite(norms) & np.isfinite(zeta).all(axis=1)[:, None]
+    return np.where(finite, radii - norms, -np.inf)
+
+
 def funnel_membership(t: float, xi, chain: FunnelChain, gains) -> bool:
     """Strict membership ||e_i(xi)|| < psi_i(t) for every chain index i."""
-    from .errchain import error_variables
-
-    k = np.asarray(gains, dtype=float)
-    if k.size != chain.r - 1:
-        raise ValueError(f"need {chain.r - 1} gains, got {k.size}")
-    jet = jet_matrix(np.asarray(xi, dtype=float), chain.r)
-    values = error_variables(jet, k)
-    for e_i, member in zip(values, chain.members):
-        if not float(np.linalg.norm(e_i)) < float(member.value(t)):
-            return False
-    return True
+    return bool(np.all(chain_margins(chain, gains, t, np.ravel(xi)) > 0.0))
 
 
 def saturation_bound(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errchain import chain_matrix
+from .errchain import top_error_rows
 
 __all__ = [
     "TrajectoryTable",
@@ -58,8 +58,7 @@ def closed_loop_table(trajectory, chain, gains, yref) -> TrajectoryTable:
     jets = trajectory.output_jet.reshape(K, r, m)
     ref = yref.jet_array(grid)
     zeta = (jets - ref).reshape(K, r * m)
-    gains = np.asarray(gains, dtype=float)
-    top = zeta @ chain_matrix(gains, r, m)[(r - 1) * m :, :].T
+    top = zeta @ top_error_rows(gains, m).T
     y = jets[:, 0, :]
     y_ref = ref[:, 0, :]
     if m == 1:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errchain import chain_matrix
+from .errchain import top_error_rows
 from .errors import OcpInfeasibleError, PreconditionViolation
-from .funnel import FunnelFunction
+from .funnel import FunnelFunction, chain_margins
 from .sim import (
     ControlSignal,
     _live_members,
@@ -68,11 +68,6 @@ class StageCost:
     def r(self) -> int:
         return self.gains.size + 1
 
-    def top_error_block(self, m: int) -> np.ndarray:
-        """Rows mapping a flat error jet to e_r, shape (m, r*m)."""
-        r = self.r
-        return chain_matrix(self.gains, r, m)[(r - 1) * m :, :]
-
 
 def stage_cost(t, xi, u, sc: StageCost) -> float:
     """Extended-real stage cost at one point; +inf from the boundary outward."""
@@ -81,7 +76,7 @@ def stage_cost(t, xi, u, sc: StageCost) -> float:
     m = xi.size // sc.r
     if m * sc.r != xi.size:
         raise ValueError(f"jet length {xi.size} is not a multiple of the chain length {sc.r}")
-    er = sc.top_error_block(m) @ xi
+    er = top_error_rows(sc.gains, m) @ xi
     nrm2 = float(er @ er)
     theta_t = float(sc.theta.value(t))
     denom = theta_t * theta_t - nrm2
@@ -152,7 +147,7 @@ class _Workspace:
         self.ref_flat = yref.jet_array(self.grid).reshape(n_steps + 1, self.r * self.m)
         # theta^2 on the grid, fixed for the OCP, enters every barrier cost
         self.theta_sq = np.asarray(sc.theta.value(self.grid), dtype=float) ** 2
-        self.er_block = sc.top_error_block(self.m)
+        self.er_block = top_error_rows(sc.gains, self.m)
         w = np.full(n_steps + 1, spec.ode_step)
         w[0] = w[-1] = 0.5 * spec.ode_step
         self.weights = w
@@ -289,26 +284,21 @@ def solve_ocp(
                 "no finite-cost start available and no funnel chain to rebuild one",
                 t_start=ws.t0,
             )
+        cause = None
         try:
-            candidate = ws.feedback_values(chain, gains)
+            values = ws.feedback_values(chain, gains)
+            J = ws.cost_single(values)
         except PreconditionViolation as exc:
-            theta0 = float(sc.theta.value(ws.t0))
-            er0 = ws.er_block @ (plant.output_jet() - ws.ref_flat[0])
-            raise OcpInfeasibleError(
-                f"funnel feedback start could not be built: {exc}",
-                t_start=ws.t0,
-                margin=theta0 - float(np.linalg.norm(er0)),
-            ) from exc
-        J = ws.cost_single(candidate)
-        if not math.isfinite(J):
-            theta0 = float(sc.theta.value(ws.t0))
-            er0 = ws.er_block @ (plant.output_jet() - ws.ref_flat[0])
-            raise OcpInfeasibleError(
-                "clamped funnel feedback start has infinite cost",
-                t_start=ws.t0,
-                margin=theta0 - float(np.linalg.norm(er0)),
+            cause = exc
+        if cause is not None or not math.isfinite(J):
+            # margins of the measured start to psi_1..psi_r
+            margins = chain_margins(chain, gains, ws.t0, plant.output_jet() - ws.ref_flat[0])[0]
+            reason = (
+                f"funnel feedback start could not be built: {cause}"
+                if cause is not None
+                else "clamped funnel feedback start has infinite cost"
             )
-        values = candidate
+            raise OcpInfeasibleError(reason, t_start=ws.t0, margin=margins) from cause
 
     d = values.ravel().astype(float)
     status = "budget-exhausted"

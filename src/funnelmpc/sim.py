@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errchain import chain_matrix, error_derivative_row
+from .errchain import error_derivative_row, top_error_rows
 from .errors import PreconditionViolation
-from .funnel import FunnelChain
+from .funnel import FunnelChain, chain_margins
 from .systems import ReferenceSignal, RelativeDegreeSystem, StateSpaceSystem, _guard_gain_matrix
 
 __all__ = [
@@ -474,7 +474,8 @@ class FeedbackLaw:
                    + e_r(t) * theta'(t)/theta(t))
 
     All derivative terms are exact linear functions of the current jet, with
-    coefficients assembled once at construction.
+    coefficients assembled once at construction.  The law does not check
+    funnel membership; ``feasibility_feedback`` and ``feedback_rollout`` do.
     """
 
     def __init__(self, chain: FunnelChain, gains, yref: ReferenceSignal):
@@ -485,37 +486,24 @@ class FeedbackLaw:
         if self.gains.size != r - 1:
             raise ValueError(f"need {r - 1} gains, got {self.gains.size}")
         self.r = r
-        # row i gives e_{i+1} as ascending jet-block coefficients
-        self.rows = chain_matrix(self.gains, r, 1)
+        # e_r as ascending jet-block coefficients
+        self.top_row = top_error_rows(self.gains)[0]
         correction = np.zeros(r)
         for j in range(1, r):
             correction += self.gains[j - 1] * error_derivative_row(self.gains, j, r - j)
         self.correction_row = correction
 
-    def __call__(self, t, plant, x, check: bool = True):
+    def __call__(self, t, plant, x):
         jet_mat = plant.output_jet(x).reshape(self.r, plant.m)
         ref = self.yref.jet(t, self.r + 1)
         zeta = jet_mat - ref[: self.r]
         theta = self.chain.theta
-        theta_t = float(theta.value(t))
-        if check:
-            evals = self.rows @ zeta
-            for i, member in enumerate(self.chain.members):
-                radius = theta_t if i == self.r - 1 else float(member.value(t))
-                if not float(np.linalg.norm(evals[i])) < radius:
-                    raise PreconditionViolation(
-                        f"jet leaves funnel {i + 1} at t = {t}: "
-                        f"|e_{i + 1}| = {float(np.linalg.norm(evals[i]))} >= {radius}"
-                    )
-            top = evals[-1]
-        else:
-            top = self.rows[-1] @ zeta
         fval, gmat = plant.yr_parts(t, x)
         target = (
             -fval
             + ref[self.r]
             - self.correction_row @ zeta
-            + top * (float(theta.derivative(t)) / theta_t)
+            + (self.top_row @ zeta) * (float(theta.derivative(t)) / float(theta.value(t)))
         )
         gmat = _guard_gain_matrix(gmat)
         if gmat.shape == (1, 1):
@@ -523,10 +511,24 @@ class FeedbackLaw:
         return np.linalg.solve(gmat, target)
 
 
+def _require_membership(chain: FunnelChain, gains, ts, zeta):
+    """Raise PreconditionViolation at the first point where a chained error
+    leaves its funnel (see ``funnel.chain_margins``)."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    margins = chain_margins(chain, gains, ts, zeta)
+    bad = ~(margins > 0.0)
+    if bad.any():
+        k, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise PreconditionViolation(
+            f"jet leaves funnel {i + 1} at t = {float(ts[k])}: margin {float(margins[k, i])}"
+        )
+
+
 def feasibility_feedback(plant, chain: FunnelChain, gains, yref: ReferenceSignal, t, x=None):
-    """Evaluate the funnel feedback at one point (with membership check)."""
+    """Evaluate the funnel feedback at one point after checking membership there."""
     x = plant.state if x is None else np.asarray(x, dtype=float)
-    return FeedbackLaw(chain, gains, yref)(t, plant, x, check=True)
+    _require_membership(chain, gains, t, plant.output_jet(x) - yref.jet(t, chain.r).ravel())
+    return FeedbackLaw(chain, gains, yref)(t, plant, x)
 
 
 def feedback_rollout(
@@ -542,7 +544,9 @@ def feedback_rollout(
 
     The feedback is evaluated at every integrator stage (exact law); the
     returned ControlSignal holds its samples at the ZOH grid for warm-start
-    use.  Funnel membership is verified at every grid point afterwards.
+    use.  Membership of every chained error in its funnel is checked at
+    every grid point afterwards; the first violation raises
+    PreconditionViolation.
     On a plant whose ``linear`` matrices are set the same law is applied
     as affine RK4 step maps (see ``_affine_feedback``).
     """
@@ -558,15 +562,16 @@ def feedback_rollout(
         rhs = plant.rhs
 
         def field(t, x):
-            u = np.atleast_1d(law(t, plant, x, check=False))
+            u = np.atleast_1d(law(t, plant, x))
             return rhs(t, x, u), u
 
         states, inputs, count = _march(plant, lambda i, x: _rk4(field, grid[i], x, h), grid)
         if count == grid.size:
-            inputs[-1] = np.atleast_1d(law(t1, plant, states[-1], check=False))
+            inputs[-1] = np.atleast_1d(law(t1, plant, states[-1]))
 
     trajectory = _trajectory(plant, grid, states, inputs, count)
-    _verify_membership_on_grid(trajectory, chain, law, yref)
+    ref = yref.jet_array(trajectory.grid, chain.r).reshape(count, -1)
+    _require_membership(chain, law.gains, trajectory.grid, trajectory.output_jet - ref)
     zoh_values = inputs[: min(count, n_steps) : substeps].copy()
     control = ControlSignal(t_start=t0, step=step, values=zoh_values)
     return trajectory, control
@@ -591,7 +596,7 @@ def _affine_feedback(law: FeedbackLaw, linear, x0, grid, h: float):
     top = c_jet[(r - 1) * m :]
     gmat = _guard_gain_matrix(top @ b)
     # the zeta terms of the law as (m, r*m) maps of the flat jet error
-    lock = np.kron(law.rows[-1], np.eye(m))
+    lock = top_error_rows(law.gains, m)
     correction = np.kron(law.correction_row, np.eye(m))
     k0 = np.linalg.solve(gmat, -top @ a - correction @ c_jet)
     k1 = np.linalg.solve(gmat, lock @ c_jet)
@@ -679,7 +684,7 @@ def zoh_feedback_rollout(
     def hold_law(i, x):
         knot, offset = divmod(i, substeps)
         if offset == 0:
-            u = np.atleast_1d(law(grid[i], plant, x, check=False))
+            u = np.atleast_1d(law(grid[i], plant, x))
             values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
         u = values[knot]
         return held(grid[i], x, u), u
@@ -691,24 +696,6 @@ def zoh_feedback_rollout(
         t_start=t0, step=step, values=values[: (count - 1) // substeps + 1], saturation=saturation
     )
     return _trajectory(plant, grid, states, inputs, count), control
-
-
-def _verify_membership_on_grid(trajectory: Trajectory, chain: FunnelChain, law: FeedbackLaw, yref):
-    r = chain.r
-    m = trajectory.output_jet.shape[1] // r
-    jets = trajectory.output_jet.reshape(len(trajectory), r, m)
-    ref = yref.jet_array(trajectory.grid)
-    zeta = (jets - ref).reshape(len(trajectory), r * m)
-    evals = zeta @ chain_matrix(law.gains, r, m).T
-    for i, member in enumerate(chain.members):
-        norms = np.linalg.norm(evals[:, i * m : (i + 1) * m], axis=1)
-        radii = np.asarray(member.value(trajectory.grid), dtype=float)
-        bad = norms >= radii
-        if np.any(bad):
-            t_bad = float(trajectory.grid[np.argmax(bad)])
-            raise PreconditionViolation(
-                f"closed-loop trajectory leaves funnel {i + 1} at t = {t_bad}"
-            )
 
 
 def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):

@@ -145,6 +145,80 @@ def test_verify_rejects_tampered_log(tmp_path, capsys):
     assert json.loads(out)["passed"] is False
 
 
+def _short_showcase_log(tmp_path, capsys):
+    """The shipped showcase over [0, 0.4]: its config path and its log."""
+    with open(config_path("mass_on_car.json"), "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["t_span"] = [0.0, 0.4]
+    path = write_config(tmp_path, "showcase.json", cfg)
+    out_dir = os.path.join(tmp_path, "run")
+    code, _, _ = run_cli(capsys, "simulate", "--config", path, "--out", out_dir)
+    assert code == EXIT_OK
+    return cfg, path, os.path.join(out_dir, "trajectory.csv")
+
+
+def test_verify_rejects_top_error_outside_theta(tmp_path, capsys):
+    # e_r is checked against theta rebuilt from the config; the logged theta
+    # column is left intact, so only the recomputed one can catch this
+    _, path, csv_path = _short_showcase_log(tmp_path, capsys)
+    code, out, _ = run_cli(capsys, "verify", csv_path, "--config", path, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["min_theta_margin"] > 0.0
+    cols, _ = read_trajectory_csv(csv_path)
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    e_r_col = lines[header].strip().split(",").index("e_r")
+    row = header + 1 + cols["t"].size // 2
+    fields = lines[row].rstrip("\n").split(",")
+    fields[e_r_col] = "1000"
+    lines[row] = ",".join(fields) + "\n"
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    code, out, _ = run_cli(capsys, "verify", csv_path, "--config", path, "--json")
+    assert code == EXIT_GUARANTEE
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["min_margin"] > 0.0
+    assert payload["min_theta_margin"] < 0.0
+    assert payload["theta_margin_t"] == cols["t"][cols["t"].size // 2]
+
+
+def test_verify_rejects_log_of_other_settings(tmp_path, capsys):
+    out_dir = os.path.join(tmp_path, "run")
+    run_cli(capsys, "simulate", "--config", config_path("integrator.json"), "--out", out_dir)
+    cfg = load_integrator_config()
+    cfg["lambda_u"] = 0.02
+    path = write_config(tmp_path, "other_weight.json", cfg)
+    code, out, _ = run_cli(
+        capsys, "verify", os.path.join(out_dir, "trajectory.csv"), "--config", path, "--json"
+    )
+    assert code == EXIT_GUARANTEE
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["settings_mismatch"] == ["lambda_u"]
+
+
+def test_verify_rejects_config_with_gains_below_bounds(tmp_path, capsys):
+    cfg, _, csv_path = _short_showcase_log(tmp_path, capsys)
+    cfg["gains"] = [10.0]
+    path = write_config(tmp_path, "low_gain.json", cfg)
+    code, _, err = run_cli(capsys, "verify", csv_path, "--config", path)
+    assert code == EXIT_CONFIG
+    assert "k_1 = 10 is below its lower bound 14" in err
+
+
+def test_gamma_below_its_minimum_is_rejected(tmp_path, capsys):
+    # gamma_min = sqrt(1/4.1) = 0.4939 on the showcase
+    with open(config_path("mass_on_car.json"), "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["gamma"] = 0.3
+    path = write_config(tmp_path, "low_gamma.json", cfg)
+    code, _, err = run_cli(capsys, "gains", "--config", path)
+    assert code == EXIT_CONFIG
+    assert "gamma = 0.3 outside the admissible range [0.493865, 1)" in err
+
+
 # ── Baseline feedback run ────────────────────────────────────────────────────
 
 

@@ -19,7 +19,7 @@ from funnelmpc import (
     highest_error_identity_check,
     polynomial_coefficients,
 )
-from funnelmpc.errchain import error_derivative_row, jet_matrix, shift_jet
+from funnelmpc.errchain import error_derivative_row, jet_matrix
 
 
 # ── Jet layout helpers ───────────────────────────────────────────────────────
@@ -38,15 +38,6 @@ def test_jet_matrix_rejects_bad_shapes():
         jet_matrix(np.arange(5.0), 3)
     with pytest.raises(ValueError):
         jet_matrix(np.zeros((2, 2)), 3)
-
-
-def test_shift_jet_moves_blocks_up_and_pads_zero():
-    jet = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    out = shift_jet(jet)
-    assert np.array_equal(out, np.array([[3.0, 4.0], [5.0, 6.0], [0.0, 0.0]]))
-    flat = shift_jet(jet.ravel(), r=3)
-    assert flat.shape == (6,)
-    assert np.array_equal(flat, out.ravel())
 
 
 # ── Polynomial coefficients ──────────────────────────────────────────────────

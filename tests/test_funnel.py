@@ -202,11 +202,6 @@ def test_chain_members_and_gamma(showcase_chain, showcase_psi):
 def test_build_chain_rejects_gain_below_bound(showcase_psi, showcase_data):
     with pytest.raises(PreconditionViolation):
         build_funnel_chain(showcase_psi, showcase_data, [10.0], 0.5, r=2)
-    # non-strict mode accepts the same gain
-    chain = build_funnel_chain(
-        showcase_psi, showcase_data, [10.0], 0.5, r=2, strict=False
-    )
-    assert chain.r == 2
 
 
 def test_build_chain_single_link_returns_psi(showcase_psi, showcase_data):

@@ -148,14 +148,21 @@ def test_closed_loop_representations_agree():
                                [rec.cost for rec in nf.records], rtol=1e-6, atol=0.0)
 
 
-@pytest.mark.parametrize("plant_cfg,reference", [
-    pytest.param({"kind": "integrator_chain", "params": {"r": 3, "m": 1}, "x0": [0.3, 0.0, 0.0]},
-                 {"kind": "cosine", "amplitude": 0.5}, id="r3"),
-    pytest.param({"kind": "integrator_chain", "params": {"r": 2, "m": 2},
-                  "x0": [0.3, -0.2, 0.0, 0.1]},
-                 {"kind": "constant", "value": [0.1, -0.1]}, id="m2"),
+R3_CHAIN = {"kind": "integrator_chain", "params": {"r": 3, "m": 1}, "x0": [0.3, 0.0, 0.0]}
+M2_CHAIN = {"kind": "integrator_chain", "params": {"r": 2, "m": 2}, "x0": [0.3, -0.2, 0.0, 0.1]}
+R3_REFERENCE = {"kind": "cosine", "amplitude": 0.5}
+M2_REFERENCE = {"kind": "constant", "value": [0.1, -0.1]}
+
+
+@pytest.mark.parametrize("plant_cfg,reference,saturation", [
+    pytest.param(R3_CHAIN, R3_REFERENCE, None, id="r3"),
+    pytest.param(M2_CHAIN, M2_REFERENCE, None, id="m2"),
+    # the derived bounds (M = 32,426 and 474) never bind; a box of 8 clips
+    # inputs that reach about 14 and 11
+    pytest.param(R3_CHAIN, R3_REFERENCE, 8.0, id="r3-clipped"),
+    pytest.param(M2_CHAIN, M2_REFERENCE, 8.0, id="m2-clipped"),
 ])
-def test_integrator_chain_closed_loop_matches_generic_path(plant_cfg, reference):
+def test_integrator_chain_closed_loop_matches_generic_path(plant_cfg, reference, saturation):
     # r = 3 and m = 2 through the CLI setup: the declared matrices (exact
     # maps, response-matrix costs) against the same record without them
     # (batched RK4, stage-wise law), with the tolerances of the
@@ -164,12 +171,14 @@ def test_integrator_chain_closed_loop_matches_generic_path(plant_cfg, reference)
         "plant": plant_cfg, "reference": reference,
         "funnel": {"offset": 0.2, "terms": [[1.8, 1.0]], "alpha": 1.0, "beta": 0.2},
         "lambda_u": 1e-3, "delta": 0.04, "horizon": 0.4, "ode_step": 0.01,
-        "t_span": [0.0, 0.4],
+        "t_span": [0.0, 0.4], "saturation": saturation,
     })
     logs = []
     for system in (res.system, dataclasses.replace(res.system, linear=None)):
         log = run_fmpc(make_plant(system, 0.0, plant_cfg["x0"]), res.yref, res.mpc)
         assert verify_guarantees(log, res.psi, res.saturation).passed
+        if saturation is not None:
+            assert np.max(np.abs(log.applied.values)) == saturation
         logs.append(log)
     exact, generic = logs
     assert len(exact.records) == len(generic.records) == 10

@@ -6,7 +6,9 @@ rollouts of the same plant for any matrices, steps, horizons and inputs,
 whether the plant is a state-space record or a normal form with a static
 operator or internal dynamics.
 A zero-order-hold control must pick the interval of every integration grid
-point the way the batched rollout does.
+point the way the batched rollout does.  The funnel margins of the chained
+errors, taken through the chain matrix, must match the shift recursion, and
+a jet with a NaN entry must lie outside every funnel.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from funnelmpc import (  # noqa: E402
     ControlSignal,
+    FunnelChain,
+    FunnelFunction,
     RelativeDegreeSystem,
     StateSpaceSystem,
+    chain_margins,
+    error_variables,
     internal_dynamics_operator,
     make_plant,
     static_operator,
@@ -136,3 +142,35 @@ def test_control_index_at_grid_points(t0, h, substeps, n_intervals, data):
     i = data.draw(st.integers(0, n_intervals * substeps))
     control = ControlSignal(t_start=t0, step=substeps * h, values=np.zeros((n_intervals, 1)))
     assert control.index_at(t0 + h * i) == min(i // substeps, n_intervals - 1)
+
+
+def _constant_funnel(radius: float) -> FunnelFunction:
+    return FunnelFunction(
+        value=lambda t: np.full(np.shape(t), radius),
+        derivative=lambda t: np.zeros(np.shape(t)),
+        alpha=1.0, beta=0.1, sup_norm=radius, sup_norm_derivative=0.0,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    r=st.integers(1, 4),
+    m=st.integers(1, 3),
+    n_points=st.integers(1, 4),
+)
+def test_chain_margins_match_the_recursion(data, r, m, n_points):
+    gains = data.draw(arrays(float, r - 1, elements=st.floats(0.1, 5.0)))
+    radii = data.draw(arrays(float, r, elements=st.floats(0.5, 50.0)))
+    chain = FunnelChain(r=r, members=tuple(_constant_funnel(c) for c in radii), gamma=0.5)
+    ts = np.arange(n_points, dtype=float)
+    zeta = data.draw(arrays(float, (n_points, r * m), elements=entries(1.0)))
+    margins = chain_margins(chain, gains, ts, zeta)
+    assert margins.shape == (n_points, r)
+    for k in range(n_points):
+        for i, e_i in enumerate(error_variables(zeta[k], gains)):
+            norm = float(np.linalg.norm(e_i))
+            assert abs(margins[k, i] - (radii[i] - norm)) <= 1e-12 * (radii[i] + norm)
+    k = data.draw(st.integers(0, n_points - 1))
+    zeta[k, data.draw(st.integers(0, r * m - 1))] = np.nan
+    assert not np.any(chain_margins(chain, gains, ts, zeta)[k] > 0.0)

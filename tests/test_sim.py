@@ -231,11 +231,23 @@ def test_feedback_law_closed_form_at_start(showcase_chain, showcase_yref):
 
 
 def test_feedback_law_checks_membership(showcase_chain, showcase_yref):
+    # the check lives in feasibility_feedback; the law itself evaluates anywhere
     plant = make_plant(mass_on_car_state_space(), 0.0, np.array([6.0, 0.0, 0.0, 0.0]))
-    law = FeedbackLaw(showcase_chain, SHOWCASE["gains"], showcase_yref)
     with pytest.raises(PreconditionViolation):
-        law(0.0, plant, plant.state)
-    assert math.isfinite(float(np.ravel(law(0.0, plant, plant.state, check=False))[0]))
+        feasibility_feedback(plant, showcase_chain, SHOWCASE["gains"], showcase_yref, 0.0)
+    law = FeedbackLaw(showcase_chain, SHOWCASE["gains"], showcase_yref)
+    assert math.isfinite(float(np.ravel(law(0.0, plant, plant.state))[0]))
+
+
+def test_inner_funnel_violation_alone_is_caught(showcase_chain, showcase_yref):
+    # x = (1, 0, 29, 0) has error jet (0, 29): e_1 = 0 < psi(0) = 4.1 but
+    # e_2 = 29 + 14 * 0 > theta(0) = 28.2, so only the inner funnel is left
+    plant = make_plant(mass_on_car_state_space(), 0.0, np.array([1.0, 0.0, 29.0, 0.0]))
+    with pytest.raises(PreconditionViolation, match="leaves funnel 2 at t = 0.0"):
+        feasibility_feedback(plant, showcase_chain, SHOWCASE["gains"], showcase_yref, 0.0)
+    with pytest.raises(PreconditionViolation, match="leaves funnel 2 at t = 0.0"):
+        feedback_rollout(plant, showcase_chain, SHOWCASE["gains"], showcase_yref,
+                         (0.0, 0.01), 1e-3)
 
 
 def test_feedback_law_validates_gain_count(showcase_chain, showcase_yref):

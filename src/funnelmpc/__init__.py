@@ -10,7 +10,6 @@ front end (``cli``).
 
 from .errchain import (
     chain_matrix,
-    error_derivative_row,
     error_variables,
     highest_error_identity_check,
     jet_matrix,
@@ -57,6 +56,7 @@ from .mpc import (
     GuaranteeReport,
     MpcConfig,
     OcpRecord,
+    output_guarantees,
     run_fmpc,
     verify_guarantees,
 )

@@ -49,9 +49,9 @@ from .logio import (
     write_records_csv,
     write_trajectory_csv,
 )
-from .mpc import ClosedLoopLog, MpcConfig, run_fmpc, verify_guarantees
+from .mpc import ClosedLoopLog, MpcConfig, output_guarantees, run_fmpc, verify_guarantees
 from .ocp import OcpSpec, StageCost
-from .sim import ControlSignal, Trajectory, feedback_rollout, make_plant
+from .sim import feedback_rollout, make_plant
 from .systems import (
     MassOnCarParams,
     constant_reference,
@@ -190,11 +190,11 @@ class ResolvedRun:
         except ValueError as exc:
             raise ConfigError(f"bad funnel definition: {exc}") from exc
         grid = np.arange(self.t0, self.t_end + 1e-9, 1e-2)
-        g_report = class_g_check(self.psi, grid)
-        if not g_report.passed:
+        self.class_g = class_g_check(self.psi, grid)
+        if not self.class_g.passed:
             self.warnings.append(
-                f"funnel fails the class-G certificate at t = {g_report.first_violation_t} "
-                f"(min residual {g_report.min_residual:.3e})"
+                f"funnel fails the class-G certificate at t = {self.class_g.first_violation_t} "
+                f"(min residual {self.class_g.min_residual:.3e})"
             )
 
         probe = self.factory(self.t0)
@@ -245,12 +245,7 @@ class ResolvedRun:
         self.control_step = float(cfg.get("control_step", self.delta))
         self.ode_step = float(cfg.get("ode_step", self.control_step / 10.0))
         solver = dict(cfg.get("solver", {}))
-        self.solver = {
-            "max_iterations": int(solver.pop("max_iterations", 200)),
-            "max_evaluations": int(solver.pop("max_evaluations", 20000)),
-            "stall_iterations": int(solver.pop("stall_iterations", 8)),
-            "stall_tol": float(solver.pop("stall_tol", 1e-10)),
-        }
+        self.solver = {"max_iterations": int(solver.pop("max_iterations", 200))}
         if solver:
             raise ConfigError(f"unknown solver fields: {sorted(solver)}")
         try:
@@ -488,8 +483,6 @@ def cmd_gains(args) -> int:
     res = ResolvedRun(_load_config(args.config))
     _emit_warnings(res)
     chain_rows = res.chain_description()
-    grid = np.arange(res.t0, res.t_end + 1e-9, 1e-2)
-    g_report = class_g_check(res.psi, grid)
     payload = {
         "gamma_min": res.gamma_min,
         "gamma": res.gamma,
@@ -501,7 +494,7 @@ def cmd_gains(args) -> int:
         "bounds_satisfied": True,
         "chain": chain_rows,
         "theta_t0": float(res.chain.theta.value(res.t0)),
-        "class_g": {"passed": g_report.passed, "min_residual": g_report.min_residual},
+        "class_g": {"passed": res.class_g.passed, "min_residual": res.class_g.min_residual},
         "saturation": res.saturation,
         "saturation_source": res.saturation_source,
     }
@@ -521,16 +514,17 @@ def cmd_gains(args) -> int:
         )
     print(f"theta(t0) = {payload['theta_t0']:.12g}")
     print(
-        f"class-G certificate: {'pass' if g_report.passed else 'FAIL'} "
-        f"(min residual {g_report.min_residual:.3e})"
+        f"class-G certificate: {'pass' if res.class_g.passed else 'FAIL'} "
+        f"(min residual {res.class_g.min_residual:.3e})"
     )
     print(f"M = {res.saturation:.12g} ({res.saturation_source})")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    """Check a log against the config: its echoed settings, the outer funnel,
-    e_r against theta recomputed from the config, and the input box."""
+    """Check a log against the config: its echoed settings, y - y_ref(t)
+    against psi, e_r against theta, and the input box.  y_ref, psi and theta
+    are recomputed from the config; the log's own columns for them are unused."""
     res = ResolvedRun(_load_config(args.config))
     try:
         cols, echo_lines = read_trajectory_csv(args.log)
@@ -558,23 +552,10 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"log CSV is missing columns: {missing}")
     K = cols["t"].size
     y = np.stack([cols[n] for n in y_names], axis=1)
-    ref = np.stack([cols[n] for n in ref_names], axis=1)
     u = np.stack([cols[n] for n in u_names], axis=1)
-    jets = np.zeros((K, res.r * m))
-    jets[:, :m] = y - ref
-    trajectory = Trajectory(
-        grid=cols["t"], state=jets, output_jet=jets, input=u, status="completed"
-    )
-    log = ClosedLoopLog(
-        trajectory=trajectory,
-        records=[],
-        applied=ControlSignal(t_start=float(cols["t"][0]), step=1.0, values=u),
-        status="completed",
-    )
-    report = verify_guarantees(log, res.psi, bound)
-    # the logged e_r against theta rebuilt from the config, as a chain of one
-    top = FunnelChain(r=1, members=(res.chain.theta,), gamma=res.gamma)
-    theta_margins = chain_margins(top, (), cols["t"], cols["e_r"])[:, 0]
+    ref = res.yref.jet_array(cols["t"])[:, 0, :]
+    report = output_guarantees(cols["t"], y - ref, u, res.psi, bound)
+    theta_margins = chain_margins(FunnelChain((res.chain.theta,)), (), cols["t"], cols["e_r"])[:, 0]
     i_theta = int(np.argmin(theta_margins))
     passed = report.passed and bool(theta_margins[i_theta] > 0.0) and not mismatch
     payload = {
@@ -615,10 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_out:
             p.add_argument("--out", default=".", help="output directory for artifacts")
         p.add_argument("--json", action="store_true", help="machine-readable summary")
-        p.add_argument(
-            "--seed", type=int, default=None,
-            help="reserved; runs are deterministic and ignore it",
-        )
 
     common(sub.add_parser("simulate", help="run the receding-horizon loop"))
     common(sub.add_parser("baseline", help="run the funnel feedback baseline"))

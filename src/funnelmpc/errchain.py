@@ -23,7 +23,6 @@ __all__ = [
     "polynomial_coefficients",
     "chain_matrix",
     "top_error_rows",
-    "error_derivative_row",
     "highest_error_identity_check",
 ]
 
@@ -110,30 +109,6 @@ def top_error_rows(gains, m: int = 1) -> np.ndarray:
     """Last block row of ``chain_matrix``: the (m, r*m) map from the flat jet to e_r."""
     r = np.size(gains) + 1
     return chain_matrix(gains, r, m)[(r - 1) * m :]
-
-
-def error_derivative_row(gains, j: int, order: int) -> np.ndarray:
-    """Jet coefficients of the order-th time derivative of e_j along a trajectory.
-
-    Along any trajectory e_j(t) = p_{j-1}(d/dt) e(t), so the derivative is
-    s^order * p_{j-1}(s) applied to e.  The result is a length-r coefficient
-    vector (ascending in derivative order) and is exact as long as
-    j - 1 + order <= r - 1, i.e. all touched derivatives live in the jet.
-    """
-    k = _validated_gains(gains)
-    r = k.size + 1
-    if not 1 <= j <= r:
-        raise ValueError(f"chain index {j} outside 1..{r}")
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if j - 1 + order > r - 1:
-        raise ValueError(
-            f"derivative of e_{j} of order {order} needs jet entries beyond index {r - 1}"
-        )
-    base = np.array([1.0]) if j == 1 else polynomial_coefficients(k, j - 1)
-    row = np.zeros(r)
-    row[order : order + base.size] = base
-    return row
 
 
 def highest_error_identity_check(gains, ts, jets) -> float:

@@ -98,15 +98,15 @@ class GainVector:
 class FunnelChain:
     """Funnels psi_1..psi_r for the chained error variables; last one is theta."""
 
-    r: int
     members: tuple
-    gamma: float
 
     def __post_init__(self):
-        if self.r < 1 or len(self.members) != self.r:
-            raise ValueError("chain needs exactly r members")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
+        if not self.members:
+            raise ValueError("chain needs at least one member")
+
+    @property
+    def r(self) -> int:
+        return len(self.members)
 
     @property
     def theta(self) -> FunnelFunction:
@@ -438,7 +438,7 @@ def build_funnel_chain(
     if r < 1:
         raise ValueError("relative degree must be at least 1")
     if r == 1:
-        return FunnelChain(r=1, members=(psi,), gamma=gamma)
+        return FunnelChain((psi,))
     k = np.asarray(gains, dtype=float)
     if k.size != r - 1:
         raise ValueError(f"need {r - 1} gains, got {k.size}")
@@ -463,7 +463,7 @@ def build_funnel_chain(
                 amplitude, psi.alpha, floor, psi.alpha, psi.beta, data.t0
             )
         )
-    return FunnelChain(r=r, members=tuple(members), gamma=gamma)
+    return FunnelChain(tuple(members))
 
 
 def chain_margins(chain: FunnelChain, gains, ts, zeta) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     RecursiveFeasibilityViolation,
     SingularGainError,
 )
-from .funnel import FunnelChain, FunnelFunction
+from .funnel import FunnelChain, FunnelFunction, chain_margins
 from .ocp import OcpSpec, StageCost, solve_ocp
 from .sim import (
     ControlSignal,
@@ -41,6 +41,7 @@ __all__ = [
     "ClosedLoopLog",
     "GuaranteeReport",
     "run_fmpc",
+    "output_guarantees",
     "verify_guarantees",
 ]
 
@@ -236,37 +237,38 @@ class GuaranteeReport:
         return self.passed
 
 
+def output_guarantees(ts, errors, inputs, psi: FunnelFunction, M: float) -> GuaranteeReport:
+    """Margins psi(t_k) - ||errors_k|| of the (K, m) output errors, through
+    ``chain_margins`` on a chain of one, and the input box max |u_i| <= M
+    (up to 1e-12) for the (K, m) inputs.  A non-finite error has margin -inf.
+    """
+    margins = chain_margins(FunnelChain((psi,)), (), ts, errors)[:, 0]
+    i_min = int(np.argmin(margins))
+    input_peaks = np.max(np.abs(inputs), axis=1)
+    i_max = int(np.argmax(input_peaks))
+    return GuaranteeReport(
+        passed=bool(margins[i_min] > 0.0 and input_peaks[i_max] <= M + 1e-12),
+        min_margin=float(margins[i_min]),
+        margin_t=float(ts[i_min]),
+        max_input=float(input_peaks[i_max]),
+        max_input_t=float(ts[i_max]),
+    )
+
+
 def verify_guarantees(log: ClosedLoopLog, psi: FunnelFunction, M: float, yref=None) -> GuaranteeReport:
     """Check the closed-loop guarantees on a finished log.
 
-    Passes iff the tracking error stays strictly inside the funnel
-    (margin > 0 everywhere) and every applied input component stays in
-    the box [-M, M] up to 1e-12.  ``max_input`` is the largest |u_i|.
+    Passes iff the run completed, the tracking error stays strictly inside
+    the funnel (margin > 0 everywhere) and every applied input component
+    stays in the box [-M, M] up to 1e-12.  ``max_input`` is the largest |u_i|.
     """
     traj = log.trajectory
     m = traj.input.shape[1]
-    y = traj.output_jet[:, :m]
     reference = yref if yref is not None else log.yref
-    if reference is not None:
-        ref = reference.jet_array(traj.grid)[:, 0, :]
-    else:
-        ref = np.zeros_like(y)
-    err = np.linalg.norm(y - ref, axis=1)
-    radii = np.asarray(psi.value(traj.grid), dtype=float)
-    margins = radii - err
-    i_min = int(np.argmin(margins))
-    input_peaks = np.max(np.abs(traj.input), axis=1)
-    i_max = int(np.argmax(input_peaks))
-    passed = (
-        log.status == "completed"
-        and margins[i_min] > 0.0
-        and input_peaks[i_max] <= M + 1e-12
-    )
-    return GuaranteeReport(
-        passed=bool(passed),
-        min_margin=float(margins[i_min]),
-        margin_t=float(traj.grid[i_min]),
-        max_input=float(input_peaks[i_max]),
-        max_input_t=float(traj.grid[i_max]),
+    ref = reference.jet_array(traj.grid)[:, 0, :] if reference is not None else 0.0
+    report = output_guarantees(traj.grid, traj.output_jet[:, :m] - ref, traj.input, psi, M)
+    return replace(
+        report,
+        passed=report.passed and log.status == "completed",
         cost_trace=[(rec.t_hat, rec.cost) for rec in log.records],
     )

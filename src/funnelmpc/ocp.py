@@ -94,9 +94,6 @@ class OcpSpec:
     saturation: float
     ode_step: float
     max_iterations: int = 200
-    max_evaluations: int = 20000
-    stall_iterations: int = 8
-    stall_tol: float = 1e-10
 
     def __post_init__(self):
         if not (self.horizon > 0 and self.control_step > 0 and self.ode_step > 0):
@@ -305,12 +302,9 @@ def solve_ocp(
     residual = math.nan
     alpha_init = 1.0
     it = 0
-    stalled = 0
     prev_d = None
     prev_grad = None
     while it < spec.max_iterations:
-        if ws.evaluations >= spec.max_evaluations:
-            break
         grad = _fd_gradient(ws, d, J, shape)
         it += 1
         residual = float(np.max(np.abs(d - np.clip(d - grad, -M, M))))
@@ -344,13 +338,10 @@ def solve_ocp(
             )
             if np.any(ok):
                 pick = int(np.argmax(ok))
-                new_J = float(costs[pick])
-                improvement = J - new_J
                 d = cands[pick]
-                J = new_J
+                J = float(costs[pick])
                 alpha_init = max(min(alphas[pick] * 2.0, 1e6), 1e-12)
                 accepted = True
-                stalled = stalled + 1 if improvement <= spec.stall_tol * max(1.0, abs(J)) else 0
             else:
                 halvings += batch
                 alpha = alphas[-1] * 0.5
@@ -359,8 +350,6 @@ def solve_ocp(
             ws.t0, it, J, residual, alpha_init, ws.evaluations,
         )
         if not accepted:
-            break
-        if stalled >= spec.stall_iterations:
             break
 
     control = ControlSignal(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errchain import error_derivative_row, top_error_rows
+from .errchain import top_error_rows
 from .errors import PreconditionViolation
 from .funnel import FunnelChain, chain_margins
 from .systems import ReferenceSignal, RelativeDegreeSystem, StateSpaceSystem, _guard_gain_matrix
@@ -486,12 +486,11 @@ class FeedbackLaw:
         if self.gains.size != r - 1:
             raise ValueError(f"need {r - 1} gains, got {self.gains.size}")
         self.r = r
-        # e_r as ascending jet-block coefficients
+        # e_r as ascending jet-block coefficients, those of p_{r-1}(s)
         self.top_row = top_error_rows(self.gains)[0]
-        correction = np.zeros(r)
-        for j in range(1, r):
-            correction += self.gains[j - 1] * error_derivative_row(self.gains, j, r - j)
-        self.correction_row = correction
+        # sum_j k_j e_j^{(r-j)} = e_r' - e^{(r)}: the coefficients of
+        # s p_{r-1}(s) - s^r, which stay inside the jet
+        self.correction_row = np.concatenate(([0.0], self.top_row[:-1]))
 
     def __call__(self, t, plant, x):
         jet_mat = plant.output_jet(x).reshape(self.r, plant.m)

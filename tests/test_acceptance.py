@@ -198,7 +198,7 @@ def test_criterion_04_finite_cost_iff_membership():
 def test_criterion_05_solver_matches_brute_force():
     theta = exponential_sum_funnel(1.0, [(0.0, 1.0)], alpha=1.0, beta=0.5)
     sc = StageCost(theta=theta, lambda_u=0.01, gains=np.array([]))
-    chain = FunnelChain(r=1, members=(theta,), gamma=0.5)
+    chain = FunnelChain((theta,))
     yref = constant_reference(0.0, r=1)
     rng = np.random.default_rng(7)
     res = 0.02

@@ -129,20 +129,24 @@ def test_verify_rejects_tampered_log(tmp_path, capsys):
     run_cli(capsys, "simulate", "--config", config_path("integrator.json"), "--out", out_dir)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+        fresh = fh.readlines()
     # push one output sample far outside the funnel (column order:
-    # t, y, y_ref, e, psi, e_r, theta, u)
-    row = len(lines) // 2
-    fields = lines[row].split(",")
-    fields[1] = "5"
-    lines[row] = ",".join(fields)
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    code, out, _ = run_cli(
-        capsys, "verify", csv_path, "--config", config_path("integrator.json"), "--json"
-    )
-    assert code == EXIT_GUARANTEE
-    assert json.loads(out)["passed"] is False
+    # t, y, y_ref, e, psi, e_r, theta, u); editing y_ref along with y must
+    # not hide it, since the reference is recomputed from the config
+    for columns in ([1], [1, 2]):
+        lines = list(fresh)
+        row = len(lines) // 2
+        fields = lines[row].split(",")
+        for col in columns:
+            fields[col] = "5"
+        lines[row] = ",".join(fields)
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        code, out, _ = run_cli(
+            capsys, "verify", csv_path, "--config", config_path("integrator.json"), "--json"
+        )
+        assert code == EXIT_GUARANTEE
+        assert json.loads(out)["passed"] is False
 
 
 def _short_showcase_log(tmp_path, capsys):
@@ -274,13 +278,16 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
-def test_unknown_solver_field_is_rejected(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "field", ["line_search", "stall_iterations", "stall_tol", "max_evaluations"]
+)
+def test_unknown_solver_field_is_rejected(tmp_path, capsys, field):
     cfg = load_integrator_config()
-    cfg["solver"]["line_search"] = "wolfe"
+    cfg["solver"][field] = 1
     path = write_config(tmp_path, "bad_solver.json", cfg)
     code, _, err = run_cli(capsys, "gains", "--config", path)
     assert code == EXIT_CONFIG
-    assert "line_search" in err
+    assert field in err
 
 
 def test_unknown_plant_kind_is_rejected(tmp_path, capsys):

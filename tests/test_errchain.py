@@ -1,4 +1,4 @@
-"""Chained error variables: recursion, matrix form, derivative rows.
+"""Chained error variables: recursion and matrix form.
 
 Oracles: hand-expanded polynomial coefficients, exponential eigenfunctions
 of the chain (e = v e^{lambda t} gives e_i = prod_{j<i}(lambda + k_j) v
@@ -19,7 +19,7 @@ from funnelmpc import (
     highest_error_identity_check,
     polynomial_coefficients,
 )
-from funnelmpc.errchain import error_derivative_row, jet_matrix
+from funnelmpc.errchain import jet_matrix
 
 
 # ── Jet layout helpers ───────────────────────────────────────────────────────
@@ -148,35 +148,6 @@ def test_chain_matrix_first_block_row_is_identity():
 def test_chain_matrix_validates_gain_count():
     with pytest.raises(ValueError):
         chain_matrix([2.0], 3)
-
-
-# ── Derivative rows ──────────────────────────────────────────────────────────
-
-
-def test_error_derivative_row_closed_forms():
-    gains = [14.0]
-    # d/dt e_1 touches only the second jet entry
-    assert np.array_equal(error_derivative_row(gains, 1, 1), [0.0, 1.0])
-    # e_2 itself is p_1(d/dt) e = 14 e + e'
-    assert np.array_equal(error_derivative_row(gains, 2, 0), [14.0, 1.0])
-
-
-def test_error_derivative_row_rejects_out_of_jet_orders():
-    with pytest.raises(ValueError):
-        error_derivative_row([14.0], 2, 1)
-    with pytest.raises(ValueError):
-        error_derivative_row([14.0], 1, 2)
-    with pytest.raises(ValueError):
-        error_derivative_row([14.0], 3, 0)
-
-
-def test_error_derivative_row_is_consistent_with_error_variables():
-    gains = np.array([2.0, 3.0])
-    jet = np.array([[0.5], [-1.5], [2.5]])
-    values = error_variables(jet, gains)
-    for j in range(1, 4):
-        row = error_derivative_row(gains, j, 0)
-        assert abs(float(row @ jet.ravel()) - float(values[j - 1][0])) < 1e-13
 
 
 # ── Trajectory identity for the highest error variable ───────────────────────

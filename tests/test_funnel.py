@@ -196,7 +196,8 @@ def test_chain_top_funnel_closed_form(showcase_chain):
 def test_chain_members_and_gamma(showcase_chain, showcase_psi):
     assert showcase_chain.r == 2
     assert showcase_chain.members[0] is showcase_psi
-    assert showcase_chain.gamma == 0.5
+    # gamma = 0.5 lives on in theta's floor beta / (alpha gamma^(r-1))
+    assert showcase_chain.theta.value(1e3) == pytest.approx(0.15 / (1.5 * 0.5), rel=1e-12)
 
 
 def test_build_chain_rejects_gain_below_bound(showcase_psi, showcase_data):
@@ -211,11 +212,11 @@ def test_build_chain_single_link_returns_psi(showcase_psi, showcase_data):
     assert chain.theta is showcase_psi
 
 
-def test_chain_validates_shape_and_gamma(showcase_psi):
+def test_chain_validates_shape_and_gamma(showcase_psi, showcase_data):
     with pytest.raises(ValueError):
-        FunnelChain(r=2, members=(showcase_psi,), gamma=0.5)
+        FunnelChain(())
     with pytest.raises(ValueError):
-        FunnelChain(r=1, members=(showcase_psi,), gamma=1.0)
+        build_funnel_chain(showcase_psi, showcase_data, [14.0], 1.0, r=2)
 
 
 # ── Membership and the input bound ───────────────────────────────────────────
@@ -244,7 +245,7 @@ def test_saturation_bound_closed_form():
             sup_norm_derivative=sup_d,
         )
 
-    chain = FunnelChain(r=2, members=(stub(4.1, 4.35), stub(28.2, 42.0)), gamma=0.5)
+    chain = FunnelChain((stub(4.1, 4.35), stub(28.2, 42.0)))
     bound = saturation_bound(2.0, 9.0, [14.0], chain, yref_r_sup=1.0)
     # g (f + yref + k1 (sup psi_2 + k1 sup psi_1) + sup theta')
     expected = 9.0 * (2.0 + 1.0 + 14.0 * (28.2 + 14.0 * 4.1) + 42.0)
@@ -256,7 +257,7 @@ def test_saturation_bound_validates_inputs():
         value=lambda t: 1.0, derivative=lambda t: 0.0,
         alpha=1.0, beta=0.5, sup_norm=1.0, sup_norm_derivative=0.0,
     )
-    chain = FunnelChain(r=1, members=(member,), gamma=0.5)
+    chain = FunnelChain((member,))
     with pytest.raises(ValueError):
         saturation_bound(0.0, 1.0, [], chain, 0.0)
     with pytest.raises(ValueError):

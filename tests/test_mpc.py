@@ -258,6 +258,15 @@ def test_verify_flags_funnel_contact(decay_psi):
     assert report.margin_t == pytest.approx(0.5)
 
 
+def test_verify_flags_non_finite_output(decay_psi):
+    y = np.full(11, 0.2)
+    y[4] = np.nan
+    report = verify_guarantees(_synthetic_log(y, np.zeros(11)), decay_psi, 5.0)
+    assert not report.passed
+    assert report.min_margin == -math.inf
+    assert report.margin_t == pytest.approx(0.4)
+
+
 def test_verify_flags_input_bound_violation(decay_psi):
     u = np.zeros(11)
     u[3] = 9.0

@@ -47,7 +47,7 @@ def theta_one(request):
 
 @pytest.fixture(scope="module")
 def scalar_chain(theta_one):
-    return FunnelChain(r=1, members=(theta_one,), gamma=0.5)
+    return FunnelChain((theta_one,))
 
 
 @pytest.fixture(scope="module")

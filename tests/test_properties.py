@@ -162,7 +162,7 @@ def _constant_funnel(radius: float) -> FunnelFunction:
 def test_chain_margins_match_the_recursion(data, r, m, n_points):
     gains = data.draw(arrays(float, r - 1, elements=st.floats(0.1, 5.0)))
     radii = data.draw(arrays(float, r, elements=st.floats(0.5, 50.0)))
-    chain = FunnelChain(r=r, members=tuple(_constant_funnel(c) for c in radii), gamma=0.5)
+    chain = FunnelChain(tuple(_constant_funnel(c) for c in radii))
     ts = np.arange(n_points, dtype=float)
     zeta = data.draw(arrays(float, (n_points, r * m), elements=entries(1.0)))
     margins = chain_margins(chain, gains, ts, zeta)

@@ -18,6 +18,7 @@ import pytest
 from funnelmpc import (
     ControlSignal,
     FeedbackLaw,
+    FunnelChain,
     JetHistory,
     PreconditionViolation,
     StateSpacePlant,
@@ -27,6 +28,7 @@ from funnelmpc import (
     constant_reference,
     cosine_reference,
     delay_operator,
+    error_variables,
     exponential_sum_funnel,
     feasibility_feedback,
     feedback_rollout,
@@ -253,6 +255,21 @@ def test_inner_funnel_violation_alone_is_caught(showcase_chain, showcase_yref):
 def test_feedback_law_validates_gain_count(showcase_chain, showcase_yref):
     with pytest.raises(ValueError):
         FeedbackLaw(showcase_chain, [], showcase_yref)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_feedback_law_correction_row_on_eigenfunction_jets(r, showcase_psi):
+    # along e(t) = v e^{lambda t}: e_r' = lambda e_r and e^(r) = lambda^r v, so
+    # the correction sum_j k_j e_j^(r-j) = e_r' - e^(r) is lambda e_r - lambda^r v
+    gains = np.array([2.0, 3.0, 5.0, 0.5])[: r - 1]
+    lam = -0.7
+    v = np.array([1.5, -0.25])
+    zeta = np.stack([lam**l * v for l in range(r)])
+    law = FeedbackLaw(FunnelChain((showcase_psi,) * r), gains, constant_reference(0.0, r=r))
+    e_r = error_variables(zeta, gains)[-1]
+    np.testing.assert_allclose(
+        law.correction_row @ zeta, lam * e_r - lam**r * v, rtol=1e-12, atol=1e-12
+    )
 
 
 def _scalar_decay_setup(y0):

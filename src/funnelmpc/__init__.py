@@ -29,7 +29,6 @@ from .funnel import (
     FunnelChain,
     FunnelFunction,
     GainSelection,
-    GainVector,
     InitialJetData,
     build_funnel_chain,
     chain_margins,
@@ -37,7 +36,6 @@ from .funnel import (
     default_gamma,
     exponential_sum_funnel,
     funnel_from_callables,
-    funnel_membership,
     gain_lower_bounds,
     gamma_margin,
     saturation_bound,
@@ -100,7 +98,6 @@ from .systems import (
     mass_on_car_initial_data,
     mass_on_car_normal_form,
     mass_on_car_state_space,
-    rhs_highest_derivative,
     static_operator,
 )
 

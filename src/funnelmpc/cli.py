@@ -49,7 +49,7 @@ from .logio import (
     write_records_csv,
     write_trajectory_csv,
 )
-from .mpc import ClosedLoopLog, MpcConfig, output_guarantees, run_fmpc, verify_guarantees
+from .mpc import MpcConfig, output_guarantees, run_fmpc, verify_guarantees
 from .ocp import OcpSpec, StageCost
 from .sim import feedback_rollout, make_plant
 from .systems import (
@@ -223,8 +223,7 @@ class ResolvedRun:
             selection = select_gains(self.data, self.psi, self.gamma, user_gains=user_gains)
         except ValueError as exc:
             raise ConfigError(f"gain selection failed: {exc}") from exc
-        self.gains = np.asarray(selection.gains, dtype=float)
-        self.gain_bounds = selection.bounds
+        self.gains, self.gain_bounds = selection.gains, selection.bounds
         self.gains_source = "explicit" if user_gains is not None else "derived"
         try:
             self.chain = build_funnel_chain(self.psi, self.data, self.gains, self.gamma, self.r)
@@ -424,7 +423,7 @@ def cmd_baseline(args) -> int:
     plant = res.factory(res.t0)
     t_wall = time.perf_counter()
     try:
-        trajectory, applied = feedback_rollout(
+        trajectory, _ = feedback_rollout(
             plant,
             res.chain,
             res.gains,
@@ -440,11 +439,10 @@ def cmd_baseline(args) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     elapsed = time.perf_counter() - t_wall
-    log = ClosedLoopLog(
-        trajectory=trajectory, records=[], applied=applied, status=trajectory.status,
-        yref=res.yref,
-    )
-    report = verify_guarantees(log, res.psi, math.inf)
+    ref = res.yref.jet_array(trajectory.grid)[:, 0, :]
+    errors = trajectory.output_jet[:, : res.m] - ref
+    report = output_guarantees(trajectory.grid, errors, trajectory.input, res.psi, math.inf)
+    passed = report.passed and trajectory.status == "completed"
     table = closed_loop_table(trajectory, res.chain, res.gains, res.yref)
     echo = dict(res.echo)
     echo["command"] = "baseline"
@@ -452,7 +450,7 @@ def cmd_baseline(args) -> int:
     ratio = np.abs(table.e_r) / table.theta if table.m == 1 else table.e_r / table.theta
     drift = float(np.max(np.abs(ratio - ratio[0])))
     summary = {
-        "passed": report.passed,
+        "passed": passed,
         "status": trajectory.status,
         "rows": int(trajectory.grid.size),
         "min_margin": report.min_margin,
@@ -475,8 +473,8 @@ def cmd_baseline(args) -> int:
             f"top error ratio |e_r|/theta: {ratio[0]:.6g} at start, "
             f"max drift {drift:.3g}"
         )
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_GUARANTEE
+        print("PASS" if passed else "FAIL")
+    return EXIT_OK if passed else EXIT_GUARANTEE
 
 
 def cmd_gains(args) -> int:

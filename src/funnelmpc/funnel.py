@@ -24,7 +24,6 @@ from .errors import PreconditionViolation
 __all__ = [
     "FunnelFunction",
     "FunnelChain",
-    "GainVector",
     "InitialJetData",
     "ClassGReport",
     "GainSelection",
@@ -37,7 +36,6 @@ __all__ = [
     "select_gains",
     "build_funnel_chain",
     "chain_margins",
-    "funnel_membership",
     "saturation_bound",
 ]
 
@@ -67,31 +65,6 @@ class FunnelFunction:
             raise ValueError("sup_norm must be positive")
         if self.sup_norm_derivative < 0.0:
             raise ValueError("sup_norm_derivative must be nonnegative")
-
-
-@dataclass(frozen=True)
-class GainVector:
-    """Positive chain gains k_1..k_{r-1}."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if any(not v > 0.0 for v in vals):
-            raise ValueError("all chain gains must be positive")
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, idx):
-        return self.values[idx]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype if dtype is not None else float)
 
 
 @dataclass(frozen=True)
@@ -167,15 +140,13 @@ def funnel_from_callables(
     beta: float,
     t0: float = 0.0,
     sup_window: float = 20.0,
-    sup_step: float = 1e-3,
-    inflation: float = 1.01,
 ) -> FunnelFunction:
     """Wrap user callables into a FunnelFunction with grid-estimated sup norms.
 
-    The sup norms are max absolute values on [t0, t0 + sup_window] sampled at
-    sup_step, inflated by the given safety factor.
+    The sup norms are max absolute values on [t0, t0 + sup_window] sampled
+    every 1e-3, inflated by 1 %.
     """
-    grid = np.arange(t0, t0 + sup_window + 0.5 * sup_step, sup_step)
+    grid = np.arange(t0, t0 + sup_window + 0.5e-3, 1e-3)
     vals = np.asarray(value(grid), dtype=float)
     ders = np.asarray(derivative(grid), dtype=float)
     if vals.shape != grid.shape or ders.shape != grid.shape:
@@ -185,8 +156,8 @@ def funnel_from_callables(
         derivative=derivative,
         alpha=float(alpha),
         beta=float(beta),
-        sup_norm=float(np.max(np.abs(vals))) * inflation,
-        sup_norm_derivative=float(np.max(np.abs(ders))) * inflation,
+        sup_norm=float(np.max(np.abs(vals))) * 1.01,
+        sup_norm_derivative=float(np.max(np.abs(ders))) * 1.01,
     )
 
 
@@ -197,7 +168,6 @@ def exponential_sum_funnel(
     beta: float,
     t0: float = 0.0,
     sup_window: float = 20.0,
-    sup_step: float = 1e-3,
 ) -> FunnelFunction:
     """Funnel of the form offset + sum_j a_j * exp(-rate_j * (t - t0)).
 
@@ -228,9 +198,7 @@ def exponential_sum_funnel(
             out = out - a * rho * np.exp(-rho * (t - _t0))
         return out
 
-    return funnel_from_callables(
-        value, derivative, alpha, beta, t0=t0, sup_window=sup_window, sup_step=sup_step
-    )
+    return funnel_from_callables(value, derivative, alpha, beta, t0=t0, sup_window=sup_window)
 
 
 def _decaying_exponential_funnel(
@@ -272,30 +240,26 @@ class ClassGReport:
 
     passed: bool
     first_violation_t: float | None
-    min_value: float
     min_residual: float
 
     def __bool__(self):
         return self.passed
 
 
-def class_g_check(psi: FunnelFunction, grid, tol: float = 1e-9) -> ClassGReport:
-    """Check psi > 0 and psi' + alpha*psi - beta >= -tol on the grid."""
+def class_g_check(psi: FunnelFunction, grid) -> ClassGReport:
+    """Check psi > 0 and psi' + alpha*psi - beta >= -1e-9 on the grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("class-G check needs a nonempty time grid")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise ValueError("class-G grid must be strictly increasing")
-    if tol < 0.0:
-        raise ValueError("tolerance must be nonnegative")
     values = np.asarray(psi.value(grid), dtype=float)
     residual = np.asarray(psi.derivative(grid), dtype=float) + psi.alpha * values - psi.beta
-    bad = (values <= 0.0) | (residual < -tol)
+    bad = (values <= 0.0) | (residual < -1e-9)
     first_t = float(grid[np.argmax(bad)]) if bool(np.any(bad)) else None
     return ClassGReport(
         passed=first_t is None,
         first_violation_t=first_t,
-        min_value=float(np.min(values)),
         min_residual=float(np.min(residual)),
     )
 
@@ -329,25 +293,30 @@ def default_gamma(gamma_min: float) -> float:
     return 0.5 if gamma_min < 0.5 else 0.5 * (gamma_min + 1.0)
 
 
-def _ceil_to_grid(x: float, grid: float) -> float:
-    return math.ceil(x / grid - 1e-12) * grid
-
-
 @dataclass(frozen=True)
 class GainSelection:
     """Chosen gains next to the lower bounds they are measured against."""
 
-    gains: GainVector
+    gains: np.ndarray
     bounds: np.ndarray
 
-    @property
-    def satisfied(self) -> bool:
-        if len(self.gains) == 0:
-            return True
-        return bool(np.all(np.asarray(self.gains) >= self.bounds - 1e-12))
 
+def gain_lower_bounds(
+    data: InitialJetData,
+    alpha: float,
+    beta: float,
+    gamma: float,
+    psi_t0: float,
+    r: int,
+    gains=None,
+) -> np.ndarray:
+    """Lower bounds for the chain gains, evaluated sequentially in i.
 
-def _sequential_gain_scan(data, alpha, beta, gamma, psi_t0, r, user_gains, grid):
+    The bound for k_i depends on e_i^0 and de_i^0/dt, which in turn depend on
+    k_1..k_{i-1}.  When ``gains`` is given those values are used as the fixed
+    prefix (validation mode); otherwise each k_i is fixed at its bound
+    rounded up to an integer, ceil(bound - 1e-12) (selection mode).
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if psi_t0 <= 0.0:
@@ -356,8 +325,8 @@ def _sequential_gain_scan(data, alpha, beta, gamma, psi_t0, r, user_gains, grid)
         raise ValueError("need alpha > 0 and beta > 0")
     if data.r != r:
         raise ValueError(f"initial data has r = {data.r}, expected {r}")
-    if user_gains is not None and len(user_gains) != r - 1:
-        raise ValueError(f"need {r - 1} gains, got {len(user_gains)}")
+    if gains is not None and len(gains) != r - 1:
+        raise ValueError(f"need {r - 1} gains, got {len(gains)}")
     ej = data.error_jet
     bounds = []
     fixed = []
@@ -374,47 +343,24 @@ def _sequential_gain_scan(data, alpha, beta, gamma, psi_t0, r, user_gains, grid)
             b = 2.0 * gamma * float(np.linalg.norm(edot0)) / denom
             b += 2.0 * (1.0 + alpha) / (1.0 - gamma)
         bounds.append(b)
-        if user_gains is not None:
-            fixed.append(float(user_gains[i - 1]))
-        else:
-            fixed.append(_ceil_to_grid(b, grid))
-    return np.asarray(bounds), np.asarray(fixed)
-
-
-def gain_lower_bounds(
-    data: InitialJetData,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    psi_t0: float,
-    r: int,
-    gains=None,
-    grid: float = 1.0,
-) -> np.ndarray:
-    """Lower bounds for the chain gains, evaluated sequentially in i.
-
-    The bound for k_i depends on e_i^0 and de_i^0/dt, which in turn depend on
-    k_1..k_{i-1}.  When ``gains`` is given those values are used as the fixed
-    prefix (validation mode); otherwise each k_i is fixed at the bound,
-    rounded up to the grid (selection mode).
-    """
-    bounds, _ = _sequential_gain_scan(data, alpha, beta, gamma, psi_t0, r, gains, grid)
-    return bounds
+        fixed.append(float(math.ceil(b - 1e-12)) if gains is None else float(gains[i - 1]))
+    return np.asarray(bounds)
 
 
 def select_gains(
-    data: InitialJetData,
-    psi: FunnelFunction,
-    gamma: float,
-    user_gains=None,
-    grid: float = 1.0,
+    data: InitialJetData, psi: FunnelFunction, gamma: float, user_gains=None
 ) -> GainSelection:
-    """Pick gains meeting the lower bounds, keeping user values when given."""
-    psi_t0 = float(psi.value(data.t0))
-    bounds, fixed = _sequential_gain_scan(
-        data, psi.alpha, psi.beta, gamma, psi_t0, data.r, user_gains, grid
+    """Pick gains meeting the lower bounds, keeping user values when given.
+
+    Without user values each gain is its bound rounded up to an integer,
+    ceil(bound - 1e-12).  A user gain that is not positive raises ValueError.
+    """
+    if user_gains is not None and any(not float(k) > 0.0 for k in user_gains):
+        raise ValueError("all chain gains must be positive")
+    bounds = gain_lower_bounds(
+        data, psi.alpha, psi.beta, gamma, float(psi.value(data.t0)), data.r, gains=user_gains
     )
-    gains = GainVector(tuple(fixed))
+    gains = np.ceil(bounds - 1e-12) if user_gains is None else np.asarray(user_gains, dtype=float)
     return GainSelection(gains=gains, bounds=bounds)
 
 
@@ -490,11 +436,6 @@ def chain_margins(chain: FunnelChain, gains, ts, zeta) -> np.ndarray:
     )
     finite = np.isfinite(norms) & np.isfinite(zeta).all(axis=1)[:, None]
     return np.where(finite, radii - norms, -np.inf)
-
-
-def funnel_membership(t: float, xi, chain: FunnelChain, gains) -> bool:
-    """Strict membership ||e_i(xi)|| < psi_i(t) for every chain index i."""
-    return bool(np.all(chain_margins(chain, gains, t, np.ravel(xi)) > 0.0))
 
 
 def saturation_bound(

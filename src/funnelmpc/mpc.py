@@ -11,8 +11,7 @@ discretization artifact rather than a tolerable condition.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,11 +25,9 @@ from .funnel import FunnelChain, FunnelFunction, chain_margins
 from .ocp import OcpSpec, StageCost, solve_ocp
 from .sim import (
     ControlSignal,
-    NormalFormPlant,
-    StateSpacePlant,
     Trajectory,
+    _is_multiple,
     integrate_open_loop,
-    make_plant,
     zoh_feedback_rollout,
 )
 from .systems import ReferenceSignal
@@ -66,18 +63,12 @@ class MpcConfig:
             raise ValueError("time shift must be positive")
         if self.spec.horizon < self.delta - 1e-12:
             raise ValueError("prediction horizon must be at least the time shift")
-        ratio = self.delta / self.spec.control_step
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        if not _is_multiple(self.delta, self.spec.control_step):
             raise ValueError("time shift must be a multiple of the ZOH step")
         if self.t_end <= self.t0:
             raise ValueError("empty closed-loop interval")
-        n = (self.t_end - self.t0) / self.delta
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        if not _is_multiple(self.t_end - self.t0, self.delta):
             raise ValueError("interval length must be a multiple of the time shift")
-
-    @property
-    def horizon(self) -> float:
-        return self.spec.horizon
 
     @property
     def n_cycles(self) -> int:
@@ -96,7 +87,6 @@ class OcpRecord:
 class ClosedLoopLog:
     trajectory: Trajectory
     records: list
-    applied: ControlSignal
     status: str = "completed"
     yref: ReferenceSignal | None = None
 
@@ -152,15 +142,11 @@ def _shifted_warm_start(plant, config: MpcConfig, yref, previous: ControlSignal,
     return ControlSignal(t_start=t_next, step=spec.control_step, values=values)
 
 
-def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig, y0=None) -> ClosedLoopLog:
-    """Closed-loop funnel MPC over [t0, t_end].
+def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
+    """Closed-loop funnel MPC over [t0, t_end] on a plant positioned at t0.
 
-    ``plant`` is either a positioned plant instance or a system record; in
-    the latter case ``y0`` supplies the initial state (state vector for
-    state-space systems, flat output jet for normal forms).
+    The applied inputs are ``log.trajectory.input``, one row per grid point.
     """
-    if not isinstance(plant, (StateSpacePlant, NormalFormPlant)):
-        plant = make_plant(plant, config.t0, y0)
     if abs(plant.t - config.t0) > 1e-9:
         raise ValueError(f"plant positioned at t = {plant.t}, run starts at {config.t0}")
 
@@ -168,7 +154,6 @@ def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig, y0=None) -> Closed
     n_head = round(config.delta / spec.control_step)
     segments = []
     records = []
-    applied_values = []
     warm = None
     status = "completed"
 
@@ -205,22 +190,14 @@ def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig, y0=None) -> Closed
         )
         segment = integrate_open_loop(plant, head, (t_hat, t_next), spec.ode_step)
         segments.append(segment)
-        applied_values.append(head.values)
         if segment.status != "completed":
             status = segment.status
             break
         if k + 1 < config.n_cycles:
             warm = _shifted_warm_start(plant, config, yref, sol.control, t_next)
 
-    trajectory = _concat_segments(segments)
-    applied = ControlSignal(
-        t_start=config.t0,
-        step=spec.control_step,
-        values=np.concatenate(applied_values, axis=0),
-        saturation=spec.saturation,
-    )
     return ClosedLoopLog(
-        trajectory=trajectory, records=records, applied=applied, status=status, yref=yref
+        trajectory=_concat_segments(segments), records=records, status=status, yref=yref
     )
 
 
@@ -231,7 +208,6 @@ class GuaranteeReport:
     margin_t: float
     max_input: float
     max_input_t: float
-    cost_trace: list = field(default_factory=list)
 
     def __bool__(self):
         return self.passed
@@ -255,20 +231,16 @@ def output_guarantees(ts, errors, inputs, psi: FunnelFunction, M: float) -> Guar
     )
 
 
-def verify_guarantees(log: ClosedLoopLog, psi: FunnelFunction, M: float, yref=None) -> GuaranteeReport:
+def verify_guarantees(log: ClosedLoopLog, psi: FunnelFunction, M: float) -> GuaranteeReport:
     """Check the closed-loop guarantees on a finished log.
 
-    Passes iff the run completed, the tracking error stays strictly inside
-    the funnel (margin > 0 everywhere) and every applied input component
-    stays in the box [-M, M] up to 1e-12.  ``max_input`` is the largest |u_i|.
+    Passes iff the run completed, the tracking error against ``log.yref``
+    (zero when unset) stays strictly inside the funnel (margin > 0
+    everywhere) and every applied input component stays in the box [-M, M]
+    up to 1e-12.  ``max_input`` is the largest |u_i|.
     """
     traj = log.trajectory
     m = traj.input.shape[1]
-    reference = yref if yref is not None else log.yref
-    ref = reference.jet_array(traj.grid)[:, 0, :] if reference is not None else 0.0
+    ref = log.yref.jet_array(traj.grid)[:, 0, :] if log.yref is not None else 0.0
     report = output_guarantees(traj.grid, traj.output_jet[:, :m] - ref, traj.input, psi, M)
-    return replace(
-        report,
-        passed=report.passed and log.status == "completed",
-        cost_trace=[(rec.t_hat, rec.cost) for rec in log.records],
-    )
+    return replace(report, passed=report.passed and log.status == "completed")

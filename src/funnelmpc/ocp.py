@@ -25,6 +25,7 @@ from .errors import OcpInfeasibleError, PreconditionViolation
 from .funnel import FunnelFunction, chain_margins
 from .sim import (
     ControlSignal,
+    _is_multiple,
     _live_members,
     linear_jet_response,
     rollout_jets_batch,
@@ -104,9 +105,8 @@ class OcpSpec:
             ("control_step", self.horizon, self.control_step),
             ("ode_step", self.control_step, self.ode_step),
         ):
-            ratio = num / den
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise ValueError(f"{name} must divide evenly (ratio {ratio})")
+            if not _is_multiple(num, den):
+                raise ValueError(f"{name} must divide evenly (ratio {num / den})")
 
     @property
     def n_intervals(self) -> int:

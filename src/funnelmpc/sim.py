@@ -70,10 +70,6 @@ class ControlSignal:
                 raise ValueError("control values exceed the saturation level")
 
     @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def t_end(self) -> float:
         return self.t_start + self.step * self.values.shape[0]
 
@@ -96,9 +92,6 @@ class Trajectory:
     output_jet: np.ndarray
     input: np.ndarray
     status: str = "completed"
-
-    def __len__(self):
-        return self.grid.size
 
 
 class JetHistory:
@@ -320,11 +313,12 @@ def make_plant(system, t0: float, initial, eta0=None, initial_segment=None):
     raise TypeError(f"unsupported system record {type(system).__name__}")
 
 
-def _is_multiple(a: float, b: float, tol: float = 1e-9) -> bool:
+def _is_multiple(a: float, b: float) -> bool:
+    """a / b is an integer up to 1e-9 * max(1, |a / b|); False when b <= 0."""
     if b <= 0.0:
         return False
     ratio = a / b
-    return abs(ratio - round(ratio)) <= tol * max(1.0, abs(ratio))
+    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
 
 
 def _step_grid(plant, t_span, h: float, step: float):

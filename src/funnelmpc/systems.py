@@ -37,7 +37,6 @@ __all__ = [
     "mass_on_car_state_space",
     "mass_on_car_normal_form",
     "mass_on_car_initial_data",
-    "rhs_highest_derivative",
     "constant_reference",
     "cosine_reference",
     "estimate_dynamics_bounds",
@@ -434,23 +433,6 @@ def _guard_gain_matrix(gmat: np.ndarray):
     return gmat
 
 
-def rhs_highest_derivative(sys: RelativeDegreeSystem, t: float, history, u, op_state=None):
-    """Evaluate y^(r) = f(T(chi)(t)) + g(T(chi)(t)) u from a jet history.
-
-    ``history`` maps times in [t - sigma, t] to flat jets.  For operators
-    with internal dynamics the current operator state may be passed;
-    otherwise the operator's initial state is used.
-    """
-    xi = np.asarray(history(t), dtype=float)
-    state = op_state if op_state is not None else (
-        sys.T.initial_state() if sys.T.state_dim else None
-    )
-    w = sys.T.evaluate(t, xi, history, state)
-    gmat = _guard_gain_matrix(sys.g(w))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return np.atleast_1d(np.asarray(sys.f(w), dtype=float)).reshape(sys.m) + gmat @ u
-
-
 def estimate_dynamics_bounds(
     sys: RelativeDegreeSystem,
     chain,
@@ -459,8 +441,6 @@ def estimate_dynamics_bounds(
     t_span,
     n_paths: int = 64,
     steps_per_path: int = 200,
-    seed: int = 0,
-    inflation: float = 1.1,
 ):
     """Empirical sup bounds (f_max, g_max) over funnel-compatible jet paths.
 
@@ -468,12 +448,13 @@ def estimate_dynamics_bounds(
     mapped back through the inverse chain matrix to jets, shifted by the
     reference jet, and pushed through the operator (integrating internal
     dynamics along each path).  The reported bounds are empirical maxima of
-    ||f|| and ||g^{-1}|| inflated by a safety factor; they are a probe, not
-    a certificate.
+    ||f|| and ||g^{-1}|| inflated by 10 %; they are a probe, not a
+    certificate.  The paths come from a fixed seed, so the bounds are
+    reproducible.
     """
     from .errchain import chain_matrix
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     r, m = chain.r, sys.m
     smat_inv = np.linalg.inv(chain_matrix(np.asarray(gains, dtype=float), r, m))
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -509,4 +490,4 @@ def estimate_dynamics_bounds(
                 eta = eta + h * k2
     if f_max == 0.0:
         f_max = 1e-9
-    return f_max * inflation, g_inv_max * inflation
+    return f_max * 1.1, g_inv_max * 1.1

@@ -18,8 +18,6 @@ import pytest
 
 from funnelmpc import (
     ClosedLoopLog,
-    ControlSignal,
-    FunnelChain,
     InitialJetData,
     MpcConfig,
     OcpSpec,
@@ -31,7 +29,6 @@ from funnelmpc import (
     cosine_reference,
     delay_operator,
     exponential_sum_funnel,
-    integrator_chain,
     make_plant,
     run_fmpc,
     verify_guarantees,
@@ -65,7 +62,6 @@ def decay_psi():
 
 def test_config_timing_properties(decay_psi):
     config = scalar_mpc_config(decay_psi)
-    assert config.horizon == 0.2
     assert config.n_cycles == 10
 
 
@@ -94,24 +90,14 @@ def test_closed_loop_keeps_error_inside_funnel(decay_psi):
     assert log.trajectory.grid.size == 101
     assert log.trajectory.grid[-1] == pytest.approx(1.0)
     assert len(log.records) == 10
-    assert log.applied.values.shape == (10, 1)
+    assert log.trajectory.input.shape == (101, 1)
     assert all(math.isfinite(rec.cost) for rec in log.records)
 
     report = verify_guarantees(log, decay_psi, 5.0)
     assert report.passed
     assert report.min_margin > 0.0
     assert report.max_input <= 5.0 + 1e-12
-    assert len(report.cost_trace) == 10
-    assert report.cost_trace[0][0] == 0.0
-
-
-def test_closed_loop_accepts_system_record_with_initial_state(decay_psi):
-    config = scalar_mpc_config(decay_psi, t_end=0.4)
-    log = run_fmpc(
-        integrator_chain(1), constant_reference(0.0, r=1), config, y0=np.array([0.5])
-    )
-    assert log.status == "completed"
-    assert len(log.records) == 4
+    assert [rec.t_hat for rec in log.records] == pytest.approx(np.arange(10) * 0.1)
 
 
 def test_closed_loop_statuses_settle_after_first_cycle(decay_psi):
@@ -143,7 +129,7 @@ def test_closed_loop_representations_agree():
     np.testing.assert_array_equal(ss.trajectory.grid, nf.trajectory.grid)
     np.testing.assert_allclose(ss.trajectory.output_jet, nf.trajectory.output_jet,
                                rtol=0.0, atol=1e-6)
-    np.testing.assert_allclose(ss.applied.values, nf.applied.values, rtol=0.0, atol=1e-4)
+    np.testing.assert_allclose(ss.trajectory.input, nf.trajectory.input, rtol=0.0, atol=1e-4)
     np.testing.assert_allclose([rec.cost for rec in ss.records],
                                [rec.cost for rec in nf.records], rtol=1e-6, atol=0.0)
 
@@ -178,14 +164,15 @@ def test_integrator_chain_closed_loop_matches_generic_path(plant_cfg, reference,
         log = run_fmpc(make_plant(system, 0.0, plant_cfg["x0"]), res.yref, res.mpc)
         assert verify_guarantees(log, res.psi, res.saturation).passed
         if saturation is not None:
-            assert np.max(np.abs(log.applied.values)) == saturation
+            assert np.max(np.abs(log.trajectory.input)) == saturation
         logs.append(log)
     exact, generic = logs
     assert len(exact.records) == len(generic.records) == 10
     np.testing.assert_array_equal(exact.trajectory.grid, generic.trajectory.grid)
     np.testing.assert_allclose(exact.trajectory.output_jet, generic.trajectory.output_jet,
                                rtol=0.0, atol=1e-6)
-    np.testing.assert_allclose(exact.applied.values, generic.applied.values, rtol=0.0, atol=1e-4)
+    np.testing.assert_allclose(exact.trajectory.input, generic.trajectory.input,
+                               rtol=0.0, atol=1e-4)
     np.testing.assert_allclose([rec.cost for rec in exact.records],
                                [rec.cost for rec in generic.records], rtol=1e-6, atol=0.0)
 
@@ -244,8 +231,7 @@ def _synthetic_log(y, u, status="completed"):
         input=u[:, None],
         status=status,
     )
-    applied = ControlSignal(t_start=0.0, step=0.1, values=u[:, None])
-    return ClosedLoopLog(trajectory=traj, records=[], applied=applied, status=status)
+    return ClosedLoopLog(trajectory=traj, records=[], status=status)
 
 
 def test_verify_flags_funnel_contact(decay_psi):
@@ -289,5 +275,6 @@ def test_verify_uses_reference_when_given(decay_psi):
     y = np.full(11, 0.9)
     log = _synthetic_log(y, np.zeros(11))
     assert not verify_guarantees(log, decay_psi, 5.0).passed
-    report = verify_guarantees(log, decay_psi, 5.0, yref=constant_reference(0.9, r=1))
+    log.yref = constant_reference(0.9, r=1)
+    report = verify_guarantees(log, decay_psi, 5.0)
     assert report.passed

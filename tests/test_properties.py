@@ -9,28 +9,43 @@ A zero-order-hold control must pick the interval of every integration grid
 point the way the batched rollout does.  The funnel margins of the chained
 errors, taken through the chain matrix, must match the shift recursion, and
 a jet with a NaN entry must lie outside every funnel.
+On integrator chains, with and without their matrices, the cost functional
+must be finite exactly when ||e_r|| < theta at every RK4 grid point, and the
+solver must never return a cost above that of its clipped warm start.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from funnelmpc import (  # noqa: E402
     ControlSignal,
     FunnelChain,
     FunnelFunction,
+    OcpSpec,
     RelativeDegreeSystem,
+    StageCost,
     StateSpaceSystem,
     chain_margins,
+    constant_reference,
+    cost_functional,
     error_variables,
+    exponential_sum_funnel,
+    integrate_open_loop,
+    integrator_chain,
     internal_dynamics_operator,
     make_plant,
+    solve_ocp,
     static_operator,
+    top_error_rows,
 )
 from funnelmpc.sim import linear_jet_response, rollout_jets_batch  # noqa: E402
 
@@ -174,3 +189,80 @@ def test_chain_margins_match_the_recursion(data, r, m, n_points):
     k = data.draw(st.integers(0, n_points - 1))
     zeta[k, data.draw(st.integers(0, r * m - 1))] = np.nan
     assert not np.any(chain_margins(chain, gains, ts, zeta)[k] > 0.0)
+
+
+def _chain_ocp(data, r, m, exact, n_intervals, substeps, saturation):
+    """A random OCP on an r-fold integrator chain with m channels.
+
+    ``exact`` keeps the record's matrices (exact linear response); without
+    them candidates are costed by batched RK4.  theta is a decaying
+    exponential above a positive floor.  Input weights above 10 make the
+    solver's first unit step overshoot, which only its line search rejects.
+    """
+    system = integrator_chain(r, m)
+    if not exact:
+        system = dataclasses.replace(system, linear=None)
+    plant = make_plant(system, 0.0, data.draw(arrays(float, r * m, elements=entries(1.0))))
+    gains = data.draw(arrays(float, r - 1, elements=st.floats(0.5, 5.0)))
+    theta = exponential_sum_funnel(
+        data.draw(st.floats(0.2, 2.0)),
+        [(data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.5, 3.0)))],
+        alpha=1.0, beta=0.1,
+    )
+    yref = constant_reference(data.draw(arrays(float, m, elements=entries(0.5))), r)
+    spec = OcpSpec(horizon=0.1 * n_intervals, control_step=0.1, saturation=saturation,
+                   ode_step=0.1 / substeps, max_iterations=data.draw(st.integers(1, 5)))
+    stage = StageCost(theta=theta, lambda_u=data.draw(st.floats(0.0, 50.0)), gains=gains)
+    return plant, stage, spec, yref
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    r=st.integers(1, 3),
+    m=st.integers(1, 2),
+    exact=st.booleans(),
+    n_intervals=st.integers(1, 4),
+    substeps=st.sampled_from([1, 2, 5]),
+)
+def test_cost_is_finite_exactly_inside_the_funnel(data, r, m, exact, n_intervals, substeps):
+    plant, sc, spec, yref = _chain_ocp(data, r, m, exact, n_intervals, substeps, 5.0)
+    values = data.draw(arrays(float, (n_intervals, m), elements=entries(3.0)))
+    control = ControlSignal(t_start=0.0, step=0.1, values=values)
+    cost = cost_functional(plant, control, sc, yref, spec)
+    traj = integrate_open_loop(plant.clone(), control, (0.0, spec.horizon), spec.ode_step)
+    assert traj.status == "completed"
+    zeta = traj.output_jet - yref.jet_array(traj.grid).reshape(traj.grid.size, -1)
+    e_r = zeta @ top_error_rows(sc.gains, m).T
+    nrm2 = np.sum(e_r * e_r, axis=1)
+    theta_sq = np.asarray(sc.theta.value(traj.grid), dtype=float) ** 2
+    # the cost computes the same jets in another order; keep away from ties
+    assume(np.all(np.abs(theta_sq - nrm2) > 1e-9 * theta_sq))
+    assert math.isfinite(cost) == bool(np.all(nrm2 < theta_sq))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    r=st.integers(1, 2),
+    m=st.integers(1, 2),
+    exact=st.booleans(),
+    n_intervals=st.integers(1, 4),
+    substeps=st.sampled_from([1, 2, 5]),
+    saturation=st.floats(0.5, 5.0),
+)
+def test_solver_never_ends_above_its_warm_start(
+    data, r, m, exact, n_intervals, substeps, saturation
+):
+    plant, sc, spec, yref = _chain_ocp(data, r, m, exact, n_intervals, substeps, saturation)
+    values = data.draw(arrays(float, (n_intervals, m), elements=entries(3.0)))
+    clipped = ControlSignal(
+        t_start=0.0, step=0.1, values=np.clip(values, -saturation, saturation)
+    )
+    start_cost = cost_functional(plant, clipped, sc, yref, spec)
+    assume(math.isfinite(start_cost))
+    warm = ControlSignal(t_start=0.0, step=0.1, values=values)
+    sol = solve_ocp(plant, sc, spec, yref, warm_start=warm)
+    assert sol.status != "infeasible-start-recovered"
+    assert sol.cost <= start_cost
+    assert np.max(np.abs(sol.control.values)) <= saturation

@@ -21,12 +21,12 @@ from funnelmpc import (
     FunnelChain,
     JetHistory,
     PreconditionViolation,
+    SingularGainError,
     StateSpacePlant,
     NormalFormPlant,
     StateSpaceSystem,
     build_funnel_chain,
     constant_reference,
-    cosine_reference,
     delay_operator,
     error_variables,
     exponential_sum_funnel,
@@ -50,7 +50,7 @@ from conftest import SHOWCASE, make_integrator_plant
 
 def test_control_signal_is_right_continuous_at_knots():
     sig = ControlSignal(t_start=0.0, step=0.5, values=[[1.0], [2.0], [3.0]])
-    assert sig.m == 1
+    assert sig.values.shape == (3, 1)
     assert sig.t_end == 1.5
     assert sig.value_at(0.0)[0] == 1.0
     assert sig.value_at(0.49)[0] == 1.0
@@ -113,7 +113,7 @@ def test_integration_stops_on_blow_up():
     control = ControlSignal(t_start=0.0, step=1.0, values=[[1e9]])
     traj = integrate_open_loop(plant, control, (0.0, 1.0), 0.01)
     assert traj.status == "blow-up"
-    assert len(traj) < 101
+    assert traj.grid.size < 101
     assert traj.grid.size == traj.state.shape[0] == traj.input.shape[0]
     assert np.all(np.abs(traj.state[:-1]) <= 1e8)
 
@@ -291,6 +291,24 @@ def test_exact_feedback_conserves_error_ratio():
     assert sampled.values.shape == (2000, 1)
 
 
+def test_feedback_paths_raise_singular_gain():
+    # y' = f + g u with g = 0 cannot be solved for u: the stage-wise law on a
+    # record without matrices, and the affine maps on a record with C_{r-1} B = 0
+    psi, chain, yref = _scalar_decay_setup(0.5)
+    chain_record = integrator_chain(1)
+    no_input = dataclasses.replace(
+        chain_record, g=lambda w: np.zeros(np.shape(w)[:-1] + (1, 1)), linear=None
+    )
+    plant = make_plant(no_input, 0.0, np.array([0.5]))
+    with pytest.raises(SingularGainError):
+        feasibility_feedback(plant, chain, [], yref, 0.0)
+    a, b, c_jet = chain_record.linear
+    no_input = dataclasses.replace(chain_record, linear=(a, 0.0 * b, c_jet))
+    plant = make_plant(no_input, 0.0, np.array([0.5]))
+    with pytest.raises(SingularGainError):
+        feedback_rollout(plant, chain, [], yref, (0.0, 0.1), 0.01)
+
+
 def test_exact_feedback_flags_escaped_trajectories():
     psi, chain, yref = _scalar_decay_setup(2.0)
     plant = make_integrator_plant(2.0)
@@ -410,7 +428,7 @@ def test_linear_open_loop_matches_rk4_stages():
         traj = integrate_open_loop(plant, control, (0.0, 0.6), 0.02)
         assert traj.status == "blow-up"
         assert plant.t == traj.grid[-1]
-        stops.append(len(traj))
+        stops.append(traj.grid.size)
     assert 2 < stops[0] == stops[1] < 31
 
 

@@ -18,7 +18,6 @@ from funnelmpc import (
     MassOnCarParams,
     PreconditionViolation,
     RelativeDegreeSystem,
-    SingularGainError,
     constant_reference,
     cosine_reference,
     delay_operator,
@@ -30,7 +29,6 @@ from funnelmpc import (
     mass_on_car_initial_data,
     mass_on_car_normal_form,
     mass_on_car_state_space,
-    rhs_highest_derivative,
     static_operator,
 )
 
@@ -283,29 +281,20 @@ def test_internal_dynamics_operator_state_handling():
 
 
 def test_rhs_highest_derivative_on_integrator():
-    sys = integrator_chain(1)
-    value = rhs_highest_derivative(sys, 0.0, lambda t: np.array([0.4]), u=3.0)
+    # the y^(r) block of NormalFormPlant.rhs is f + g u
+    plant = make_plant(integrator_chain(1), 0.0, np.array([0.4]))
+    value = plant.rhs(0.0, plant.state, np.array([3.0]))
     assert value[0] == pytest.approx(3.0)
 
 
 def test_rhs_highest_derivative_on_mass_on_car():
-    sys = mass_on_car_normal_form()
     y, yd = 0.2, 0.4
-    history = lambda t: np.array([y, yd])
+    plant = make_plant(mass_on_car_normal_form(), 0.0, np.array([y, yd]))
     # default operator state eta = 0 gives s = 0 and s' = -c y' / sin^2
     sd = -C * yd / S2
     f_expected = -C * 4.0 / (1.0 * D0) * (2.0 * 0.0 + 1.0 * sd)
-    value = rhs_highest_derivative(sys, 0.0, history, u=2.0)
-    assert value[0] == pytest.approx(f_expected + S2 / D0 * 2.0, rel=1e-12)
-
-
-def test_rhs_highest_derivative_guards_singular_gain():
-    sys = integrator_chain(1)
-    broken = type(sys)(
-        m=1, r=1, f=sys.f, g=lambda w: np.array([[0.0]]), T=sys.T
-    )
-    with pytest.raises(SingularGainError):
-        rhs_highest_derivative(broken, 0.0, lambda t: np.array([0.4]), u=1.0)
+    value = plant.rhs(0.0, plant.state, np.array([2.0]))
+    assert value[1] == pytest.approx(f_expected + S2 / D0 * 2.0, rel=1e-12)
 
 
 # ── Empirical dynamics bounds ────────────────────────────────────────────────

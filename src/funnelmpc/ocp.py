@@ -3,13 +3,22 @@
 The stage cost penalizes the highest chained tracking error through a
 barrier that blows up at the funnel boundary, plus a quadratic input term.
 The decision variable is the stacked zero-order-hold input over the
-horizon, clamped componentwise to the saturation box.  The solver is
-projected gradient descent with forward finite differences and halving
-backtracking; a brute-force grid search over tiny decision spaces serves
-as an independent reference.  Candidates are costed through batched RK4
-rollouts, or, on a plant whose ``linear`` matrices are set (state space or
-normal form), through the exact response of ``sim.linear_jet_response``,
-which gives the same jets up to rounding.
+horizon, clamped componentwise to the saturation box.  One projected
+descent loop with a batched halving (Armijo) line search solves it, and
+the plant decides the search direction:
+
+- on a plant whose ``linear`` matrices are set (state space or normal
+  form), the jets are affine in the stacked controls, so the OCP is convex
+  with exact gradient and Hessian; candidates are costed through the exact
+  response of ``sim.linear_jet_response`` and each step is a projected
+  Newton step (Bertsekas, SIAM J. Control Optim. 20, 1982);
+- on every other plant, those with memory included, candidates are costed
+  through batched RK4 rollouts, the gradient is taken by forward finite
+  differences and each step is a projected gradient step seeded with the
+  Barzilai-Borwein length.
+
+A brute-force grid search over tiny decision spaces serves as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -49,6 +58,9 @@ FD_RELATIVE_STEP = 1e-6
 ARMIJO_CONSTANT = 1e-4
 MAX_HALVINGS = 40
 RESIDUAL_TOL = 1e-6
+# widest band next to a bound in which an entry whose gradient points out
+# of the box counts as active in the projected Newton step
+ACTIVE_BAND = 1e-3
 
 
 @dataclass(frozen=True)
@@ -150,11 +162,16 @@ class _Workspace:
         self.weights = w
         self.evaluations = 0
         # on a linear plant the jets of every candidate are the free response
-        # of the start state plus its stacked controls times one matrix
+        # of the start state plus its stacked controls times one matrix, and
+        # so is e_r: e_r = er_free + (v @ er_forced).reshape(K, m)
         self.response = None
         if plant.linear is not None:
             free, forced = linear_jet_response(plant.linear, spec.ode_step, spec.substeps, self.N)
-            self.response = ((free @ plant.state).ravel(), forced)
+            free_jets = (free @ plant.state).ravel()
+            self.response = (free_jets, forced)
+            K, rm = n_steps + 1, self.r * self.m
+            self.er_free = (free_jets.reshape(K, rm) - self.ref_flat) @ self.er_block.T
+            self.er_forced = (forced.reshape(-1, K, rm) @ self.er_block.T).reshape(-1, K * self.m)
 
     def barrier_costs(self, jets: np.ndarray) -> np.ndarray:
         """Trapezoid-integrated barrier for a (B, K, r*m) jet batch."""
@@ -164,7 +181,9 @@ class _Workspace:
         denom = self.theta_sq - nrm2
         with np.errstate(divide="ignore", invalid="ignore"):
             barrier = np.where(denom > 0.0, nrm2 / denom, np.inf)
-        return barrier @ self.weights
+        # a row sum in a fixed order: the cost of a control does not depend
+        # on the batch it is costed in
+        return np.sum(barrier * self.weights, axis=-1)
 
     def input_costs(self, values: np.ndarray) -> np.ndarray:
         return self.sc.lambda_u * self.spec.control_step * np.sum(values * values, axis=(1, 2))
@@ -175,7 +194,10 @@ class _Workspace:
         self.evaluations += B
         if self.response is not None:
             free_jets, forced = self.response
-            jets = (free_jets + values.reshape(B, -1) @ forced).reshape(B, -1, self.r * self.m)
+            # einsum sums each jet in one order whatever B; a BLAS product
+            # rounds a single row differently from a row of a batch
+            jets = free_jets + np.einsum("bi,ij->bj", values.reshape(B, -1), forced)
+            jets = jets.reshape(B, -1, self.r * self.m)
             alive = _live_members(jets)
         else:
             _, jets, alive = rollout_jets_batch(
@@ -186,6 +208,34 @@ class _Workspace:
 
     def cost_single(self, values: np.ndarray) -> float:
         return float(self.cost_batch(values[None, :, :])[0])
+
+    def exact_derivatives(self, d: np.ndarray):
+        """Exact gradient and Hessian of the cost at the stacked control d.
+
+        Linear plants only, at a point of finite cost.  With s_k = |e_k|^2
+        for e_k = e_r at grid point k, the barrier b(s) = s / (theta_k^2 - s)
+        has b' = theta_k^2 / (theta_k^2 - s)^2 and b'' = 2 b' / (theta_k^2 - s),
+        so with F_k the (N*m, m) block of ``er_forced`` at k and trapezoid
+        weights w_k
+
+            g = sum_k F_k 2 w_k b'_k e_k + mu d,
+            H = sum_k F_k (2 w_k b'_k I + 4 w_k b''_k e_k e_k^T) F_k^T + mu I,
+
+        where mu = 2 lambda_u delta.
+        """
+        K, m = self.weights.size, self.m
+        e = self.er_free + (d @ self.er_forced).reshape(K, m)
+        gap = self.theta_sq - np.sum(e * e, axis=1)
+        wb1 = self.weights * self.theta_sq / (gap * gap)
+        wb2 = 2.0 * wb1 / gap
+        # row i, column k: F_k^T e_k for control entry i
+        fe = np.sum(self.er_forced.reshape(-1, K, m) * e, axis=2)
+        mu = 2.0 * self.sc.lambda_u * self.spec.control_step
+        grad = fe @ (2.0 * wb1) + mu * d
+        hess = (self.er_forced * np.repeat(2.0 * wb1, m)) @ self.er_forced.T
+        hess += (fe * (4.0 * wb2)) @ fe.T
+        hess[np.diag_indices_from(hess)] += mu
+        return grad, hess
 
     def feedback_values(self, chain, gains) -> np.ndarray:
         """Receding sampled funnel feedback over the horizon, in the box."""
@@ -239,6 +289,21 @@ def _fd_gradient(ws: _Workspace, d: np.ndarray, J: float, shape) -> np.ndarray:
     return grad
 
 
+def _newton_direction(grad: np.ndarray, hess: np.ndarray, d: np.ndarray, M: float, band: float):
+    """Projected Newton direction (Bertsekas 1982) in the box [-M, M].
+
+    Entries within ``band`` of a bound whose gradient points out of the box
+    are active and take the gradient; the free entries take the reduced
+    Newton step H_ff^-1 g_f.
+    """
+    active = ((d <= -M + band) & (grad > 0.0)) | ((d >= M - band) & (grad < 0.0))
+    free = ~active
+    direction = grad.copy()
+    if np.any(free):
+        direction[free] = np.linalg.solve(hess[np.ix_(free, free)], grad[free])
+    return direction
+
+
 def solve_ocp(
     plant,
     sc: StageCost,
@@ -248,12 +313,19 @@ def solve_ocp(
     chain=None,
     gains=None,
 ) -> OcpSolution:
-    """Projected-gradient solution of the funnel OCP from the plant's state.
+    """Projected descent solution of the funnel OCP from the plant's state.
+
+    On a plant with ``linear`` matrices each step is a projected Newton step
+    on the exact derivatives; elsewhere it is a projected gradient step on
+    forward differences, seeded with the Barzilai-Borwein length.
 
     A missing or infeasible warm start is replaced by the sampled funnel
     feedback (clamped to the saturation box); if that also has infinite
     cost the problem is declared infeasible.  The returned cost never
-    exceeds the starting cost.
+    exceeds the starting cost.  The status is ``converged`` (projected
+    gradient residual at most 1e-6), ``budget-exhausted`` (iteration budget
+    spent), ``no-descent`` (the line search found no decrease) or, whatever
+    the stop, ``infeasible-start-recovered`` when the start was rebuilt.
     """
     ws = _Workspace(plant, sc, spec, yref)
     M = spec.saturation
@@ -298,6 +370,7 @@ def solve_ocp(
             raise OcpInfeasibleError(reason, t_start=ws.t0, margin=margins) from cause
 
     d = values.ravel().astype(float)
+    newton = ws.response is not None
     status = "budget-exhausted"
     residual = math.nan
     alpha_init = 1.0
@@ -305,36 +378,44 @@ def solve_ocp(
     prev_d = None
     prev_grad = None
     while it < spec.max_iterations:
-        grad = _fd_gradient(ws, d, J, shape)
+        if newton:
+            grad, hess = ws.exact_derivatives(d)
+        else:
+            grad = _fd_gradient(ws, d, J, shape)
         it += 1
         residual = float(np.max(np.abs(d - np.clip(d - grad, -M, M))))
         if residual <= RESIDUAL_TOL:
             status = "converged"
             break
-        if prev_grad is not None:
-            # spectral (Barzilai-Borwein) step seed, safeguarded to the
-            # same bracket as the doubling fallback
-            s = d - prev_d
-            y = grad - prev_grad
-            sy = float(s @ y)
-            if sy > 0.0:
-                alpha_init = max(min(float(s @ s) / sy, 1e6), 1e-12)
-        prev_d = d
-        prev_grad = grad
+        if newton:
+            direction = _newton_direction(grad, hess, d, M, min(residual, ACTIVE_BAND))
+            alpha_init = 1.0
+        else:
+            if prev_grad is not None:
+                # spectral (Barzilai-Borwein) step seed, safeguarded to the
+                # same bracket as the doubling fallback
+                s = d - prev_d
+                y = grad - prev_grad
+                sy = float(s @ y)
+                if sy > 0.0:
+                    alpha_init = max(min(float(s @ s) / sy, 1e6), 1e-12)
+            prev_d = d
+            prev_grad = grad
+            direction = grad
         accepted = False
         alpha = alpha_init
         halvings = 0
         while halvings <= MAX_HALVINGS and not accepted:
             batch = min(8, MAX_HALVINGS - halvings + 1)
             alphas = alpha * 0.5 ** np.arange(batch)
-            cands = np.clip(d[None, :] - alphas[:, None] * grad[None, :], -M, M)
-            moves = cands - d[None, :]
-            decrease = -(moves @ grad)
+            cands = np.clip(d[None, :] - alphas[:, None] * direction[None, :], -M, M)
+            decrease = -((cands - d[None, :]) @ grad)
             costs = ws.cost_batch(cands.reshape((batch,) + shape))
+            # a positive first-order decrease also rules out a zero move
             ok = (
                 np.isfinite(costs)
                 & (costs <= J - ARMIJO_CONSTANT * decrease)
-                & (np.max(np.abs(moves), axis=1) > 0.0)
+                & (decrease > 0.0)
             )
             if np.any(ok):
                 pick = int(np.argmax(ok))
@@ -350,6 +431,7 @@ def solve_ocp(
             ws.t0, it, J, residual, alpha_init, ws.evaluations,
         )
         if not accepted:
+            status = "no-descent"
             break
 
     control = ControlSignal(

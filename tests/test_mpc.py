@@ -18,6 +18,7 @@ import pytest
 
 from funnelmpc import (
     ClosedLoopLog,
+    ControlSignal,
     InitialJetData,
     MpcConfig,
     OcpSpec,
@@ -29,6 +30,7 @@ from funnelmpc import (
     cosine_reference,
     delay_operator,
     exponential_sum_funnel,
+    integrate_open_loop,
     make_plant,
     run_fmpc,
     verify_guarantees,
@@ -104,7 +106,7 @@ def test_closed_loop_statuses_settle_after_first_cycle(decay_psi):
     config = scalar_mpc_config(decay_psi)
     log = run_fmpc(make_integrator_plant(0.5), constant_reference(0.0, r=1), config)
     assert all(
-        rec.status in ("converged", "budget-exhausted", "infeasible-start-recovered")
+        rec.status in ("converged", "budget-exhausted", "no-descent", "infeasible-start-recovered")
         for rec in log.records
     )
     assert sum(rec.status == "converged" for rec in log.records) >= 5
@@ -150,17 +152,20 @@ M2_REFERENCE = {"kind": "constant", "value": [0.1, -0.1]}
 ])
 def test_integrator_chain_closed_loop_matches_generic_path(plant_cfg, reference, saturation):
     # r = 3 and m = 2 through the CLI setup: the declared matrices (exact
-    # maps, response-matrix costs) against the same record without them
-    # (batched RK4, stage-wise law), with the tolerances of the
-    # representation test above
+    # maps, projected Newton on exact derivatives) against the same record
+    # without them (batched RK4, forward differences, stage-wise law).  Two
+    # solves that stop at residual <= 1e-6 may differ by about 1e-2 in u,
+    # so the loops are compared where they share a state, and the exact
+    # held-step maps against RK4 on the same inputs
     res = ResolvedRun({
         "plant": plant_cfg, "reference": reference,
         "funnel": {"offset": 0.2, "terms": [[1.8, 1.0]], "alpha": 1.0, "beta": 0.2},
         "lambda_u": 1e-3, "delta": 0.04, "horizon": 0.4, "ode_step": 0.01,
         "t_span": [0.0, 0.4], "saturation": saturation,
     })
+    generic_system = dataclasses.replace(res.system, linear=None)
     logs = []
-    for system in (res.system, dataclasses.replace(res.system, linear=None)):
+    for system in (res.system, generic_system):
         log = run_fmpc(make_plant(system, 0.0, plant_cfg["x0"]), res.yref, res.mpc)
         assert verify_guarantees(log, res.psi, res.saturation).passed
         if saturation is not None:
@@ -168,13 +173,20 @@ def test_integrator_chain_closed_loop_matches_generic_path(plant_cfg, reference,
         logs.append(log)
     exact, generic = logs
     assert len(exact.records) == len(generic.records) == 10
-    np.testing.assert_array_equal(exact.trajectory.grid, generic.trajectory.grid)
-    np.testing.assert_allclose(exact.trajectory.output_jet, generic.trajectory.output_jet,
-                               rtol=0.0, atol=1e-6)
-    np.testing.assert_allclose(exact.trajectory.input, generic.trajectory.input,
-                               rtol=0.0, atol=1e-4)
-    np.testing.assert_allclose([rec.cost for rec in exact.records],
-                               [rec.cost for rec in generic.records], rtol=1e-6, atol=0.0)
+    assert all(rec.status == "converged" for rec in exact.records)
+    # the first OCP starts both loops from the same state
+    assert exact.records[0].cost <= generic.records[0].cost * (1.0 + 1e-12)
+    # row 1 + i*substeps lies inside ZOH interval i
+    traj = exact.trajectory
+    spec = res.mpc.spec
+    applied = ControlSignal(t_start=0.0, step=spec.control_step,
+                            values=traj.input[1 :: spec.substeps])
+    replay = integrate_open_loop(make_plant(generic_system, 0.0, plant_cfg["x0"]), applied,
+                                 (0.0, 0.4), spec.ode_step)
+    assert replay.status == "completed"
+    # the loop builds its grid per cycle, the replay in one piece
+    np.testing.assert_allclose(replay.grid, traj.grid, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(replay.output_jet, traj.output_jet, rtol=0.0, atol=1e-6)
 
 
 def test_delay_plant_closed_loop():

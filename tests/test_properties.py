@@ -11,7 +11,11 @@ errors, taken through the chain matrix, must match the shift recursion, and
 a jet with a NaN entry must lie outside every funnel.
 On integrator chains, with and without their matrices, the cost functional
 must be finite exactly when ||e_r|| < theta at every RK4 grid point, and the
-solver must never return a cost above that of its clipped warm start.
+solver must never return a cost above that of its clipped warm start, nor
+one other than the cost of the control it returns.
+On integrator chains and mass-on-car records with matrices, the exact
+gradient and Hessian of the cost must match central differences, and the
+Hessian less its input-weight part must be positive semidefinite.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ from funnelmpc import (  # noqa: E402
     ControlSignal,
     FunnelChain,
     FunnelFunction,
+    MassOnCarParams,
     OcpSpec,
     RelativeDegreeSystem,
     StageCost,
     StateSpaceSystem,
     chain_margins,
     constant_reference,
+    cosine_reference,
     cost_functional,
     error_variables,
     exponential_sum_funnel,
@@ -43,10 +49,14 @@ from funnelmpc import (  # noqa: E402
     integrator_chain,
     internal_dynamics_operator,
     make_plant,
+    mass_on_car_initial_data,
+    mass_on_car_normal_form,
+    mass_on_car_state_space,
     solve_ocp,
     static_operator,
     top_error_rows,
 )
+from funnelmpc.ocp import _Workspace  # noqa: E402
 from funnelmpc.sim import linear_jet_response, rollout_jets_batch  # noqa: E402
 
 
@@ -265,4 +275,73 @@ def test_solver_never_ends_above_its_warm_start(
     sol = solve_ocp(plant, sc, spec, yref, warm_start=warm)
     assert sol.status != "infeasible-start-recovered"
     assert sol.cost <= start_cost
+    assert sol.cost == cost_functional(plant, sol.control, sc, yref, spec)
     assert np.max(np.abs(sol.control.values)) <= saturation
+
+
+def _linear_plant(data, kind):
+    """A positioned linear plant, its gains and a reference for it."""
+    if kind == "chain":
+        r, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        plant = make_plant(integrator_chain(r, m), 0.0,
+                           data.draw(arrays(float, r * m, elements=entries(0.5))))
+        gains = data.draw(arrays(float, r - 1, elements=st.floats(0.5, 3.0)))
+        return plant, gains, constant_reference(
+            data.draw(arrays(float, m, elements=entries(0.5))), r)
+    params = MassOnCarParams(
+        m1=data.draw(st.floats(1.0, 5.0)), m2=data.draw(st.floats(0.5, 2.0)),
+        k=data.draw(st.floats(0.5, 3.0)), d=data.draw(st.floats(0.2, 2.0)),
+        vartheta=data.draw(st.floats(0.2, 1.2)),
+    )
+    x0 = data.draw(arrays(float, 4, elements=entries(0.5)))
+    if kind == "car_state_space":
+        plant = make_plant(mass_on_car_state_space(params), 0.0, x0)
+    else:
+        jet0, eta0 = mass_on_car_initial_data(params, x0)
+        plant = make_plant(mass_on_car_normal_form(params), 0.0, jet0, eta0=eta0)
+    gains = np.array([data.draw(st.floats(0.5, 5.0))])
+    return plant, gains, cosine_reference(data.draw(st.floats(0.0, 1.0)), 1.0, r=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["chain", "car_state_space", "car_normal_form"]),
+    n_intervals=st.integers(1, 4),
+    substeps=st.sampled_from([1, 2, 5]),
+)
+def test_exact_derivatives_match_central_differences(data, kind, n_intervals, substeps):
+    plant, gains, yref = _linear_plant(data, kind)
+    theta = exponential_sum_funnel(
+        data.draw(st.floats(2.0, 5.0)), [(data.draw(st.floats(0.0, 2.0)), 1.0)],
+        alpha=1.0, beta=0.1,
+    )
+    stage = StageCost(theta=theta, lambda_u=data.draw(st.floats(0.0, 1.0)), gains=gains)
+    spec = OcpSpec(horizon=0.1 * n_intervals, control_step=0.1, saturation=5.0,
+                   ode_step=0.1 / substeps)
+    ws = _Workspace(plant, stage, spec, yref)
+    d = data.draw(arrays(float, n_intervals * plant.m, elements=entries(2.0)))
+    # interior: every grid point keeps ||e_r||^2 below 0.81 theta^2, where
+    # the barrier and its derivatives stay moderate
+    e = ws.er_free + (d @ ws.er_forced).reshape(ws.theta_sq.size, plant.m)
+    assume(np.all(np.sum(e * e, axis=1) < 0.81 * ws.theta_sq))
+
+    grad, hess = ws.exact_derivatives(d)
+    step = 1e-5
+    probes = d + step * np.concatenate([np.eye(d.size), -np.eye(d.size)])
+    costs = ws.cost_batch(probes.reshape((-1,) + (n_intervals, plant.m)))
+    fd_grad = (costs[: d.size] - costs[d.size :]) / (2.0 * step)
+    # the quotient itself rounds to about 1e-16 J / step
+    cost = ws.cost_single(d.reshape(n_intervals, plant.m))
+    assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * np.max(np.abs(grad)) + 1e-9 * cost
+    fd_hess = np.array([
+        (ws.exact_derivatives(d + step * unit)[0] - ws.exact_derivatives(d - step * unit)[0])
+        / (2.0 * step)
+        for unit in np.eye(d.size)
+    ])
+    assert np.max(np.abs(fd_hess - hess)) <= 1e-6 * np.max(np.abs(hess))
+
+    mu = 2.0 * stage.lambda_u * spec.control_step
+    barrier_part = hess - mu * np.eye(d.size)
+    np.testing.assert_allclose(barrier_part, barrier_part.T, rtol=1e-12, atol=0.0)
+    assert np.min(np.linalg.eigvalsh(barrier_part)) >= -1e-12 * np.max(np.abs(barrier_part))

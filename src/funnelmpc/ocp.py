@@ -3,19 +3,22 @@
 The stage cost penalizes the highest chained tracking error through a
 barrier that blows up at the funnel boundary, plus a quadratic input term.
 The decision variable is the stacked zero-order-hold input over the
-horizon, clamped componentwise to the saturation box.  One projected
-descent loop with a batched halving (Armijo) line search solves it, and
-the plant decides the search direction:
+horizon, clamped componentwise to the saturation box.  The cost is a
+convex barrier of |e_r|^2 composed with e_r(d), so one projected
+Gauss-Newton loop (Messerer, Baumgaertner & Diehl, ESAIM Proc. Surveys 71,
+2021) solves it on every plant.  Each iteration linearizes e_r around the
+current control, takes a projected Newton step (Bertsekas, SIAM J. Control
+Optim. 20, 1982) on that model, tries the unit step first and halves it,
+eight step lengths per batch, only when the unit step fails the Armijo
+test.  The Jacobian F = de_r/dd is
 
-- on a plant whose ``linear`` matrices are set (state space or normal
-  form), the jets are affine in the stacked controls, so the OCP is convex
-  with exact gradient and Hessian; candidates are costed through the exact
-  response of ``sim.linear_jet_response`` and each step is a projected
-  Newton step (Bertsekas, SIAM J. Control Optim. 20, 1982);
-- on every other plant, those with memory included, candidates are costed
-  through batched RK4 rollouts, the gradient is taken by forward finite
-  differences and each step is a projected gradient step seeded with the
-  Barzilai-Borwein length.
+- exact on a plant whose ``linear`` matrices are set (state space or
+  normal form): its jets are affine in the stacked controls, the OCP is
+  convex, and candidates are costed through the exact response of
+  ``sim.linear_jet_response``;
+- elsewhere, those with memory included, taken by forward differences
+  from one batched RK4 rollout of the control and its probes, which also
+  costs the control itself.
 
 A brute-force grid search over tiny decision spaces serves as an
 independent reference.
@@ -173,10 +176,12 @@ class _Workspace:
             self.er_free = (free_jets.reshape(K, rm) - self.ref_flat) @ self.er_block.T
             self.er_forced = (forced.reshape(-1, K, rm) @ self.er_block.T).reshape(-1, K * self.m)
 
-    def barrier_costs(self, jets: np.ndarray) -> np.ndarray:
-        """Trapezoid-integrated barrier for a (B, K, r*m) jet batch."""
-        zeta = jets - self.ref_flat[None, :, :]
-        er = zeta @ self.er_block.T
+    def top_errors(self, jets: np.ndarray) -> np.ndarray:
+        """e_r rows (B, K, m) of a (B, K, r*m) jet batch."""
+        return (jets - self.ref_flat[None, :, :]) @ self.er_block.T
+
+    def barrier_costs(self, er: np.ndarray) -> np.ndarray:
+        """Trapezoid-integrated barrier for (B, K, m) e_r rows."""
         nrm2 = np.sum(er * er, axis=-1)
         denom = self.theta_sq - nrm2
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -188,8 +193,8 @@ class _Workspace:
     def input_costs(self, values: np.ndarray) -> np.ndarray:
         return self.sc.lambda_u * self.spec.control_step * np.sum(values * values, axis=(1, 2))
 
-    def cost_batch(self, values: np.ndarray) -> np.ndarray:
-        """Cost of each (N, m) control in a (B, N, m) stack."""
+    def _costs(self, values: np.ndarray):
+        """Costs of a (B, N, m) control stack and the e_r rows they come from."""
         B = values.shape[0]
         self.evaluations += B
         if self.response is not None:
@@ -203,17 +208,44 @@ class _Workspace:
             _, jets, alive = rollout_jets_batch(
                 self.plant, values, self.spec.control_step, self.spec.ode_step
             )
-        costs = self.barrier_costs(jets) + self.input_costs(values)
-        return np.where(alive & np.isfinite(costs), costs, np.inf)
+        er = self.top_errors(jets)
+        costs = self.barrier_costs(er) + self.input_costs(values)
+        return np.where(alive & np.isfinite(costs), costs, np.inf), er
+
+    def cost_batch(self, values: np.ndarray) -> np.ndarray:
+        """Cost of each (N, m) control in a (B, N, m) stack."""
+        return self._costs(values)[0]
 
     def cost_single(self, values: np.ndarray) -> float:
         return float(self.cost_batch(values[None, :, :])[0])
 
-    def exact_derivatives(self, d: np.ndarray):
-        """Exact gradient and Hessian of the cost at the stacked control d.
+    def linearize(self, d: np.ndarray) -> float:
+        """Make e_r = er_free + (v @ er_forced).reshape(K, m) hold around d.
 
-        Linear plants only, at a point of finite cost.  With s_k = |e_k|^2
-        for e_k = e_r at grid point k, the barrier b(s) = s / (theta_k^2 - s)
+        Returns the cost at the stacked control d.  On a plant with
+        ``linear`` matrices the exact response holds for every v already.
+        Elsewhere one batched rollout of d and its forward-difference probes
+        (relative step 1e-6, not clamped to the box) gives F = de_r/dd; a
+        probe that blows up leaves non-finite columns.
+        """
+        shape = (self.N, self.m)
+        if self.response is not None:
+            return self.cost_single(d.reshape(shape))
+        du = FD_RELATIVE_STEP * np.maximum(1.0, np.abs(d))
+        probes = np.vstack([d, d + np.diag(du)])
+        costs, er = self._costs(probes.reshape((-1,) + shape))
+        er = er.reshape(probes.shape[0], -1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.er_forced = (er[1:] - er[0]) / du[:, None]
+            self.er_free = (er[0] - d @ self.er_forced).reshape(-1, self.m)
+        return float(costs[0])
+
+    def exact_derivatives(self, d: np.ndarray):
+        """Gradient and Gauss-Newton Hessian of the cost at the stacked control d.
+
+        Reads the linearization e_r = er_free + d @ er_forced set by
+        ``linearize``, at a point of finite cost.  With s_k = |e_k|^2 for
+        e_k = e_r at grid point k, the barrier b(s) = s / (theta_k^2 - s)
         has b' = theta_k^2 / (theta_k^2 - s)^2 and b'' = 2 b' / (theta_k^2 - s),
         so with F_k the (N*m, m) block of ``er_forced`` at k and trapezoid
         weights w_k
@@ -221,7 +253,8 @@ class _Workspace:
             g = sum_k F_k 2 w_k b'_k e_k + mu d,
             H = sum_k F_k (2 w_k b'_k I + 4 w_k b''_k e_k e_k^T) F_k^T + mu I,
 
-        where mu = 2 lambda_u delta.
+        where mu = 2 lambda_u delta.  H drops the curvature of e_r(d), so it
+        is the exact Hessian on a plant with ``linear`` matrices.
         """
         K, m = self.weights.size, self.m
         e = self.er_free + (d @ self.er_forced).reshape(K, m)
@@ -239,15 +272,10 @@ class _Workspace:
 
     def feedback_values(self, chain, gains) -> np.ndarray:
         """Receding sampled funnel feedback over the horizon, in the box."""
+        spec = self.spec
         _, control = zoh_feedback_rollout(
-            self.plant.clone(),
-            chain,
-            gains,
-            self.yref,
-            (self.t0, self.t0 + self.spec.horizon),
-            self.spec.control_step,
-            self.spec.ode_step,
-            saturation=self.spec.saturation,
+            self.plant.clone(), chain, gains, self.yref, (self.t0, self.t0 + spec.horizon),
+            spec.control_step, spec.ode_step, saturation=spec.saturation,
         )
         if control.values.shape[0] != self.N:
             raise PreconditionViolation("feedback rollout blew up inside the horizon")
@@ -266,29 +294,6 @@ def cost_functional(plant, control: ControlSignal, sc: StageCost, yref, spec: Oc
     return ws.cost_single(control.values[i0 : i0 + spec.n_intervals])
 
 
-def _fd_gradient(ws: _Workspace, d: np.ndarray, J: float, shape) -> np.ndarray:
-    """Forward-difference gradient with a backward fallback at infinite probes.
-
-    Probe points are not clamped: the cost is well defined outside the box
-    and only iterates carry the constraint.
-    """
-    D = d.size
-    du = FD_RELATIVE_STEP * np.maximum(1.0, np.abs(d))
-    probes = d[None, :] + np.diag(du)
-    costs = ws.cost_batch(probes.reshape((D,) + shape))
-    grad = (costs - J) / du
-    bad = ~np.isfinite(costs)
-    if np.any(bad):
-        idx = np.where(bad)[0]
-        back = d[None, :].repeat(idx.size, axis=0)
-        back[np.arange(idx.size), idx] = d[idx] - du[idx]
-        back_costs = ws.cost_batch(back.reshape((idx.size,) + shape))
-        grad[idx] = np.where(
-            np.isfinite(back_costs), (J - back_costs) / du[idx], 0.0
-        )
-    return grad
-
-
 def _newton_direction(grad: np.ndarray, hess: np.ndarray, d: np.ndarray, M: float, band: float):
     """Projected Newton direction (Bertsekas 1982) in the box [-M, M].
 
@@ -304,6 +309,31 @@ def _newton_direction(grad: np.ndarray, hess: np.ndarray, d: np.ndarray, M: floa
     return direction
 
 
+def _sufficient_decrease(costs, J: float, decrease):
+    """Strict Armijo test: a move that leaves the cost at J never passes.
+
+    A positive first-order decrease also rules out a zero move.
+    """
+    return (decrease > 0.0) & (costs < J - ARMIJO_CONSTANT * decrease)
+
+
+def _halving_step(ws: _Workspace, d, J: float, grad, direction):
+    """First step alpha = 1/2, 1/4, ... to pass the Armijo test, eight per batch.
+
+    Returns (alpha, control, cost), or None once 2^-MAX_HALVINGS has failed.
+    """
+    M = ws.spec.saturation
+    for first in range(1, MAX_HALVINGS + 1, 8):
+        alphas = 0.5 ** np.arange(first, min(first + 8, MAX_HALVINGS + 1))
+        cands = np.clip(d[None, :] - alphas[:, None] * direction[None, :], -M, M)
+        costs = ws.cost_batch(cands.reshape((alphas.size, ws.N, ws.m)))
+        ok = _sufficient_decrease(costs, J, (d[None, :] - cands) @ grad)
+        if np.any(ok):
+            pick = int(np.argmax(ok))
+            return alphas[pick], cands[pick], float(costs[pick])
+    return None
+
+
 def solve_ocp(
     plant,
     sc: StageCost,
@@ -313,24 +343,28 @@ def solve_ocp(
     chain=None,
     gains=None,
 ) -> OcpSolution:
-    """Projected descent solution of the funnel OCP from the plant's state.
+    """Projected Gauss-Newton solution of the funnel OCP from the plant's state.
 
-    On a plant with ``linear`` matrices each step is a projected Newton step
-    on the exact derivatives; elsewhere it is a projected gradient step on
-    forward differences, seeded with the Barzilai-Borwein length.
+    Each iteration takes the projected Newton step of the cost with e_r
+    linearized at the current control, through the exact response on a
+    plant with ``linear`` matrices and one forward-difference rollout batch
+    elsewhere.  The unit step is linearized as it is costed, so when it
+    passes the Armijo test the iteration costs one evaluation (one batch);
+    otherwise batches of eight halved steps from 1/2 follow until one
+    passes, then a fresh linearization.
 
     A missing or infeasible warm start is replaced by the sampled funnel
     feedback (clamped to the saturation box); if that also has infinite
     cost the problem is declared infeasible.  The returned cost never
     exceeds the starting cost.  The status is ``converged`` (projected
     gradient residual at most 1e-6), ``budget-exhausted`` (iteration budget
-    spent), ``no-descent`` (the line search found no decrease) or, whatever
-    the stop, ``infeasible-start-recovered`` when the start was rebuilt.
+    spent), ``no-descent`` (the line search found no decrease, or a
+    forward-difference probe blew up) or, whatever the stop,
+    ``infeasible-start-recovered`` when the start was rebuilt.
     """
     ws = _Workspace(plant, sc, spec, yref)
     M = spec.saturation
-    N, m = ws.N, ws.m
-    shape = (N, m)
+    N = ws.N
 
     recovered = False
     values = None
@@ -339,7 +373,7 @@ def solve_ocp(
         given = warm_start.values[i0 : i0 + N]
         if given.shape[0] == N:
             candidate = np.clip(given, -M, M)
-            J = ws.cost_single(candidate)
+            J = ws.linearize(candidate.ravel())
             if math.isfinite(J):
                 values = candidate
             else:
@@ -356,7 +390,7 @@ def solve_ocp(
         cause = None
         try:
             values = ws.feedback_values(chain, gains)
-            J = ws.cost_single(values)
+            J = ws.linearize(values.ravel())
         except PreconditionViolation as exc:
             cause = exc
         if cause is not None or not math.isfinite(J):
@@ -370,83 +404,45 @@ def solve_ocp(
             raise OcpInfeasibleError(reason, t_start=ws.t0, margin=margins) from cause
 
     d = values.ravel().astype(float)
-    newton = ws.response is not None
     status = "budget-exhausted"
     residual = math.nan
-    alpha_init = 1.0
     it = 0
-    prev_d = None
-    prev_grad = None
     while it < spec.max_iterations:
-        if newton:
-            grad, hess = ws.exact_derivatives(d)
-        else:
-            grad = _fd_gradient(ws, d, J, shape)
         it += 1
+        # a forward-difference probe of d blew up: no model to step on
+        if not np.all(np.isfinite(ws.er_forced)):
+            status = "no-descent"
+            break
+        grad, hess = ws.exact_derivatives(d)
         residual = float(np.max(np.abs(d - np.clip(d - grad, -M, M))))
         if residual <= RESIDUAL_TOL:
             status = "converged"
             break
-        if newton:
-            direction = _newton_direction(grad, hess, d, M, min(residual, ACTIVE_BAND))
-            alpha_init = 1.0
+        direction = _newton_direction(grad, hess, d, M, min(residual, ACTIVE_BAND))
+        trial = np.clip(d - direction, -M, M)
+        J_trial = ws.linearize(trial)
+        if _sufficient_decrease(J_trial, J, (d - trial) @ grad):
+            step = (1.0, trial, J_trial)
         else:
-            if prev_grad is not None:
-                # spectral (Barzilai-Borwein) step seed, safeguarded to the
-                # same bracket as the doubling fallback
-                s = d - prev_d
-                y = grad - prev_grad
-                sy = float(s @ y)
-                if sy > 0.0:
-                    alpha_init = max(min(float(s @ s) / sy, 1e6), 1e-12)
-            prev_d = d
-            prev_grad = grad
-            direction = grad
-        accepted = False
-        alpha = alpha_init
-        halvings = 0
-        while halvings <= MAX_HALVINGS and not accepted:
-            batch = min(8, MAX_HALVINGS - halvings + 1)
-            alphas = alpha * 0.5 ** np.arange(batch)
-            cands = np.clip(d[None, :] - alphas[:, None] * direction[None, :], -M, M)
-            decrease = -((cands - d[None, :]) @ grad)
-            costs = ws.cost_batch(cands.reshape((batch,) + shape))
-            # a positive first-order decrease also rules out a zero move
-            ok = (
-                np.isfinite(costs)
-                & (costs <= J - ARMIJO_CONSTANT * decrease)
-                & (decrease > 0.0)
-            )
-            if np.any(ok):
-                pick = int(np.argmax(ok))
-                d = cands[pick]
-                J = float(costs[pick])
-                alpha_init = max(min(alphas[pick] * 2.0, 1e6), 1e-12)
-                accepted = True
-            else:
-                halvings += batch
-                alpha = alphas[-1] * 0.5
-        logger.debug(
-            "ocp t=%.4f iter=%d cost=%.9e residual=%.3e alpha=%.3e evals=%d",
-            ws.t0, it, J, residual, alpha_init, ws.evaluations,
-        )
-        if not accepted:
+            step = _halving_step(ws, d, J, grad, direction)
+        if step is None:
             status = "no-descent"
             break
+        alpha, d, J = step
+        if alpha < 1.0:
+            ws.linearize(d)
+        logger.debug(
+            "ocp t=%.4f iter=%d cost=%.9e residual=%.3e alpha=%.3e evals=%d",
+            ws.t0, it, J, residual, alpha, ws.evaluations,
+        )
 
     control = ControlSignal(
-        t_start=ws.t0, step=spec.control_step, values=d.reshape(shape), saturation=M
+        t_start=ws.t0, step=spec.control_step, values=d.reshape(N, ws.m), saturation=M
     )
     if recovered:
         status = "infeasible-start-recovered"
-    return OcpSolution(
-        control=control,
-        cost=J,
-        status=status,
-        iterations=it,
-        residual=residual,
-        evaluations=ws.evaluations,
-    )
+    return OcpSolution(control=control, cost=J, status=status, iterations=it,
+                       residual=residual, evaluations=ws.evaluations)
 
 
 def brute_force_ocp(

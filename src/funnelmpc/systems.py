@@ -271,6 +271,11 @@ def cosine_reference(amplitude: float, omega: float, r: int, phase: float = 0.0)
     return ReferenceSignal(r=r, m=1, jet_array=jet_array)
 
 
+def _constant_map(mat: np.ndarray, x) -> np.ndarray:
+    """A read-only matrix at one point x, broadcast over the rows of a batch."""
+    return mat if np.ndim(x) <= 1 else np.broadcast_to(mat, np.shape(x)[:-1] + mat.shape)
+
+
 def integrator_chain(r: int, m: int = 1) -> RelativeDegreeSystem:
     """Chain of r integrators per channel: y^(r) = u, linear in the flat jet."""
     if r < 1 or m < 1:
@@ -279,16 +284,14 @@ def integrator_chain(r: int, m: int = 1) -> RelativeDegreeSystem:
     a_mat = np.kron(np.eye(r, k=1), eye)
     b_mat = np.kron(np.eye(r)[:, -1:], eye)
     c_jet = np.eye(r * m)
-    for mat in (a_mat, b_mat, c_jet):
+    for mat in (eye, a_mat, b_mat, c_jet):
         mat.setflags(write=False)
 
     def f(w):
-        w = np.asarray(w, dtype=float)
-        return np.zeros(w.shape[:-1] + (m,))
+        return np.zeros(np.shape(w)[:-1] + (m,))
 
     def g(w):
-        w = np.asarray(w, dtype=float)
-        return np.broadcast_to(eye, w.shape[:-1] + (m, m))
+        return _constant_map(eye, w)
 
     T = static_operator(lambda xi: xi, q=r * m)
     return RelativeDegreeSystem(m=m, r=r, f=f, g=g, T=T, linear=(a_mat, b_mat, c_jet))
@@ -334,8 +337,7 @@ def mass_on_car_state_space(params: MassOnCarParams | None = None) -> StateSpace
         return np.asarray(x, dtype=float) @ a_t
 
     def input_map(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(b_mat, x.shape[:-1] + (4, 1))
+        return _constant_map(b_mat, x)
 
     def output_jet(x):
         return np.asarray(x, dtype=float) @ c_t
@@ -400,8 +402,7 @@ def mass_on_car_normal_form(params: MassOnCarParams | None = None) -> RelativeDe
         return np.asarray(w, dtype=float) @ f_t
 
     def g(w):
-        w = np.asarray(w, dtype=float)
-        return np.broadcast_to(g_matrix, w.shape[:-1] + (1, 1))
+        return _constant_map(g_matrix, w)
 
     return RelativeDegreeSystem(m=1, r=2, f=f, g=g, T=T, linear=(a_mat, b_mat, c_jet))
 

@@ -152,11 +152,11 @@ M2_REFERENCE = {"kind": "constant", "value": [0.1, -0.1]}
 ])
 def test_integrator_chain_closed_loop_matches_generic_path(plant_cfg, reference, saturation):
     # r = 3 and m = 2 through the CLI setup: the declared matrices (exact
-    # maps, projected Newton on exact derivatives) against the same record
-    # without them (batched RK4, forward differences, stage-wise law).  Two
-    # solves that stop at residual <= 1e-6 may differ by about 1e-2 in u,
-    # so the loops are compared where they share a state, and the exact
-    # held-step maps against RK4 on the same inputs
+    # maps, Gauss-Newton on the exact Jacobian) against the same record
+    # without them (batched RK4, forward-difference Jacobian, stage-wise
+    # law).  Two solves that stop at residual <= 1e-6 may differ by about
+    # 1e-2 in u, so the loops are compared where they share a state, and
+    # the exact held-step maps against RK4 on the same inputs
     res = ResolvedRun({
         "plant": plant_cfg, "reference": reference,
         "funnel": {"offset": 0.2, "terms": [[1.8, 1.0]], "alpha": 1.0, "beta": 0.2},
@@ -189,9 +189,8 @@ def test_integrator_chain_closed_loop_matches_generic_path(plant_cfg, reference,
     np.testing.assert_allclose(replay.output_jet, traj.output_jet, rtol=0.0, atol=1e-6)
 
 
-def test_delay_plant_closed_loop():
-    # y'(t) = -y(t - 0.1)/2 + u with y = 1/2 on (-inf, 0]: the OCP rolls a
-    # candidate batch out on a clone whose jet history holds a row per member
+def _delay_closed_loop(t_end, max_iterations):
+    """y'(t) = -y(t - 0.1)/2 + u with y = 1/2 on (-inf, 0], the benchmark's delay plant."""
     system = RelativeDegreeSystem(
         m=1, r=1, f=lambda w: -0.5 * np.asarray(w, dtype=float), g=lambda w: np.eye(1),
         T=delay_operator(0.1, lambda xi: xi, q=1),
@@ -202,16 +201,32 @@ def test_delay_plant_closed_loop():
     data = InitialJetData(0.0, np.array([[0.5]]), yref.jet(0.0))
     chain = build_funnel_chain(psi, data, [], 0.5, r=1)
     spec = OcpSpec(horizon=0.5, control_step=0.1, saturation=5.0, ode_step=0.01,
-                   max_iterations=3)
+                   max_iterations=max_iterations)
     config = MpcConfig(
-        t0=0.0, t_end=0.2, delta=0.1, spec=spec, chain=chain, gains=np.array([]),
+        t0=0.0, t_end=t_end, delta=0.1, spec=spec, chain=chain, gains=np.array([]),
         stage=StageCost(theta=chain.theta, lambda_u=0.01, gains=np.array([])),
     )
-    log = run_fmpc(plant, yref, config)
+    return plant, psi, run_fmpc(plant, yref, config)
+
+
+def test_delay_plant_closed_loop():
+    # the OCP rolls a candidate batch out on a clone whose jet history holds
+    # a row per member
+    plant, psi, log = _delay_closed_loop(0.2, 3)
     assert verify_guarantees(log, psi, 5.0).passed
     assert len(log.records) == 2
     assert all(math.isfinite(rec.cost) for rec in log.records)
     assert plant.history.latest() == 0.2
+
+
+def test_delay_plant_ocps_converge():
+    # on a plant with memory the Jacobian of e_r comes from one batch of
+    # forward-difference rollouts; its Gauss-Newton steps converge well
+    # inside the budget of 10 in every OCP
+    _, psi, log = _delay_closed_loop(0.4, 10)
+    assert verify_guarantees(log, psi, 5.0).passed
+    assert [rec.status for rec in log.records] == ["converged"] * 4
+    assert max(rec.iterations for rec in log.records) <= 5
 
 
 def test_collapsing_funnel_with_tiny_input_box_aborts():

@@ -25,6 +25,7 @@ from funnelmpc import (
     OcpSpec,
     StageCost,
     brute_force_ocp,
+    constant_reference,
     cost_functional,
     integrate_open_loop,
     integrator_chain,
@@ -209,39 +210,87 @@ def test_solver_reports_budget_exhaustion(scalar_stage, zero_ref, scalar_chain):
 
 
 def test_solver_reports_a_failed_line_search(monkeypatch, scalar_stage, zero_ref, scalar_chain):
-    # along an ascent direction the line search finds no decrease (at most
-    # moves too small to change the cost): the solve stops before its
-    # iteration budget and says why
-    fd_gradient = ocp_module._fd_gradient
-    monkeypatch.setattr(ocp_module, "_fd_gradient", lambda *args: -fd_gradient(*args))
+    # along an ascent direction no step passes the strict Armijo test: the
+    # solve stops at once and says why
+    newton_direction = ocp_module._newton_direction
+    monkeypatch.setattr(ocp_module, "_newton_direction",
+                        lambda *args: -newton_direction(*args))
     system = dataclasses.replace(integrator_chain(1), linear=None)
     spec = spec_for(saturation=2.0, ode_step=5e-3)
     plant = make_plant(system, 0.0, np.array([0.5]))
     sol = solve_ocp(plant, scalar_stage, spec, zero_ref, chain=scalar_chain, gains=np.array([]))
     assert sol.status == "no-descent"
-    assert sol.iterations < spec.max_iterations
+    assert sol.iterations <= 2
     assert sol.residual > 1e-6
     assert sol.cost == cost_functional(plant, sol.control, scalar_stage, zero_ref, spec)
 
 
+def test_solver_stops_when_a_probe_blows_up(monkeypatch, scalar_stage, zero_ref, scalar_chain):
+    # a forward-difference probe that blows up leaves its Jacobian column
+    # undefined; the solve stops with no-descent instead of guessing one
+    rollout = ocp_module.rollout_jets_batch
+
+    def last_member_blows_up(plant, values, step, h):
+        grid, jets, alive = rollout(plant, values, step, h)
+        if values.shape[0] > 1:
+            jets[-1] = np.inf
+            alive[-1] = False
+        return grid, jets, alive
+
+    monkeypatch.setattr(ocp_module, "rollout_jets_batch", last_member_blows_up)
+    system = dataclasses.replace(integrator_chain(1), linear=None)
+    spec = spec_for(horizon=0.2, saturation=2.0, ode_step=5e-3)
+    plant = make_plant(system, 0.0, np.array([0.5]))
+    sol = solve_ocp(plant, scalar_stage, spec, zero_ref, chain=scalar_chain, gains=np.array([]))
+    assert sol.status == "no-descent"
+    assert sol.iterations == 1
+    assert math.isfinite(sol.cost)
+
+
+def test_armijo_test_rejects_a_move_that_keeps_the_cost():
+    # a positive first-order decrease below half an ulp of J leaves
+    # J - c * decrease == J, so a candidate at cost J must still fail
+    J = 1.0 / 3.0
+    assert J - ocp_module.ARMIJO_CONSTANT * 1e-20 == J
+    assert not ocp_module._sufficient_decrease(J, J, 1e-20)
+    assert not ocp_module._sufficient_decrease(J - 1e-12, J, 0.0)
+    costs = np.array([J, np.inf, J - 1e-3, J - 1e-5])
+    np.testing.assert_array_equal(
+        ocp_module._sufficient_decrease(costs, J, np.array([1e-20, 1.0, 1.0, 1.0])),
+        [False, False, True, False],
+    )
+
+
 @pytest.mark.parametrize("matrices", [False, True], ids=["rk4", "exact"])
-def test_solver_direction_follows_the_plant_record(
-    monkeypatch, matrices, scalar_stage, zero_ref, scalar_chain
-):
-    # forward differences only where no matrices are declared; with them the
-    # exact derivatives give projected Newton steps
-    calls = []
-    fd_gradient = ocp_module._fd_gradient
-    monkeypatch.setattr(ocp_module, "_fd_gradient",
-                        lambda *args: calls.append(1) or fd_gradient(*args))
-    system = integrator_chain(1)
-    if not matrices:
-        system = dataclasses.replace(system, linear=None)
+def test_solver_direction_follows_the_plant_record(matrices):
+    # the direction comes from e_r linearized around the iterate: through
+    # the record's matrices where they are declared (one evaluation), from
+    # one batch of forward-difference probes elsewhere; on a linear plant
+    # both give the exact response up to the rounding of the quotients: a
+    # 60-step rollout rounds e_r by some 1e-14, and 1e-14 / 1e-6 = 1e-8;
+    # measured up to 6e-9 of the largest entry
+    theta = FunnelFunction(
+        value=lambda t: 3.0 + 0.0 * np.asarray(t), derivative=lambda t: 0.0 * np.asarray(t),
+        alpha=1.0, beta=3.0, sup_norm=3.0, sup_norm_derivative=0.0,
+    )
+    stage = StageCost(theta=theta, lambda_u=0.01, gains=np.array([2.0]))
     spec = spec_for(horizon=0.3, saturation=2.0, ode_step=5e-3)
-    sol = solve_ocp(make_plant(system, 0.0, np.array([0.5])), scalar_stage, spec, zero_ref,
-                    chain=scalar_chain, gains=np.array([]))
-    assert sol.status == "converged"
-    assert len(calls) == (0 if matrices else sol.iterations)
+    for m in (1, 2):
+        yref = constant_reference(np.zeros(m), 2)
+        x0 = np.linspace(0.5, -0.3, 2 * m)
+        d = np.random.default_rng(3).uniform(-1.0, 1.0, 3 * m)
+        system = integrator_chain(2, m)
+        exact = _Workspace(make_plant(system, 0.0, x0), stage, spec, yref)
+        if not matrices:
+            system = dataclasses.replace(system, linear=None)
+        ws = _Workspace(make_plant(system, 0.0, x0), stage, spec, yref)
+        cost = ws.linearize(d)
+        assert cost == pytest.approx(exact.cost_single(d.reshape(3, m)), rel=1e-12)
+        assert ws.evaluations == (1 if matrices else d.size + 1)
+        for name in ("er_forced", "er_free"):
+            want = getattr(exact, name)
+            np.testing.assert_allclose(getattr(ws, name), want, rtol=0.0,
+                                       atol=5e-8 * np.max(np.abs(want)))
 
 
 def test_solver_recovers_from_infinite_warm_start(scalar_stage, zero_ref, scalar_chain):
@@ -334,7 +383,8 @@ def _member_cost(ws, values):
     )
     if traj.status != "completed":
         return math.inf
-    cost = float(ws.barrier_costs(traj.output_jet[None])[0] + ws.input_costs(values[None])[0])
+    er = ws.top_errors(traj.output_jet[None])
+    cost = float(ws.barrier_costs(er)[0] + ws.input_costs(values[None])[0])
     return cost if math.isfinite(cost) else math.inf
 
 
@@ -384,11 +434,11 @@ def _optimum_lower_bound(ws, sol):
 
 
 def test_linear_response_solve_matches_rk4_solve(showcase_chain, showcase_yref):
-    # projected Newton on the exact derivatives against projected gradient
-    # on forward differences and RK4: both stop at residual <= 1e-6, which
-    # with mu = 8e-4 leaves either one up to a few 1e-9 above the optimum,
-    # so neither cost bounds the other; each must lie above the optimum
-    # bound certified at the other solve's control
+    # the same Gauss-Newton loop with the exact Jacobian and with the one of
+    # forward differences on RK4: both stop at residual <= 1e-6, which with
+    # mu = 8e-4 leaves either one up to a few 1e-9 above the optimum, so
+    # neither cost bounds the other; each must lie above the optimum bound
+    # certified at the other solve's control
     stage, spec, linear, generic = _showcase_ocp(showcase_chain)
     x0 = np.array([0.0, 0.0, 2.0, 0.0])
     fast, slow = (
@@ -400,7 +450,8 @@ def test_linear_response_solve_matches_rk4_solve(showcase_chain, showcase_yref):
         assert sol.status == "converged"
         assert sol.residual <= 1e-6
         assert math.isfinite(sol.cost)
-    assert fast.iterations < slow.iterations
+    # the forward-difference Jacobian costs no Newton steps: 3 on each path
+    assert slow.iterations == fast.iterations
     ws = _Workspace(make_plant(linear, 0.0, x0), stage, spec, showcase_yref)
     assert _optimum_lower_bound(ws, fast) <= slow.cost
     assert _optimum_lower_bound(ws, slow) <= fast.cost

@@ -18,7 +18,6 @@ from .errchain import (
 )
 from .errors import (
     FunnelMpcError,
-    InternalDynamicsDiverged,
     OcpInfeasibleError,
     PreconditionViolation,
     RecursiveFeasibilityViolation,

@@ -43,6 +43,7 @@ from .funnel import (
     select_gains,
 )
 from .logio import (
+    _vector_headers,
     closed_loop_table,
     read_trajectory_csv,
     write_closed_loop_svg,
@@ -83,6 +84,7 @@ def _build_plant_setup(plant_cfg: dict):
     """Returns (factory(t0) -> plant, system record, r, m, echo dict)."""
     kind = _need(plant_cfg, "kind", "plant")
     params_cfg = plant_cfg.get("params", {})
+    eta0 = None
     if kind == "mass_on_car":
         try:
             params = MassOnCarParams(**params_cfg)
@@ -92,46 +94,31 @@ def _build_plant_setup(plant_cfg: dict):
         representation = plant_cfg.get("representation", "state_space")
         if representation == "state_space":
             system = mass_on_car_state_space(params)
-
-            def factory(t0, _sys=system, _x0=x0):
-                return make_plant(_sys, t0, _x0)
-
+            initial = x0
         elif representation == "normal_form":
             system = mass_on_car_normal_form(params)
             xi0, eta0 = mass_on_car_initial_data(params, x0)
-
-            def factory(t0, _sys=system, _xi=xi0, _eta=eta0):
-                return make_plant(_sys, t0, _xi.ravel(), eta0=_eta)
-
+            initial = xi0.ravel()
         else:
             raise ConfigError(f"unknown mass_on_car representation '{representation}'")
         echo = {
             "kind": kind,
-            "params": {
-                "m1": params.m1,
-                "m2": params.m2,
-                "k": params.k,
-                "d": params.d,
-                "vartheta": params.vartheta,
-            },
+            "params": dict(vars(params)),
             "representation": representation,
             "x0": [float(v) for v in x0],
         }
-        return factory, system, system.r, system.m, echo
-    if kind == "integrator_chain":
+    elif kind == "integrator_chain":
         r = int(params_cfg.get("r", 1))
         m = int(params_cfg.get("m", 1))
         if r < 1 or m < 1:
             raise ConfigError("integrator chain needs r >= 1 and m >= 1")
         system = integrator_chain(r, m)
-        x0 = np.asarray(_need(plant_cfg, "x0", "plant"), dtype=float).reshape(r * m)
-
-        def factory(t0, _sys=system, _x0=x0):
-            return make_plant(_sys, t0, _x0)
-
-        echo = {"kind": kind, "params": {"r": r, "m": m}, "x0": [float(v) for v in x0]}
-        return factory, system, r, m, echo
-    raise ConfigError(f"unknown plant kind '{kind}'")
+        initial = np.asarray(_need(plant_cfg, "x0", "plant"), dtype=float).reshape(r * m)
+        echo = {"kind": kind, "params": {"r": r, "m": m}, "x0": [float(v) for v in initial]}
+    else:
+        raise ConfigError(f"unknown plant kind '{kind}'")
+    factory = lambda t0: make_plant(system, t0, initial, eta0=eta0)
+    return factory, system, system.r, system.m, echo
 
 
 def _build_reference(ref_cfg: dict, r: int, m: int):
@@ -541,9 +528,7 @@ def cmd_verify(args) -> int:
         k for k in expected.keys() | echoed.keys() if echoed.get(k) != expected.get(k)
     )
     m = res.m
-    y_names = ["y"] if m == 1 else [f"y_{i + 1}" for i in range(m)]
-    ref_names = ["y_ref"] if m == 1 else [f"y_ref_{i + 1}" for i in range(m)]
-    u_names = ["u"] if m == 1 else [f"u_{i + 1}" for i in range(m)]
+    y_names, ref_names, u_names = (_vector_headers(base, m) for base in ("y", "y_ref", "u"))
     required = ["t", "e", "psi", "e_r", "theta"] + y_names + ref_names + u_names
     missing = [name for name in required if name not in cols]
     if missing:

@@ -20,10 +20,6 @@ class SingularGainError(FunnelMpcError):
         self.condition_number = condition_number
 
 
-class InternalDynamicsDiverged(FunnelMpcError):
-    """An operator's internal state left the configured magnitude bound."""
-
-
 class OcpInfeasibleError(FunnelMpcError):
     """No finite-cost control could be found for an optimal control problem.
 

@@ -176,29 +176,32 @@ def exponential_sum_funnel(
     terms = [(float(a), float(rho)) for a, rho in terms]
     if any(rho <= 0.0 for _, rho in terms):
         raise ValueError("exponential rates must be positive")
-    offset = float(offset)
+    value, derivative = _exponential_sum(float(offset), terms, t0)
+    return funnel_from_callables(value, derivative, alpha, beta, t0=t0, sup_window=sup_window)
 
-    def value(t, _terms=terms, _off=offset, _t0=t0):
-        if np.ndim(t) == 0:
-            dt = float(t) - _t0
-            return _off + sum(a * math.exp(-rho * dt) for a, rho in _terms)
+
+def _exponential_sum(offset: float, terms, t0: float):
+    """(value, derivative) of offset + sum_j a_j * exp(-rate_j * (t - t0)).
+
+    A scalar t and a time array take the same numpy operations in the same
+    order, so value(t) is exactly the element of value(np.array([t])).
+    """
+
+    def value(t):
         t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, _off)
-        for a, rho in _terms:
-            out = out + a * np.exp(-rho * (t - _t0))
+        out = np.full(t.shape, offset)
+        for a, rho in terms:
+            out = out + a * np.exp(-rho * (t - t0))
         return out
 
-    def derivative(t, _terms=terms, _t0=t0):
-        if np.ndim(t) == 0:
-            dt = float(t) - _t0
-            return -sum(a * rho * math.exp(-rho * dt) for a, rho in _terms)
+    def derivative(t):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
-        for a, rho in _terms:
-            out = out - a * rho * np.exp(-rho * (t - _t0))
+        for a, rho in terms:
+            out = out - a * rho * np.exp(-rho * (t - t0))
         return out
 
-    return funnel_from_callables(value, derivative, alpha, beta, t0=t0, sup_window=sup_window)
+    return value, derivative
 
 
 def _decaying_exponential_funnel(
@@ -211,19 +214,7 @@ def _decaying_exponential_funnel(
     """
     if amplitude < 0.0 or floor <= 0.0:
         raise ValueError("need amplitude >= 0 and floor > 0")
-
-    def value(t, _a=amplitude, _rho=rate, _c=floor, _t0=t0):
-        if np.ndim(t) == 0:
-            return _c + _a * math.exp(-_rho * (float(t) - _t0))
-        t = np.asarray(t, dtype=float)
-        return _c + _a * np.exp(-_rho * (t - _t0))
-
-    def derivative(t, _a=amplitude, _rho=rate, _t0=t0):
-        if np.ndim(t) == 0:
-            return -_a * _rho * math.exp(-_rho * (float(t) - _t0))
-        t = np.asarray(t, dtype=float)
-        return -_a * _rho * np.exp(-_rho * (t - _t0))
-
+    value, derivative = _exponential_sum(floor, [(amplitude, rate)], t0)
     return FunnelFunction(
         value=value,
         derivative=derivative,

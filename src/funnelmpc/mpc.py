@@ -92,10 +92,15 @@ class ClosedLoopLog:
 
 
 def _concat_segments(segments) -> Trajectory:
+    """One trajectory from the cycle segments, which share their end knots.
+
+    The row at a knot holds the input applied from that knot on, so it
+    comes from the later segment; the last row holds the final interval's.
+    """
     grids = [segments[0].grid] + [s.grid[1:] for s in segments[1:]]
     states = [segments[0].state] + [s.state[1:] for s in segments[1:]]
     jets = [segments[0].output_jet] + [s.output_jet[1:] for s in segments[1:]]
-    inputs = [segments[0].input] + [s.input[1:] for s in segments[1:]]
+    inputs = [s.input[:-1] for s in segments[:-1]] + [segments[-1].input]
     return Trajectory(
         grid=np.concatenate(grids),
         state=np.concatenate(states),

@@ -8,13 +8,14 @@ convex barrier of |e_r|^2 composed with e_r(d), so one projected
 Gauss-Newton loop (Messerer, Baumgaertner & Diehl, ESAIM Proc. Surveys 71,
 2021) solves it on every plant.  Each iteration linearizes e_r around the
 current control, takes a projected Newton step (Bertsekas, SIAM J. Control
-Optim. 20, 1982) on that model, tries the unit step first and halves it,
-eight step lengths per batch, only when the unit step fails the Armijo
-test.  The Jacobian F = de_r/dd is
+Optim. 20, 1982) on that model and backtracks from the unit step, halving
+it until the Armijo test passes (Nocedal & Wright, Numerical Optimization,
+Alg. 3.1).  Every trial point is costed by linearizing there, so the
+accepted one brings the next iteration's model.  The Jacobian F = de_r/dd is
 
 - exact on a plant whose ``linear`` matrices are set (state space or
-  normal form): its jets are affine in the stacked controls, the OCP is
-  convex, and candidates are costed through the exact response of
+  normal form): e_r is affine in the stacked controls, the OCP is convex,
+  and candidates are costed through the exact e_r response formed from
   ``sim.linear_jet_response``;
 - elsewhere, those with memory included, taken by forward differences
   from one batched RK4 rollout of the control and its probes, which also
@@ -38,7 +39,6 @@ from .funnel import FunnelFunction, chain_margins
 from .sim import (
     ControlSignal,
     _is_multiple,
-    _live_members,
     linear_jet_response,
     rollout_jets_batch,
     zoh_feedback_rollout,
@@ -164,16 +164,13 @@ class _Workspace:
         w[0] = w[-1] = 0.5 * spec.ode_step
         self.weights = w
         self.evaluations = 0
-        # on a linear plant the jets of every candidate are the free response
-        # of the start state plus its stacked controls times one matrix, and
-        # so is e_r: e_r = er_free + (v @ er_forced).reshape(K, m)
-        self.response = None
+        # on a linear plant e_r of every candidate is the free response of the
+        # start state plus its stacked controls v times one matrix:
+        # e_r = er_free + (v @ er_forced).reshape(K, m)
         if plant.linear is not None:
             free, forced = linear_jet_response(plant.linear, spec.ode_step, spec.substeps, self.N)
-            free_jets = (free @ plant.state).ravel()
-            self.response = (free_jets, forced)
             K, rm = n_steps + 1, self.r * self.m
-            self.er_free = (free_jets.reshape(K, rm) - self.ref_flat) @ self.er_block.T
+            self.er_free = ((free @ plant.state).reshape(K, rm) - self.ref_flat) @ self.er_block.T
             self.er_forced = (forced.reshape(-1, K, rm) @ self.er_block.T).reshape(-1, K * self.m)
 
     def top_errors(self, jets: np.ndarray) -> np.ndarray:
@@ -197,18 +194,17 @@ class _Workspace:
         """Costs of a (B, N, m) control stack and the e_r rows they come from."""
         B = values.shape[0]
         self.evaluations += B
-        if self.response is not None:
-            free_jets, forced = self.response
-            # einsum sums each jet in one order whatever B; a BLAS product
+        if self.plant.linear is not None:
+            # einsum sums each entry in one order whatever B; a BLAS product
             # rounds a single row differently from a row of a batch
-            jets = free_jets + np.einsum("bi,ij->bj", values.reshape(B, -1), forced)
-            jets = jets.reshape(B, -1, self.r * self.m)
-            alive = _live_members(jets)
+            forced = np.einsum("bi,ij->bj", values.reshape(B, -1), self.er_forced)
+            er = self.er_free + forced.reshape(B, -1, self.m)
+            alive = True
         else:
             _, jets, alive = rollout_jets_batch(
                 self.plant, values, self.spec.control_step, self.spec.ode_step
             )
-        er = self.top_errors(jets)
+            er = self.top_errors(jets)
         costs = self.barrier_costs(er) + self.input_costs(values)
         return np.where(alive & np.isfinite(costs), costs, np.inf), er
 
@@ -229,7 +225,7 @@ class _Workspace:
         probe that blows up leaves non-finite columns.
         """
         shape = (self.N, self.m)
-        if self.response is not None:
+        if self.plant.linear is not None:
             return self.cost_single(d.reshape(shape))
         du = FD_RELATIVE_STEP * np.maximum(1.0, np.abs(d))
         probes = np.vstack([d, d + np.diag(du)])
@@ -317,23 +313,6 @@ def _sufficient_decrease(costs, J: float, decrease):
     return (decrease > 0.0) & (costs < J - ARMIJO_CONSTANT * decrease)
 
 
-def _halving_step(ws: _Workspace, d, J: float, grad, direction):
-    """First step alpha = 1/2, 1/4, ... to pass the Armijo test, eight per batch.
-
-    Returns (alpha, control, cost), or None once 2^-MAX_HALVINGS has failed.
-    """
-    M = ws.spec.saturation
-    for first in range(1, MAX_HALVINGS + 1, 8):
-        alphas = 0.5 ** np.arange(first, min(first + 8, MAX_HALVINGS + 1))
-        cands = np.clip(d[None, :] - alphas[:, None] * direction[None, :], -M, M)
-        costs = ws.cost_batch(cands.reshape((alphas.size, ws.N, ws.m)))
-        ok = _sufficient_decrease(costs, J, (d[None, :] - cands) @ grad)
-        if np.any(ok):
-            pick = int(np.argmax(ok))
-            return alphas[pick], cands[pick], float(costs[pick])
-    return None
-
-
 def solve_ocp(
     plant,
     sc: StageCost,
@@ -348,10 +327,10 @@ def solve_ocp(
     Each iteration takes the projected Newton step of the cost with e_r
     linearized at the current control, through the exact response on a
     plant with ``linear`` matrices and one forward-difference rollout batch
-    elsewhere.  The unit step is linearized as it is costed, so when it
-    passes the Armijo test the iteration costs one evaluation (one batch);
-    otherwise batches of eight halved steps from 1/2 follow until one
-    passes, then a fresh linearization.
+    elsewhere.  The step lengths 1, 1/2, ..., 2^-40 are tried in turn, each
+    costed by linearizing at its clipped trial point, so an iteration whose
+    unit step passes the Armijo test costs one evaluation (one batch) and
+    the accepted point's linearization is the next iteration's model.
 
     A missing or infeasible warm start is replaced by the sampled funnel
     feedback (clamped to the saturation box); if that also has infinite
@@ -419,18 +398,15 @@ def solve_ocp(
             status = "converged"
             break
         direction = _newton_direction(grad, hess, d, M, min(residual, ACTIVE_BAND))
-        trial = np.clip(d - direction, -M, M)
-        J_trial = ws.linearize(trial)
-        if _sufficient_decrease(J_trial, J, (d - trial) @ grad):
-            step = (1.0, trial, J_trial)
+        for alpha in 0.5 ** np.arange(MAX_HALVINGS + 1):
+            trial = np.clip(d - alpha * direction, -M, M)
+            J_trial = ws.linearize(trial)
+            if _sufficient_decrease(J_trial, J, (d - trial) @ grad):
+                break
         else:
-            step = _halving_step(ws, d, J, grad, direction)
-        if step is None:
             status = "no-descent"
             break
-        alpha, d, J = step
-        if alpha < 1.0:
-            ws.linearize(d)
+        d, J = trial, J_trial
         logger.debug(
             "ocp t=%.4f iter=%d cost=%.9e residual=%.3e alpha=%.3e evals=%d",
             ws.t0, it, J, residual, alpha, ws.evaluations,

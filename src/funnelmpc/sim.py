@@ -715,14 +715,9 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
             states[:, i + 1] = X
             plant.advance(grid[i + 1], X)
         jets = plant.output_jet(states)
-    return grid, jets, _live_members(jets)
-
-
-def _live_members(jets: np.ndarray) -> np.ndarray:
-    """Turn NaN into inf in a (B, K, r*m) jet batch in place; flag bounded members."""
+    # NaN becomes inf, which fails the bound, so non-finite members are flagged too
     np.copyto(jets, np.inf, where=np.isnan(jets))
-    # inf fails the comparison, so this also flags non-finite members
-    return (np.abs(jets) <= BLOWUP_NORM).all(axis=(1, 2))
+    return grid, jets, (np.abs(jets) <= BLOWUP_NORM).all(axis=(1, 2))
 
 
 def rk4_step_maps(a: np.ndarray, b: np.ndarray, h: float):

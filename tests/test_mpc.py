@@ -102,6 +102,23 @@ def test_closed_loop_keeps_error_inside_funnel(decay_psi):
     assert [rec.t_hat for rec in log.records] == pytest.approx(np.arange(10) * 0.1)
 
 
+def test_logged_input_at_a_knot_is_the_one_applied_from_it(decay_psi):
+    # delta = 0.1 spans ten RK4 steps: the row at each zero-order-hold knot
+    # holds the input of the interval that starts there, as does the first
+    # row; the last row holds the final interval's input
+    config = scalar_mpc_config(decay_psi)
+    log = run_fmpc(make_integrator_plant(0.5), constant_reference(0.0, r=1), config)
+    u = log.trajectory.input
+    steps = round(config.delta / config.spec.ode_step)
+    assert steps >= 2
+    knots = np.arange(0, u.shape[0] - 1, steps)
+    assert knots.size == len(log.records) == 10
+    np.testing.assert_array_equal(u[knots], u[knots + 1])
+    np.testing.assert_array_equal(u[-1], u[-2])
+    # the input changes between intervals, so the check can tell the knots apart
+    assert np.all(u[knots[1:]] != u[knots[1:] - 1])
+
+
 def test_closed_loop_statuses_settle_after_first_cycle(decay_psi):
     config = scalar_mpc_config(decay_psi)
     log = run_fmpc(make_integrator_plant(0.5), constant_reference(0.0, r=1), config)

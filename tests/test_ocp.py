@@ -12,6 +12,7 @@ so the total cost with lambda_u = 0.01 is that value plus 0.025.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from funnelmpc import (
     brute_force_ocp,
     constant_reference,
     cost_functional,
+    exponential_sum_funnel,
     integrate_open_loop,
     integrator_chain,
     make_plant,
@@ -262,6 +264,53 @@ def test_armijo_test_rejects_a_move_that_keeps_the_cost():
 
 
 @pytest.mark.parametrize("matrices", [False, True], ids=["rk4", "exact"])
+def test_line_search_halves_a_doubled_newton_step(monkeypatch, caplog, matrices):
+    # twice the Newton step overshoots, so each iteration backtracks once, to
+    # alpha = 1/2, which is the Newton step itself: every trial point is
+    # costed alone, and the solve retraces the unpatched one.  The warm
+    # start is the optimum from a nearby state, close enough to this
+    # optimum that the cost is nearly quadratic in between: the doubled
+    # step lands near the reflection of the iterate and fails the Armijo
+    # test
+    theta = exponential_sum_funnel(3.0, [(2.0, 1.0)], alpha=1.0, beta=0.5)
+    stage = StageCost(theta=theta, lambda_u=0.03, gains=np.array([2.0]))
+    spec = spec_for(horizon=0.3, saturation=20.0, ode_step=5e-3)
+    yref = constant_reference(np.zeros(2), 2)
+    x0 = np.array([0.8, 0.4, 0.0, -0.4])
+    system = integrator_chain(2, 2)
+    if not matrices:
+        system = dataclasses.replace(system, linear=None)
+
+    def solve(warm_start, start=x0):
+        return solve_ocp(make_plant(system, 0.0, start), stage, spec, yref,
+                         warm_start=warm_start)
+
+    zero = ControlSignal(t_start=0.0, step=0.1, values=np.zeros((3, 2)))
+    warm = solve(zero, 1.25 * x0).control
+    plain = solve(warm)
+
+    newton_direction = ocp_module._newton_direction
+    monkeypatch.setattr(ocp_module, "_newton_direction",
+                        lambda *args: 2.0 * newton_direction(*args))
+    widths = []
+    cost_batch = _Workspace.cost_batch
+
+    def counted_cost_batch(self, values):
+        widths.append(values.shape[0])
+        return cost_batch(self, values)
+
+    monkeypatch.setattr(_Workspace, "cost_batch", counted_cost_batch)
+    caplog.set_level(logging.DEBUG, logger=ocp_module.__name__)
+    sol = solve(warm)
+    alphas = [rec.args[4] for rec in caplog.records if rec.msg.startswith("ocp t=")]
+    assert sol.status == plain.status == "converged"
+    assert len(alphas) == sol.iterations - 1 >= 2
+    assert all(alpha == 0.5 for alpha in alphas)
+    assert max(widths, default=1) == 1
+    np.testing.assert_allclose(sol.control.values, plain.control.values, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("matrices", [False, True], ids=["rk4", "exact"])
 def test_solver_direction_follows_the_plant_record(matrices):
     # the direction comes from e_r linearized around the iterate: through
     # the record's matrices where they are declared (one evaluation), from
@@ -388,18 +437,29 @@ def _member_cost(ws, values):
     return cost if math.isfinite(cost) else math.inf
 
 
-def test_linear_response_costs_match_rollouts(showcase_chain, showcase_yref):
-    # the linear record costs candidates through one response matrix; the
-    # same plant without it runs batched RK4, and the reference integrates
-    # each member on its own
+def test_linear_response_costs_match_rollouts(monkeypatch, showcase_chain, showcase_yref):
+    # the linear record costs candidates through one e_r response matrix;
+    # the same plant without it runs batched RK4, and the reference
+    # integrates each member on its own
     stage, spec, linear, generic = _showcase_ocp(showcase_chain)
     x0 = np.array([0.0, 0.0, 2.0, 0.0])
     fast = _Workspace(make_plant(linear, 0.0, x0), stage, spec, showcase_yref)
     slow = _Workspace(make_plant(generic, 0.0, x0), stage, spec, showcase_yref)
-    assert fast.response is not None and slow.response is None
     values = np.random.default_rng(5).uniform(-20.0, 20.0, size=(12, spec.n_intervals, 1))
     values[0] = 20.0  # drives the error out of the funnel
     values[1] = 1e12  # blows up
+
+    class RolloutCalled(Exception):
+        pass
+
+    def rollout_called(*args):
+        raise RolloutCalled
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ocp_module, "rollout_jets_batch", rollout_called)
+        fast.cost_batch(values)
+        with pytest.raises(RolloutCalled):
+            slow.cost_batch(values)
     paths = [
         fast.cost_batch(values),
         slow.cost_batch(values),

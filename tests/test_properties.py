@@ -5,6 +5,9 @@ response matrix applied to the stacked controls) must reproduce batched RK4
 rollouts of the same plant for any matrices, steps, horizons and inputs,
 whether the plant is a state-space record or a normal form with a static
 operator or internal dynamics.
+A funnel evaluated at a scalar time must return, bit for bit, the element
+of the same call on a one-element time array, for exponential sums and for
+the members of a built funnel chain.
 A zero-order-hold control must pick the interval of every integration grid
 point the way the batched rollout does.  The funnel margins of the chained
 errors, taken through the chain matrix, must match the shift recursion, and
@@ -34,17 +37,21 @@ from funnelmpc import (  # noqa: E402
     ControlSignal,
     FunnelChain,
     FunnelFunction,
+    InitialJetData,
     MassOnCarParams,
     OcpSpec,
     RelativeDegreeSystem,
     StageCost,
     StateSpaceSystem,
+    build_funnel_chain,
     chain_margins,
     constant_reference,
     cosine_reference,
     cost_functional,
+    default_gamma,
     error_variables,
     exponential_sum_funnel,
+    gamma_margin,
     integrate_open_loop,
     integrator_chain,
     internal_dynamics_operator,
@@ -52,6 +59,7 @@ from funnelmpc import (  # noqa: E402
     mass_on_car_initial_data,
     mass_on_car_normal_form,
     mass_on_car_state_space,
+    select_gains,
     solve_ocp,
     static_operator,
     top_error_rows,
@@ -167,6 +175,49 @@ def test_control_index_at_grid_points(t0, h, substeps, n_intervals, data):
     i = data.draw(st.integers(0, n_intervals * substeps))
     control = ControlSignal(t_start=t0, step=substeps * h, values=np.zeros((n_intervals, 1)))
     assert control.index_at(t0 + h * i) == min(i // substeps, n_intervals - 1)
+
+
+def _assert_scalar_time_matches_array(psi: FunnelFunction, t: float):
+    for evaluate in (psi.value, psi.derivative):
+        scalar = evaluate(t)
+        assert np.shape(scalar) == ()
+        assert np.asarray(scalar, dtype=float).tobytes() == evaluate(np.array([t]))[0].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    offset=st.floats(0.01, 10.0),
+    terms=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 5.0)), max_size=4),
+    t0=st.floats(-5.0, 5.0),
+    t=st.floats(-5.0, 25.0),
+)
+def test_exponential_sum_scalar_time_matches_array(offset, terms, t0, t):
+    psi = exponential_sum_funnel(offset, terms, alpha=1.0, beta=0.1, t0=t0)
+    _assert_scalar_time_matches_array(psi, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    r=st.integers(2, 4),
+    m=st.integers(1, 2),
+    t0=st.floats(-2.0, 2.0),
+)
+def test_chain_member_scalar_time_matches_array(data, r, m, t0):
+    psi = exponential_sum_funnel(
+        data.draw(st.floats(0.05, 1.0)),
+        [(data.draw(st.floats(0.5, 5.0)), data.draw(st.floats(0.2, 3.0)))],
+        alpha=data.draw(st.floats(0.2, 3.0)), beta=0.05, t0=t0,
+    )
+    # an output error strictly inside the funnel at t0, any higher jet blocks
+    y0 = data.draw(arrays(float, (r, m), elements=entries(1.0)))
+    y0[0] *= 0.9 * float(psi.value(t0)) / max(float(np.linalg.norm(y0[0])), 1.0)
+    jet = InitialJetData(t0, y0, np.zeros((r, m)))
+    gamma = default_gamma(gamma_margin(jet, psi))
+    gains = select_gains(jet, psi, gamma).gains
+    chain = build_funnel_chain(psi, jet, gains, gamma, r)
+    for member in chain.members:
+        _assert_scalar_time_matches_array(member, t0 + data.draw(st.floats(0.0, 20.0)))
 
 
 def _constant_funnel(radius: float) -> FunnelFunction:

@@ -80,9 +80,41 @@ def _need(cfg: dict, key: str, context: str = "config"):
     return cfg[key]
 
 
+def _known(cfg: dict, keys, context: str) -> dict:
+    """The config section itself, after checking it holds only the given keys."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {context} fields: {unknown}")
+    return cfg
+
+
+def _vector(value, size: int, name: str) -> np.ndarray:
+    vec = np.asarray(value, dtype=float).reshape(-1)
+    if vec.size != size:
+        raise ConfigError(f"{name} has length {vec.size}, the plant needs {size}")
+    return vec
+
+
+TOP_LEVEL_KEYS = (
+    "plant", "reference", "funnel", "gamma", "gains", "lambda_u", "saturation", "bounds",
+    "horizon", "delta", "control_step", "ode_step", "t_span", "solver",
+)
+PLANT_KEYS = {
+    "mass_on_car": ("kind", "params", "representation", "x0"),
+    "integrator_chain": ("kind", "params", "x0"),
+}
+REFERENCE_KEYS = {
+    "cosine": ("kind", "amplitude", "omega", "phase"),
+    "constant": ("kind", "value"),
+}
+
+
 def _build_plant_setup(plant_cfg: dict):
     """Returns (factory(t0) -> plant, system record, r, m, echo dict)."""
     kind = _need(plant_cfg, "kind", "plant")
+    if kind not in PLANT_KEYS:
+        raise ConfigError(f"unknown plant kind '{kind}'")
+    _known(plant_cfg, PLANT_KEYS[kind], f"{kind} plant")
     params_cfg = plant_cfg.get("params", {})
     eta0 = None
     if kind == "mass_on_car":
@@ -90,7 +122,7 @@ def _build_plant_setup(plant_cfg: dict):
             params = MassOnCarParams(**params_cfg)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad mass_on_car params: {exc}") from exc
-        x0 = np.asarray(plant_cfg.get("x0", [0.0, 0.0, 0.0, 0.0]), dtype=float).reshape(4)
+        x0 = _vector(plant_cfg.get("x0", [0.0, 0.0, 0.0, 0.0]), 4, "x0")
         representation = plant_cfg.get("representation", "state_space")
         if representation == "state_space":
             system = mass_on_car_state_space(params)
@@ -107,22 +139,24 @@ def _build_plant_setup(plant_cfg: dict):
             "representation": representation,
             "x0": [float(v) for v in x0],
         }
-    elif kind == "integrator_chain":
+    else:
+        _known(params_cfg, ("r", "m"), "integrator_chain params")
         r = int(params_cfg.get("r", 1))
         m = int(params_cfg.get("m", 1))
         if r < 1 or m < 1:
             raise ConfigError("integrator chain needs r >= 1 and m >= 1")
         system = integrator_chain(r, m)
-        initial = np.asarray(_need(plant_cfg, "x0", "plant"), dtype=float).reshape(r * m)
+        initial = _vector(_need(plant_cfg, "x0", "plant"), r * m, "x0")
         echo = {"kind": kind, "params": {"r": r, "m": m}, "x0": [float(v) for v in initial]}
-    else:
-        raise ConfigError(f"unknown plant kind '{kind}'")
     factory = lambda t0: make_plant(system, t0, initial, eta0=eta0)
     return factory, system, system.r, system.m, echo
 
 
 def _build_reference(ref_cfg: dict, r: int, m: int):
     kind = _need(ref_cfg, "kind", "reference")
+    if kind not in REFERENCE_KEYS:
+        raise ConfigError(f"unknown reference kind '{kind}'")
+    _known(ref_cfg, REFERENCE_KEYS[kind], f"{kind} reference")
     if kind == "cosine":
         if m != 1:
             raise ConfigError("cosine reference is scalar; plant has m > 1")
@@ -139,15 +173,12 @@ def _build_reference(ref_cfg: dict, r: int, m: int):
             "phase": float(ref_cfg.get("phase", 0.0)),
         }
         return ref, echo
-    if kind == "constant":
-        value = np.asarray(_need(ref_cfg, "value", "reference"), dtype=float).reshape(-1)
-        if value.size == 1 and m > 1:
-            value = np.full(m, float(value[0]))
-        if value.size != m:
-            raise ConfigError(f"reference value has length {value.size}, plant has m = {m}")
-        ref = constant_reference(value, r)
-        return ref, {"kind": kind, "value": [float(v) for v in value]}
-    raise ConfigError(f"unknown reference kind '{kind}'")
+    value = np.asarray(_need(ref_cfg, "value", "reference"), dtype=float).reshape(-1)
+    if value.size == 1 and m > 1:
+        value = np.full(m, float(value[0]))
+    if value.size != m:
+        raise ConfigError(f"reference value has length {value.size}, plant has m = {m}")
+    return constant_reference(value, r), {"kind": kind, "value": [float(v) for v in value]}
 
 
 class ResolvedRun:
@@ -155,6 +186,9 @@ class ResolvedRun:
 
     def __init__(self, cfg: dict):
         self.warnings = []
+        _known(cfg, TOP_LEVEL_KEYS, "top-level")
+        # bounds are read only when M is derived; a typo there is still caught
+        _known(cfg.get("bounds") or {}, ("f_max", "g_max"), "bounds")
         t_span = _need(cfg, "t_span")
         if len(t_span) != 2 or not float(t_span[1]) > float(t_span[0]):
             raise ConfigError("t_span must be an increasing [t0, t_end] pair")
@@ -165,7 +199,7 @@ class ResolvedRun:
         )
         self.yref, ref_echo = _build_reference(_need(cfg, "reference"), self.r, self.m)
 
-        fun_cfg = _need(cfg, "funnel")
+        fun_cfg = _known(_need(cfg, "funnel"), ("offset", "terms", "alpha", "beta"), "funnel")
         offset = float(_need(fun_cfg, "offset", "funnel"))
         terms = [(float(a), float(rho)) for a, rho in _need(fun_cfg, "terms", "funnel")]
         alpha = float(_need(fun_cfg, "alpha", "funnel"))
@@ -230,10 +264,8 @@ class ResolvedRun:
         self.horizon = float(_need(cfg, "horizon"))
         self.control_step = float(cfg.get("control_step", self.delta))
         self.ode_step = float(cfg.get("ode_step", self.control_step / 10.0))
-        solver = dict(cfg.get("solver", {}))
-        self.solver = {"max_iterations": int(solver.pop("max_iterations", 200))}
-        if solver:
-            raise ConfigError(f"unknown solver fields: {sorted(solver)}")
+        solver = _known(cfg.get("solver", {}), ("max_iterations",), "solver")
+        self.solver = {"max_iterations": int(solver.get("max_iterations", 200))}
         try:
             self.ocp_spec = OcpSpec(
                 horizon=self.horizon,

@@ -2,10 +2,12 @@
 
 Each cycle measures the plant state, solves the barrier OCP over the
 prediction horizon, applies the first delta of the optimal input, then
-shifts the remaining optimum and extends its tail with sampled funnel
-feedback to warm-start the next cycle.  An infeasible OCP aborts the run
-loudly: with exact arithmetic it cannot happen, so it flags a
-discretization artifact rather than a tolerable condition.
+hands the remaining optimum, shifted by delta, to the next cycle's solver.
+The solver builds every start: it completes those rows with sampled funnel
+feedback, or falls back to the feedback alone (``ocp.solve_ocp``).  An
+infeasible OCP aborts the run loudly: with exact arithmetic it cannot
+happen, so it flags a discretization artifact rather than a tolerable
+condition.
 """
 
 from __future__ import annotations
@@ -15,21 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    OcpInfeasibleError,
-    PreconditionViolation,
-    RecursiveFeasibilityViolation,
-    SingularGainError,
-)
+from .errors import OcpInfeasibleError, RecursiveFeasibilityViolation
 from .funnel import FunnelChain, FunnelFunction, chain_margins
 from .ocp import OcpSpec, StageCost, solve_ocp
-from .sim import (
-    ControlSignal,
-    Trajectory,
-    _is_multiple,
-    integrate_open_loop,
-    zoh_feedback_rollout,
-)
+from .sim import ControlSignal, Trajectory, _is_multiple, integrate_open_loop
 from .systems import ReferenceSignal
 
 __all__ = [
@@ -110,41 +101,16 @@ def _concat_segments(segments) -> Trajectory:
     )
 
 
-def _shifted_warm_start(plant, config: MpcConfig, yref, previous: ControlSignal, t_next: float):
-    """Shift the previous optimum by delta and extend by sampled feedback.
+def _shifted_warm_start(config: MpcConfig, previous: ControlSignal, t_next: float):
+    """The previous optimum from t_next on: its rows after the first delta.
 
-    Returns None when the tail extension fails; the solver then rebuilds a
-    feedback start from scratch.
+    None when none are left (T = delta).  ``solve_ocp`` completes the rows
+    with sampled feedback to the end of its horizon.
     """
-    spec = config.spec
-    n_shift = round(config.delta / spec.control_step)
-    remainder = previous.values[n_shift:]
-    try:
-        probe = plant.clone()
-        if remainder.shape[0]:
-            mid = ControlSignal(t_start=t_next, step=spec.control_step, values=remainder)
-            traj = integrate_open_loop(
-                probe, mid, (t_next, t_next + spec.horizon - config.delta), spec.ode_step
-            )
-            if traj.status != "completed":
-                return None
-        tail_traj, tail = zoh_feedback_rollout(
-            probe,
-            config.chain,
-            config.gains,
-            yref,
-            (t_next + spec.horizon - config.delta, t_next + spec.horizon),
-            spec.control_step,
-            spec.ode_step,
-            saturation=spec.saturation,
-        )
-        if tail_traj.status != "completed":
-            return None
-    except (PreconditionViolation, SingularGainError) as exc:
-        logger.debug("warm-start tail extension failed at t=%g: %s", t_next, exc)
+    remainder = previous.values[round(config.delta / config.spec.control_step) :]
+    if not remainder.shape[0]:
         return None
-    values = np.concatenate([remainder, tail.values], axis=0)
-    return ControlSignal(t_start=t_next, step=spec.control_step, values=values)
+    return ControlSignal(t_start=t_next, step=config.spec.control_step, values=remainder)
 
 
 def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
@@ -198,8 +164,7 @@ def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
         if segment.status != "completed":
             status = segment.status
             break
-        if k + 1 < config.n_cycles:
-            warm = _shifted_warm_start(plant, config, yref, sol.control, t_next)
+        warm = _shifted_warm_start(config, sol.control, t_next)
 
     return ClosedLoopLog(
         trajectory=_concat_segments(segments), records=records, status=status, yref=yref

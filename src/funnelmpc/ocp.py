@@ -21,8 +21,9 @@ accepted one brings the next iteration's model.  The Jacobian F = de_r/dd is
   from one batched RK4 rollout of the control and its probes, which also
   costs the control itself.
 
-A brute-force grid search over tiny decision spaces serves as an
-independent reference.
+``solve_ocp`` builds every start: the given rows completed by sampled
+funnel feedback, or the feedback alone.  A brute-force grid search over
+tiny decision spaces serves as an independent reference.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errchain import top_error_rows
-from .errors import OcpInfeasibleError, PreconditionViolation
+from .errors import OcpInfeasibleError, PreconditionViolation, SingularGainError
 from .funnel import FunnelFunction, chain_margins
 from .sim import (
     ControlSignal,
     _is_multiple,
+    integrate_open_loop,
     linear_jet_response,
     rollout_jets_batch,
     zoh_feedback_rollout,
@@ -114,6 +116,8 @@ class OcpSpec:
     def __post_init__(self):
         if not (self.horizon > 0 and self.control_step > 0 and self.ode_step > 0):
             raise ValueError("horizon, control step and ode step must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("iteration budget max_iterations must be at least 1")
         if not self.saturation > 0:
             raise ValueError("saturation level must be positive")
         for name, num, den in (
@@ -266,16 +270,28 @@ class _Workspace:
         hess[np.diag_indices_from(hess)] += mu
         return grad, hess
 
-    def feedback_values(self, chain, gains) -> np.ndarray:
-        """Receding sampled funnel feedback over the horizon, in the box."""
+    def feedback_values(self, chain, gains, head: np.ndarray) -> np.ndarray:
+        """N rows on a clone: the (n, m) ``head`` held from t0, then sampled
+        funnel feedback in the box to the end of the horizon.  Raises
+        PreconditionViolation without a chain or gains, or on a blow-up."""
+        if chain is None or gains is None:
+            raise PreconditionViolation("no funnel chain to complete the start")
         spec = self.spec
-        _, control = zoh_feedback_rollout(
-            self.plant.clone(), chain, gains, self.yref, (self.t0, self.t0 + spec.horizon),
+        probe = self.plant.clone()
+        t_end = self.t0 + spec.horizon
+        t_tail = t_end - (self.N - head.shape[0]) * spec.control_step
+        if head.shape[0]:
+            held = ControlSignal(t_start=self.t0, step=spec.control_step, values=head)
+            traj = integrate_open_loop(probe, held, (self.t0, t_tail), spec.ode_step)
+            if traj.status != "completed":
+                raise PreconditionViolation("held start blew up inside the horizon")
+        traj, tail = zoh_feedback_rollout(
+            probe, chain, gains, self.yref, (t_tail, t_end),
             spec.control_step, spec.ode_step, saturation=spec.saturation,
         )
-        if control.values.shape[0] != self.N:
+        if traj.status != "completed":
             raise PreconditionViolation("feedback rollout blew up inside the horizon")
-        return control.values
+        return np.concatenate([head, tail.values])
 
 
 def cost_functional(plant, control: ControlSignal, sc: StageCost, yref, spec: OcpSpec) -> float:
@@ -332,57 +348,48 @@ def solve_ocp(
     unit step passes the Armijo test costs one evaluation (one batch) and
     the accepted point's linearization is the next iteration's model.
 
-    A missing or infeasible warm start is replaced by the sampled funnel
-    feedback (clamped to the saturation box); if that also has infinite
-    cost the problem is declared infeasible.  The returned cost never
-    exceeds the starting cost.  The status is ``converged`` (projected
-    gradient residual at most 1e-6), ``budget-exhausted`` (iteration budget
-    spent), ``no-descent`` (the line search found no decrease, or a
-    forward-difference probe blew up) or, whatever the stop,
-    ``infeasible-start-recovered`` when the start was rebuilt.
+    The warm start's rows from the plant's time, clamped to the box, are
+    the start: as they are when they cover the horizon, else completed by
+    sampled funnel feedback (``_Workspace.feedback_values``); without rows
+    the feedback alone.  Given rows that cannot be completed (a blow-up or
+    a singular input gain) or cost inf give way to the feedback alone; if
+    the last start fails the problem is declared infeasible.  The returned
+    cost never exceeds the starting cost.  The status is ``converged``
+    (projected gradient residual at most 1e-6), ``budget-exhausted``
+    (iteration budget spent), ``no-descent`` (the line search found no
+    decrease, or a forward-difference probe blew up) or, whatever the stop,
+    ``infeasible-start-recovered`` when the feedback alone replaced the
+    given rows.
     """
     ws = _Workspace(plant, sc, spec, yref)
     M = spec.saturation
     N = ws.N
 
-    recovered = False
-    values = None
+    head = np.empty((0, ws.m))
     if warm_start is not None:
         i0 = warm_start.index_at(ws.t0)
-        given = warm_start.values[i0 : i0 + N]
-        if given.shape[0] == N:
-            candidate = np.clip(given, -M, M)
-            J = ws.linearize(candidate.ravel())
-            if math.isfinite(J):
-                values = candidate
-            else:
-                logger.debug("warm start at t=%g has infinite cost, regenerating", ws.t0)
-                recovered = True
-        else:
-            recovered = True
-    if values is None:
-        if chain is None or gains is None:
-            raise OcpInfeasibleError(
-                "no finite-cost start available and no funnel chain to rebuild one",
-                t_start=ws.t0,
-            )
+        head = np.clip(warm_start.values[i0 : i0 + N], -M, M)
+    # the given rows completed by feedback, then, if they fail, the feedback alone
+    attempts = (head, head[:0]) if head.shape[0] else (head,)
+    for attempt, rows in enumerate(attempts):
         cause = None
         try:
-            values = ws.feedback_values(chain, gains)
-            J = ws.linearize(values.ravel())
-        except PreconditionViolation as exc:
+            d = (rows if rows.shape[0] == N else ws.feedback_values(chain, gains, rows)).ravel()
+            J = ws.linearize(d)
+        except (PreconditionViolation, SingularGainError) as exc:
             cause = exc
-        if cause is not None or not math.isfinite(J):
-            # margins of the measured start to psi_1..psi_r
-            margins = chain_margins(chain, gains, ws.t0, plant.output_jet() - ws.ref_flat[0])[0]
-            reason = (
-                f"funnel feedback start could not be built: {cause}"
-                if cause is not None
-                else "clamped funnel feedback start has infinite cost"
-            )
-            raise OcpInfeasibleError(reason, t_start=ws.t0, margin=margins) from cause
+        if cause is None and math.isfinite(J):
+            break
+        logger.debug("start of %d given rows at t=%g failed: %s", rows.shape[0], ws.t0, cause)
+    else:
+        # margins of the measured start to psi_1..psi_r
+        margins = None if chain is None else chain_margins(
+            chain, gains, ws.t0, plant.output_jet() - ws.ref_flat[0]
+        )[0]
+        reason = (f"funnel feedback start could not be built: {cause}" if cause is not None
+                  else "clamped funnel feedback start has infinite cost")
+        raise OcpInfeasibleError(reason, t_start=ws.t0, margin=margins) from cause
 
-    d = values.ravel().astype(float)
     status = "budget-exhausted"
     residual = math.nan
     it = 0
@@ -415,7 +422,7 @@ def solve_ocp(
     control = ControlSignal(
         t_start=ws.t0, step=spec.control_step, values=d.reshape(N, ws.m), saturation=M
     )
-    if recovered:
+    if attempt:
         status = "infeasible-start-recovered"
     return OcpSolution(control=control, cost=J, status=status, iterations=it,
                        residual=residual, evaluations=ws.evaluations)

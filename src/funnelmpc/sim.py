@@ -58,8 +58,8 @@ class ControlSignal:
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if vals.ndim != 2:
-            raise ValueError("control values must form an (N, m) array")
+        if vals.ndim != 2 or vals.size == 0:
+            raise ValueError("control values must form a nonempty (N, m) array")
         object.__setattr__(self, "values", vals)
         if not self.step > 0.0:
             raise ValueError("ZOH step must be positive")

@@ -290,6 +290,56 @@ def test_unknown_solver_field_is_rejected(tmp_path, capsys, field):
     assert field in err
 
 
+def _with_bounds(cfg):
+    del cfg["saturation"]
+    cfg["bounds"] = {"f_max": 1.0, "g_max": 1.0, "g_min": 1.0}
+
+
+def _with_cosine_reference(cfg):
+    cfg["reference"] = {"kind": "cosine", "amplitude": 0.1, "omega": 1.0, "phse": 0.1}
+
+
+@pytest.mark.parametrize("edit,field", [
+    pytest.param(lambda cfg: cfg.update(lamda_u=0.02), "lamda_u", id="top-level"),
+    pytest.param(lambda cfg: cfg["plant"].update(x_0=[0.5]), "x_0", id="plant"),
+    pytest.param(lambda cfg: cfg["plant"]["params"].update(n=2), "'n'", id="integrator-params"),
+    pytest.param(lambda cfg: cfg["reference"].update(amplitude=1.0), "amplitude",
+                 id="constant-reference"),
+    pytest.param(_with_cosine_reference, "phse", id="cosine-reference"),
+    pytest.param(lambda cfg: cfg["funnel"].update(gamma=0.5), "gamma", id="funnel"),
+    pytest.param(_with_bounds, "g_min", id="bounds"),
+])
+def test_unknown_field_in_any_section_is_rejected(tmp_path, capsys, edit, field):
+    cfg = load_integrator_config()
+    edit(cfg)
+    path = write_config(tmp_path, "unknown_field.json", cfg)
+    code, _, err = run_cli(capsys, "gains", "--config", path)
+    assert code == EXIT_CONFIG
+    assert "unknown" in err and field in err
+
+
+@pytest.mark.parametrize("name,x0", [("integrator.json", [0.5, 0.1]),
+                                     ("mass_on_car.json", [0.0, 0.0, 0.0])])
+def test_initial_state_of_wrong_length_is_a_config_error(tmp_path, capsys, name, x0):
+    with open(config_path(name), "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["plant"]["x0"] = x0
+    path = write_config(tmp_path, "short_x0.json", cfg)
+    code, _, err = run_cli(capsys, "gains", "--config", path)
+    assert code == EXIT_CONFIG
+    assert f"x0 has length {len(x0)}" in err
+
+
+def test_empty_iteration_budget_is_a_config_error(tmp_path, capsys):
+    # a budget of 0 would return every start unsolved as budget-exhausted
+    cfg = load_integrator_config()
+    cfg["solver"]["max_iterations"] = 0
+    path = write_config(tmp_path, "no_budget.json", cfg)
+    code, _, err = run_cli(capsys, "simulate", "--config", path, "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "max_iterations" in err
+
+
 def test_unknown_plant_kind_is_rejected(tmp_path, capsys):
     cfg = load_integrator_config()
     cfg["plant"]["kind"] = "pendulum"

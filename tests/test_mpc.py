@@ -19,9 +19,11 @@ import pytest
 from funnelmpc import (
     ClosedLoopLog,
     ControlSignal,
+    FeedbackLaw,
     InitialJetData,
     MpcConfig,
     OcpSpec,
+    PreconditionViolation,
     RecursiveFeasibilityViolation,
     StageCost,
     Trajectory,
@@ -35,6 +37,8 @@ from funnelmpc import (
     run_fmpc,
     verify_guarantees,
 )
+from funnelmpc import mpc as mpc_module
+from funnelmpc import ocp as ocp_module
 from funnelmpc.systems import RelativeDegreeSystem
 from funnelmpc.cli import ResolvedRun
 
@@ -127,6 +131,61 @@ def test_closed_loop_statuses_settle_after_first_cycle(decay_psi):
         for rec in log.records
     )
     assert sum(rec.status == "converged" for rec in log.records) >= 5
+
+
+def test_shifted_start_that_cannot_be_completed_is_recorded(monkeypatch, decay_psi):
+    # N = 2: from the second cycle on the shifted start holds one row and
+    # sampled feedback completes it from t_hat + 0.1.  That completion fails
+    # once, at t_hat = 0.1; the solver then starts from the feedback alone,
+    # and the record says so
+    rollout = ocp_module.zoh_feedback_rollout
+    failed = []
+
+    def fail_first_completion(plant, chain, gains, yref, t_span, *args, **kwargs):
+        if t_span[0] > 0.15 and not failed:
+            failed.append(t_span[0])
+            raise PreconditionViolation("completion blew up")
+        return rollout(plant, chain, gains, yref, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(ocp_module, "zoh_feedback_rollout", fail_first_completion)
+    config = scalar_mpc_config(decay_psi, t_end=0.5)
+    log = run_fmpc(make_integrator_plant(0.5), constant_reference(0.0, r=1), config)
+    assert failed == [pytest.approx(0.2)]
+    statuses = [rec.status for rec in log.records]
+    assert statuses[1] == "infeasible-start-recovered"
+    assert "infeasible-start-recovered" not in statuses[:1] + statuses[2:]
+    assert verify_guarantees(log, decay_psi, 5.0).passed
+
+
+def test_horizon_of_one_shift_builds_each_feedback_start_once(monkeypatch):
+    # T = delta leaves no shifted rows, so every OCP starts from sampled
+    # feedback; each such rollout builds one law.  The shipped showcase with
+    # T = 0.04 and M = 20 loses feasibility at t = 1.40 without building the
+    # failing start a second time
+    with open(config_path("mass_on_car.json")) as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = cfg["delta"]
+    cfg["t_span"] = [0.0, 1.6]
+    res = ResolvedRun(cfg)
+    counts = {"laws": 0, "solves": 0}
+    law_init = FeedbackLaw.__init__
+    solve = mpc_module.solve_ocp
+
+    def counting_law(self, *args, **kwargs):
+        counts["laws"] += 1
+        law_init(self, *args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(FeedbackLaw, "__init__", counting_law)
+    monkeypatch.setattr(mpc_module, "solve_ocp", counting_solve)
+    with pytest.raises(RecursiveFeasibilityViolation, match="infinite cost") as info:
+        run_fmpc(res.factory(res.t0), res.yref, res.mpc)
+    assert info.value.t_hat == pytest.approx(1.40)
+    assert counts["solves"] == 36
+    assert counts["laws"] == counts["solves"]
 
 
 def test_closed_loop_representations_agree():

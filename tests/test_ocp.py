@@ -35,6 +35,7 @@ from funnelmpc import (
     mass_on_car_state_space,
     solve_ocp,
     stage_cost,
+    zoh_feedback_rollout,
 )
 from funnelmpc import ocp as ocp_module
 from funnelmpc.ocp import _Workspace
@@ -152,6 +153,13 @@ def test_spec_validates_divisibility():
         spec_for(control_step=0.1, ode_step=0.03)
     with pytest.raises(ValueError):
         spec_for(saturation=0.0)
+
+
+def test_spec_needs_an_iteration_budget():
+    # with no iteration every OCP would return its start unsolved
+    with pytest.raises(ValueError, match="max_iterations"):
+        spec_for(max_iterations=0)
+    assert spec_for(max_iterations=1).max_iterations == 1
 
 
 # ── Projected solver against exhaustive search ──────────────────────────────
@@ -351,6 +359,42 @@ def test_solver_recovers_from_infinite_warm_start(scalar_stage, zero_ref, scalar
     )
     assert sol.status == "infeasible-start-recovered"
     assert math.isfinite(sol.cost)
+
+
+def test_short_warm_start_is_completed_by_sampled_feedback(monkeypatch, scalar_stage, zero_ref):
+    # N = 3 intervals and 2 given rows: the solver's start holds them and
+    # takes its last row from the sampled feedback run from the held state;
+    # a decaying funnel makes that feedback nonzero
+    psi = exponential_sum_funnel(0.5, [(0.5, 1.0)], alpha=1.0, beta=0.5)
+    chain = FunnelChain((psi,))
+    stage = dataclasses.replace(scalar_stage, theta=psi)
+    spec = spec_for(horizon=0.3, saturation=5.0, ode_step=5e-3)
+    given = np.array([[-1.0], [-0.5]])
+    starts = []
+    linearize = _Workspace.linearize
+
+    def first_linearization(ws, d):
+        if not starts:
+            starts.append(d.reshape(3, 1).copy())
+        return linearize(ws, d)
+
+    monkeypatch.setattr(_Workspace, "linearize", first_linearization)
+    sol = solve_ocp(
+        make_integrator_plant(0.5), stage, spec, zero_ref,
+        warm_start=ControlSignal(t_start=0.0, step=0.1, values=given),
+        chain=chain, gains=np.array([]),
+    )
+    assert sol.status != "infeasible-start-recovered"
+    assert math.isfinite(sol.cost)
+    np.testing.assert_array_equal(starts[0][:2], given)
+    probe = make_integrator_plant(0.5)
+    held = ControlSignal(t_start=0.0, step=0.1, values=given)
+    assert integrate_open_loop(probe, held, (0.0, 0.2), spec.ode_step).status == "completed"
+    _, tail = zoh_feedback_rollout(
+        probe, chain, np.array([]), zero_ref, (0.2, 0.3), 0.1, spec.ode_step, saturation=5.0
+    )
+    assert tail.values[0, 0] != 0.0
+    np.testing.assert_array_equal(starts[0][2:], tail.values)
 
 
 def test_solver_raises_without_any_feasible_start(scalar_stage, zero_ref, scalar_chain):

@@ -72,6 +72,13 @@ def test_control_signal_coverage_and_saturation():
         ControlSignal(t_start=0.0, step=-0.5, values=[[1.0]])
 
 
+def test_control_signal_rejects_zero_intervals():
+    # with no rows value_at would index row -1 of an empty array
+    for values in (np.empty((0, 1)), []):
+        with pytest.raises(ValueError, match="nonempty"):
+            ControlSignal(t_start=0.0, step=0.5, values=values)
+
+
 # ── RK4 integrator ───────────────────────────────────────────────────────────
 
 

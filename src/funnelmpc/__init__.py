@@ -52,7 +52,6 @@ from .mpc import (
     ClosedLoopLog,
     GuaranteeReport,
     MpcConfig,
-    OcpRecord,
     output_guarantees,
     run_fmpc,
     verify_guarantees,

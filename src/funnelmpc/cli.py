@@ -11,6 +11,10 @@ saturation level) may be omitted and is then computed from the funnel data.
 An explicit gamma outside [gamma_min, 1) or gain below its lower bound is a
 config error; a funnel failing its class-G certificate is a warning.  Exit
 codes: 0 pass, 1 guarantee failure, 2 config error, 3 runtime failure.
+
+Every command returns its JSON payload, its text lines and its verdict
+(None for ``gains``); only ``main`` prints them and maps the verdict to the
+exit code.
 """
 
 from __future__ import annotations
@@ -21,15 +25,11 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
-from .errors import (
-    FunnelMpcError,
-    PreconditionViolation,
-    RecursiveFeasibilityViolation,
-    SingularGainError,
-)
+from .errors import FunnelMpcError, PreconditionViolation
 from .funnel import (
     FunnelChain,
     InitialJetData,
@@ -50,7 +50,7 @@ from .logio import (
     write_records_csv,
     write_trajectory_csv,
 )
-from .mpc import MpcConfig, output_guarantees, run_fmpc, verify_guarantees
+from .mpc import ClosedLoopLog, MpcConfig, output_guarantees, run_fmpc, verify_guarantees
 from .ocp import OcpSpec, StageCost
 from .sim import feedback_rollout, make_plant
 from .systems import (
@@ -110,7 +110,7 @@ REFERENCE_KEYS = {
 
 
 def _build_plant_setup(plant_cfg: dict):
-    """Returns (factory(t0) -> plant, system record, r, m, echo dict)."""
+    """Returns (factory(t0) -> plant, system record, echo dict)."""
     kind = _need(plant_cfg, "kind", "plant")
     if kind not in PLANT_KEYS:
         raise ConfigError(f"unknown plant kind '{kind}'")
@@ -149,7 +149,7 @@ def _build_plant_setup(plant_cfg: dict):
         initial = _vector(_need(plant_cfg, "x0", "plant"), r * m, "x0")
         echo = {"kind": kind, "params": {"r": r, "m": m}, "x0": [float(v) for v in initial]}
     factory = lambda t0: make_plant(system, t0, initial, eta0=eta0)
-    return factory, system, system.r, system.m, echo
+    return factory, system, echo
 
 
 def _build_reference(ref_cfg: dict, r: int, m: int):
@@ -160,18 +160,13 @@ def _build_reference(ref_cfg: dict, r: int, m: int):
     if kind == "cosine":
         if m != 1:
             raise ConfigError("cosine reference is scalar; plant has m > 1")
-        ref = cosine_reference(
-            amplitude=float(ref_cfg.get("amplitude", 1.0)),
-            omega=float(ref_cfg.get("omega", 1.0)),
-            r=r,
-            phase=float(ref_cfg.get("phase", 0.0)),
-        )
         echo = {
             "kind": kind,
             "amplitude": float(ref_cfg.get("amplitude", 1.0)),
             "omega": float(ref_cfg.get("omega", 1.0)),
             "phase": float(ref_cfg.get("phase", 0.0)),
         }
+        ref = cosine_reference(echo["amplitude"], echo["omega"], r=r, phase=echo["phase"])
         return ref, echo
     value = np.asarray(_need(ref_cfg, "value", "reference"), dtype=float).reshape(-1)
     if value.size == 1 and m > 1:
@@ -194,9 +189,8 @@ class ResolvedRun:
             raise ConfigError("t_span must be an increasing [t0, t_end] pair")
         self.t0, self.t_end = float(t_span[0]), float(t_span[1])
 
-        self.factory, self.system, self.r, self.m, plant_echo = _build_plant_setup(
-            _need(cfg, "plant")
-        )
+        self.factory, self.system, plant_echo = _build_plant_setup(_need(cfg, "plant"))
+        self.r, self.m = self.system.r, self.system.m
         self.yref, ref_echo = _build_reference(_need(cfg, "reference"), self.r, self.m)
 
         fun_cfg = _known(_need(cfg, "funnel"), ("offset", "terms", "alpha", "beta"), "funnel")
@@ -363,46 +357,35 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _emit_warnings(res: ResolvedRun):
-    for w in res.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+class GuaranteeViolation(Exception):
+    """A guarantee failed before the command had a result to report."""
 
 
-def _write_artifacts(out_dir: str, table, echo: dict, records=None, saturation=None):
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(csv_path, table, echo)
-    svg_path = os.path.join(out_dir, "plot.svg")
-    write_closed_loop_svg(svg_path, table, saturation=saturation)
-    paths = {"trajectory": csv_path, "plot": svg_path}
+def _write_artifacts(args, res: ResolvedRun, trajectory, records=None):
+    """Writes the run's CSVs and plot to ``args.out``; returns (table, paths)."""
+    table = closed_loop_table(trajectory, res.chain, res.gains, res.yref)
+    echo = dict(res.echo, command=args.command)
+    os.makedirs(args.out, exist_ok=True)
+    paths = {
+        "trajectory": os.path.join(args.out, "trajectory.csv"),
+        "plot": os.path.join(args.out, "plot.svg"),
+    }
+    write_trajectory_csv(paths["trajectory"], table, echo)
+    write_closed_loop_svg(paths["plot"], table, saturation=res.saturation)
     if records is not None:
-        rec_path = os.path.join(out_dir, "ocp_records.csv")
-        write_records_csv(rec_path, records, echo)
-        paths["records"] = rec_path
-    return paths
+        paths["records"] = os.path.join(args.out, "ocp_records.csv")
+        write_records_csv(paths["records"], records, echo)
+    return table, paths
 
 
-def cmd_simulate(args) -> int:
-    res = ResolvedRun(_load_config(args.config))
-    _emit_warnings(res)
+def cmd_simulate(args, res: ResolvedRun):
     plant = res.factory(res.t0)
     t_wall = time.perf_counter()
-    try:
-        log = run_fmpc(plant, res.yref, res.mpc)
-    except RecursiveFeasibilityViolation as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    log = run_fmpc(plant, res.yref, res.mpc)
     elapsed = time.perf_counter() - t_wall
     report = verify_guarantees(log, res.psi, res.saturation)
-    table = closed_loop_table(log.trajectory, res.chain, res.gains, res.yref)
-    echo = dict(res.echo)
-    echo["command"] = "simulate"
-    paths = _write_artifacts(
-        args.out, table, echo, records=log.records, saturation=res.saturation
-    )
-    statuses = {}
-    for rec in log.records:
-        statuses[rec.status] = statuses.get(rec.status, 0) + 1
+    _, paths = _write_artifacts(args, res, log.trajectory, log.records)
+    statuses = dict(Counter(rec.status for rec in log.records))
     summary = {
         "passed": report.passed,
         "status": log.status,
@@ -416,29 +399,23 @@ def cmd_simulate(args) -> int:
         "runtime_s": elapsed,
         "artifacts": paths,
     }
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(f"closed loop {log.status}: {summary['rows']} rows in {elapsed:.2f} s")
-        print(
-            f"min funnel margin {report.min_margin:.6g} at t = {report.margin_t:g}; "
-            f"max input {report.max_input:.6g} at t = {report.max_input_t:g}"
-        )
-        print(f"OCP statuses: {statuses}")
-        print(f"artifacts in {args.out}")
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_GUARANTEE
+    lines = [
+        f"closed loop {log.status}: {summary['rows']} rows in {elapsed:.2f} s",
+        f"min funnel margin {report.min_margin:.6g} at t = {report.margin_t:g}; "
+        f"max input {report.max_input:.6g} at t = {report.max_input_t:g}",
+        f"OCP statuses: {statuses}",
+        f"artifacts in {args.out}",
+    ]
+    return summary, lines, report.passed
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args, res: ResolvedRun):
     """Exact funnel feedback closed loop; the law is not box-limited.
 
     The input bound of the receding-horizon run does not apply here, so
     verification covers funnel membership only and the peak input is
     reported for comparison.
     """
-    res = ResolvedRun(_load_config(args.config))
-    _emit_warnings(res)
     plant = res.factory(res.t0)
     t_wall = time.perf_counter()
     try:
@@ -452,24 +429,14 @@ def cmd_baseline(args) -> int:
             zoh_step=res.control_step,
         )
     except PreconditionViolation as exc:
-        print(f"funnel membership violated: {exc}", file=sys.stderr)
-        return EXIT_GUARANTEE
-    except SingularGainError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise GuaranteeViolation(f"funnel membership violated: {exc}") from exc
     elapsed = time.perf_counter() - t_wall
-    ref = res.yref.jet_array(trajectory.grid)[:, 0, :]
-    errors = trajectory.output_jet[:, : res.m] - ref
-    report = output_guarantees(trajectory.grid, errors, trajectory.input, res.psi, math.inf)
-    passed = report.passed and trajectory.status == "completed"
-    table = closed_loop_table(trajectory, res.chain, res.gains, res.yref)
-    echo = dict(res.echo)
-    echo["command"] = "baseline"
-    paths = _write_artifacts(args.out, table, echo, saturation=res.saturation)
+    report = verify_guarantees(ClosedLoopLog(trajectory, [], res.yref), res.psi, math.inf)
+    table, paths = _write_artifacts(args, res, trajectory)
     ratio = np.abs(table.e_r) / table.theta if table.m == 1 else table.e_r / table.theta
     drift = float(np.max(np.abs(ratio - ratio[0])))
     summary = {
-        "passed": passed,
+        "passed": report.passed,
         "status": trajectory.status,
         "rows": int(trajectory.grid.size),
         "min_margin": report.min_margin,
@@ -480,25 +447,16 @@ def cmd_baseline(args) -> int:
         "runtime_s": elapsed,
         "artifacts": paths,
     }
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(f"baseline {trajectory.status}: {summary['rows']} rows in {elapsed:.2f} s")
-        print(
-            f"min funnel margin {report.min_margin:.6g} at t = {report.margin_t:g}; "
-            f"max input {report.max_input:.6g}"
-        )
-        print(
-            f"top error ratio |e_r|/theta: {ratio[0]:.6g} at start, "
-            f"max drift {drift:.3g}"
-        )
-        print("PASS" if passed else "FAIL")
-    return EXIT_OK if passed else EXIT_GUARANTEE
+    lines = [
+        f"baseline {trajectory.status}: {summary['rows']} rows in {elapsed:.2f} s",
+        f"min funnel margin {report.min_margin:.6g} at t = {report.margin_t:g}; "
+        f"max input {report.max_input:.6g}",
+        f"top error ratio |e_r|/theta: {ratio[0]:.6g} at start, max drift {drift:.3g}",
+    ]
+    return summary, lines, report.passed
 
 
-def cmd_gains(args) -> int:
-    res = ResolvedRun(_load_config(args.config))
-    _emit_warnings(res)
+def cmd_gains(args, res: ResolvedRun):
     chain_rows = res.chain_description()
     payload = {
         "gamma_min": res.gamma_min,
@@ -517,32 +475,30 @@ def cmd_gains(args) -> int:
     }
     if res.bound_probe is not None:
         payload["bound_probe"] = {"f_max": res.bound_probe[0], "g_max": res.bound_probe[1]}
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
-    print(f"gamma_min = {res.gamma_min:.12g}")
-    print(f"gamma     = {res.gamma:.12g} ({res.gamma_source})")
+    lines = [
+        f"gamma_min = {res.gamma_min:.12g}",
+        f"gamma     = {res.gamma:.12g} ({res.gamma_source})",
+    ]
     for i, (b, k) in enumerate(zip(res.gain_bounds, res.gains), start=1):
-        print(f"k_{i}: bound = {b:.12g}, chosen = {k:.12g}")
+        lines.append(f"k_{i}: bound = {b:.12g}, chosen = {k:.12g}")
     for row in chain_rows:
-        print(
+        lines.append(
             f"psi_{row['index']}: {row['form']}; value(t0) = {row['value_t0']:.12g}, "
             f"sup = {row['sup']:.6g}"
         )
-    print(f"theta(t0) = {payload['theta_t0']:.12g}")
-    print(
+    lines += [
+        f"theta(t0) = {payload['theta_t0']:.12g}",
         f"class-G certificate: {'pass' if res.class_g.passed else 'FAIL'} "
-        f"(min residual {res.class_g.min_residual:.3e})"
-    )
-    print(f"M = {res.saturation:.12g} ({res.saturation_source})")
-    return EXIT_OK
+        f"(min residual {res.class_g.min_residual:.3e})",
+        f"M = {res.saturation:.12g} ({res.saturation_source})",
+    ]
+    return payload, lines, None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, res: ResolvedRun):
     """Check a log against the config: its echoed settings, y - y_ref(t)
     against psi, e_r against theta, and the input box.  y_ref, psi and theta
     are recomputed from the config; the log's own columns for them are unused."""
-    res = ResolvedRun(_load_config(args.config))
     try:
         cols, echo_lines = read_trajectory_csv(args.log)
     except (OSError, ValueError) as exc:
@@ -584,19 +540,23 @@ def cmd_verify(args) -> int:
         "max_input_t": report.max_input_t,
         "settings_mismatch": mismatch,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(
-            f"{K} rows: min margin {report.min_margin:.6g} at t = {report.margin_t:g}, "
-            f"min e_r margin to theta {payload['min_theta_margin']:.6g} at "
-            f"t = {payload['theta_margin_t']:g}, "
-            f"max input {report.max_input:.6g} at t = {report.max_input_t:g}"
-        )
-        if mismatch:
-            print(f"settings differ from the config: {', '.join(mismatch)}")
-        print("PASS" if passed else "FAIL")
-    return EXIT_OK if passed else EXIT_GUARANTEE
+    lines = [
+        f"{K} rows: min margin {report.min_margin:.6g} at t = {report.margin_t:g}, "
+        f"min e_r margin to theta {payload['min_theta_margin']:.6g} at "
+        f"t = {payload['theta_margin_t']:g}, "
+        f"max input {report.max_input:.6g} at t = {report.max_input_t:g}"
+    ]
+    if mismatch:
+        lines.append(f"settings differ from the config: {', '.join(mismatch)}")
+    return payload, lines, passed
+
+
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "baseline": cmd_baseline,
+    "gains": cmd_gains,
+    "verify": cmd_verify,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -623,20 +583,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "baseline": cmd_baseline,
-        "gains": cmd_gains,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        res = ResolvedRun(_load_config(args.config))
+        for warning in res.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        payload, lines, passed = COMMANDS[args.command](args, res)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except GuaranteeViolation as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_GUARANTEE
     except (FunnelMpcError, ValueError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+        if passed is not None:
+            print("PASS" if passed else "FAIL")
+    return EXIT_GUARANTEE if passed is False else EXIT_OK
 
 
 if __name__ == "__main__":

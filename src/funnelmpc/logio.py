@@ -114,26 +114,19 @@ def write_trajectory_csv(path, table: TrajectoryTable, config_echo: dict):
 
 
 def read_trajectory_csv(path):
-    """Returns (columns dict of float arrays, echo comment lines)."""
-    echo = []
-    rows = []
-    header = None
+    """Returns (columns dict of float arrays, echo comment lines).
+
+    Raises ValueError on a non-numeric field, a row of another width than
+    the header, or a header without rows.
+    """
     with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                echo.append(line.rstrip("\n"))
-                continue
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = next(csv.reader([stripped]))
-            if header is None:
-                header = fields
-            else:
-                rows.append([float(v) for v in fields])
-    if header is None or not rows:
+        lines = fh.read().splitlines()
+    echo = [line for line in lines if line.startswith("#")]
+    body = [line for line in lines if line.strip() and not line.startswith("#")]
+    if len(body) < 2:
         raise ValueError(f"no data rows found in {path}")
-    data = np.asarray(rows, dtype=float)
+    header = body[0].strip().split(",")
+    data = np.loadtxt(body[1:], delimiter=",", ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError("row width does not match the header")
     return {name: data[:, i] for i, name in enumerate(header)}, echo
@@ -216,7 +209,6 @@ def write_closed_loop_svg(path, table: TrajectoryTable, saturation=None):
     W, H, GAP = 800, 400, 16
     e = table.e
     psi = table.psi
-    u = table.u if table.m > 1 else table.u[:, 0]
     u_norm = np.linalg.norm(table.u, axis=1) if table.m > 1 else table.u[:, 0]
     lim1 = 1.06 * float(np.max(psi))
     curves1 = [

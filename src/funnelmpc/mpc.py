@@ -25,7 +25,6 @@ from .systems import ReferenceSignal
 
 __all__ = [
     "MpcConfig",
-    "OcpRecord",
     "ClosedLoopLog",
     "GuaranteeReport",
     "run_fmpc",
@@ -60,26 +59,26 @@ class MpcConfig:
             raise ValueError("empty closed-loop interval")
         if not _is_multiple(self.t_end - self.t0, self.delta):
             raise ValueError("interval length must be a multiple of the time shift")
+        # starts and infeasibility margins use gains, the cost stage.gains
+        if not np.array_equal(self.gains, self.stage.gains):
+            raise ValueError("gains differ from the stage cost's gains")
 
     @property
     def n_cycles(self) -> int:
         return round((self.t_end - self.t0) / self.delta)
 
 
-@dataclass(frozen=True)
-class OcpRecord:
-    t_hat: float
-    cost: float
-    iterations: int
-    status: str
-
-
 @dataclass
 class ClosedLoopLog:
+    """A run's trajectory, each cycle's ``OcpSolution`` and the reference."""
+
     trajectory: Trajectory
     records: list
-    status: str = "completed"
     yref: ReferenceSignal | None = None
+
+    @property
+    def status(self) -> str:
+        return self.trajectory.status
 
 
 def _concat_segments(segments) -> Trajectory:
@@ -116,7 +115,8 @@ def _shifted_warm_start(config: MpcConfig, previous: ControlSignal, t_next: floa
 def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
     """Closed-loop funnel MPC over [t0, t_end] on a plant positioned at t0.
 
-    The applied inputs are ``log.trajectory.input``, one row per grid point.
+    The applied inputs are ``log.trajectory.input``, one row per grid point;
+    ``log.records`` holds each cycle's ``OcpSolution``.
     """
     if abs(plant.t - config.t0) > 1e-9:
         raise ValueError(f"plant positioned at t = {plant.t}, run starts at {config.t0}")
@@ -126,7 +126,6 @@ def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
     segments = []
     records = []
     warm = None
-    status = "completed"
 
     for k in range(config.n_cycles):
         t_hat = config.t0 + k * config.delta
@@ -146,9 +145,7 @@ def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
                 t_hat=t_hat,
                 margins=getattr(exc, "margin", None),
             ) from exc
-        records.append(
-            OcpRecord(t_hat=t_hat, cost=sol.cost, iterations=sol.iterations, status=sol.status)
-        )
+        records.append(sol)
         logger.info(
             "fmpc t=%.4f cost=%.6e iters=%d status=%s", t_hat, sol.cost, sol.iterations, sol.status
         )
@@ -162,13 +159,10 @@ def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
         segment = integrate_open_loop(plant, head, (t_hat, t_next), spec.ode_step)
         segments.append(segment)
         if segment.status != "completed":
-            status = segment.status
             break
         warm = _shifted_warm_start(config, sol.control, t_next)
 
-    return ClosedLoopLog(
-        trajectory=_concat_segments(segments), records=records, status=status, yref=yref
-    )
+    return ClosedLoopLog(trajectory=_concat_segments(segments), records=records, yref=yref)
 
 
 @dataclass

@@ -145,6 +145,11 @@ class OcpSolution:
     residual: float = math.nan
     evaluations: int = 0
 
+    @property
+    def t_hat(self) -> float:
+        """The OCP's start time: the plant's time when it was solved."""
+        return self.control.t_start
+
 
 class _Workspace:
     """Shared precomputation for repeated cost evaluations at one start time."""

@@ -536,8 +536,7 @@ def feedback_rollout(
     """Closed-loop trajectory under the funnel feedback law.
 
     The feedback is evaluated at every integrator stage (exact law); the
-    returned ControlSignal holds its samples at the ZOH grid for warm-start
-    use.  Membership of every chained error in its funnel is checked at
+    returned ControlSignal holds its samples at the ZOH grid.  Membership of every chained error in its funnel is checked at
     every grid point afterwards; the first violation raises
     PreconditionViolation.
     On a plant whose ``linear`` matrices are set the same law is applied

@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from funnelmpc.cli import EXIT_CONFIG, EXIT_GUARANTEE, EXIT_OK, main
+from funnelmpc.cli import EXIT_CONFIG, EXIT_GUARANTEE, EXIT_OK, EXIT_RUNTIME, main
 from funnelmpc.logio import read_trajectory_csv
 
 from conftest import config_path
@@ -258,6 +258,103 @@ def test_verify_skips_input_bound_for_baseline_logs(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["passed"] is True
+
+
+# ── Report path: verdicts, warnings and exit codes ───────────────────────────
+
+
+def test_text_output_ends_with_the_verdict_except_for_gains(tmp_path, capsys):
+    cfg = config_path("integrator.json")
+    out_dir = os.path.join(tmp_path, "run")
+    for argv in (
+        ["simulate", "--config", cfg, "--out", out_dir],
+        ["baseline", "--config", cfg, "--out", os.path.join(tmp_path, "base")],
+        ["verify", os.path.join(out_dir, "trajectory.csv"), "--config", cfg],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "PASS"
+    code, out, _ = run_cli(capsys, "gains", "--config", cfg)
+    assert code == EXIT_OK
+    assert not {"PASS", "FAIL"} & set(out.splitlines())
+
+
+def test_verify_text_names_the_settings_that_differ(tmp_path, capsys):
+    out_dir = os.path.join(tmp_path, "run")
+    run_cli(capsys, "simulate", "--config", config_path("integrator.json"), "--out", out_dir)
+    cfg = load_integrator_config()
+    cfg["lambda_u"] = 0.02
+    path = write_config(tmp_path, "other_weight.json", cfg)
+    code, out, _ = run_cli(capsys, "verify", os.path.join(out_dir, "trajectory.csv"),
+                           "--config", path)
+    assert code == EXIT_GUARANTEE
+    assert out.splitlines()[-2:] == ["settings differ from the config: lambda_u", "FAIL"]
+
+
+def test_every_command_prints_the_config_warnings_once(tmp_path, capsys):
+    # psi = 0.2 + exp(-2t) with alpha = 1, beta = 0.2 fails the class-G
+    # certificate: psi' + alpha psi - beta = -exp(-2t) < 0
+    cfg = load_integrator_config()
+    cfg["funnel"]["terms"] = [[1.0, 2.0]]
+    cfg["t_span"] = [0.0, 1.0]
+    path = write_config(tmp_path, "class_g_warning.json", cfg)
+    out_dir = os.path.join(tmp_path, "run")
+    for argv in (
+        ["simulate", "--config", path, "--out", out_dir],
+        ["baseline", "--config", path, "--out", os.path.join(tmp_path, "base")],
+        ["gains", "--config", path],
+        ["verify", os.path.join(out_dir, "trajectory.csv"), "--config", path],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert err.splitlines() == [
+            "warning: funnel fails the class-G certificate at t = 0.0 "
+            "(min residual -1.000e+00)"
+        ]
+
+
+def test_infeasible_ocp_is_a_runtime_failure(tmp_path, capsys):
+    # with T = delta the showcase has no room to steer and loses
+    # feasibility at t = 1.4
+    with open(config_path("mass_on_car.json"), "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["horizon"] = 0.04
+    cfg["t_span"] = [0.0, 1.6]
+    path = write_config(tmp_path, "short_horizon.json", cfg)
+    code, out, err = run_cli(capsys, "simulate", "--config", path, "--out", str(tmp_path))
+    assert code == EXIT_RUNTIME
+    assert out == ""
+    assert err.startswith("runtime failure: OCP infeasible at t = 1.4")
+
+
+def test_baseline_leaving_the_funnel_fails_the_guarantee(tmp_path, capsys):
+    # theta'/theta is about -40 while the exponential dominates, so one RK4
+    # step of h = 0.1 multiplies e by about 5 while psi shrinks by e^-4
+    cfg = load_integrator_config()
+    cfg["funnel"] = {"offset": 0.001, "terms": [[1.0, 40.0]], "alpha": 40.0, "beta": 0.04}
+    cfg["ode_step"] = 0.1
+    cfg["t_span"] = [0.0, 1.0]
+    path = write_config(tmp_path, "coarse_step.json", cfg)
+    code, out, err = run_cli(capsys, "baseline", "--config", path, "--out", str(tmp_path))
+    assert code == EXIT_GUARANTEE
+    assert out == ""
+    assert err.startswith("funnel membership violated: ")
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("t,y\n0.0,0.5\n0.1,abc\n", id="non-numeric-field"),
+    pytest.param("t,y\n0.0,0.5\n0.1\n", id="short-row"),
+    pytest.param("t,y\n", id="header-without-rows"),
+])
+def test_malformed_log_is_a_config_error(tmp_path, capsys, body):
+    path = os.path.join(tmp_path, "malformed.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# {}\n" + body)
+    with pytest.raises(ValueError):
+        read_trajectory_csv(path)
+    code, _, err = run_cli(capsys, "verify", path, "--config", config_path("integrator.json"))
+    assert code == EXIT_CONFIG
+    assert "cannot read log CSV" in err
 
 
 # ── Config error handling ────────────────────────────────────────────────────

@@ -86,6 +86,14 @@ def test_config_validates_timing(decay_psi):
         )
 
 
+def test_config_rejects_gains_other_than_the_stage_gains(decay_psi):
+    # the solver builds starts and infeasibility margins from config.gains
+    # and costs them with stage.gains, so the two must be one vector
+    config = scalar_mpc_config(decay_psi)
+    with pytest.raises(ValueError, match="gains"):
+        dataclasses.replace(config, gains=np.array([1.0]))
+
+
 # ── Closed loop on the scalar integrator ─────────────────────────────────────
 
 
@@ -334,7 +342,7 @@ def _synthetic_log(y, u, status="completed"):
         input=u[:, None],
         status=status,
     )
-    return ClosedLoopLog(trajectory=traj, records=[], status=status)
+    return ClosedLoopLog(trajectory=traj, records=[])
 
 
 def test_verify_flags_funnel_contact(decay_psi):

@@ -126,9 +126,15 @@ def read_trajectory_csv(path):
     if len(body) < 2:
         raise ValueError(f"no data rows found in {path}")
     header = body[0].strip().split(",")
-    data = np.loadtxt(body[1:], delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValueError("row width does not match the header")
+    try:
+        data = np.loadtxt(body[1:], delimiter=",", ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError("row width does not match the header")
+    except ValueError:
+        for k, line in enumerate(body[1:], start=1):
+            if (width := line.count(",") + 1) != len(header):
+                raise ValueError(f"data row {k} has {width} fields; the header has {len(header)}")
+        raise
     return {name: data[:, i] for i, name in enumerate(header)}, echo
 
 

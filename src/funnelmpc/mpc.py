@@ -141,7 +141,7 @@ def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
             )
         except OcpInfeasibleError as exc:
             raise RecursiveFeasibilityViolation(
-                f"OCP infeasible at t = {t_hat}: {exc}",
+                f"OCP infeasible at t = {t_hat:g}: {exc}",
                 t_hat=t_hat,
                 margins=getattr(exc, "margin", None),
             ) from exc

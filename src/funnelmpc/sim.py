@@ -43,7 +43,7 @@ __all__ = [
 
 BLOWUP_NORM = 1e8
 # steps per block of affine RK4 maps in the exact-feedback rollout of a
-# linear plant; bounds each map array to 256 n^2 floats whatever the span
+# linear plant; bounds each map array to 256 (n+1)^2 floats whatever the span
 AFFINE_BLOCK = 256
 
 
@@ -536,9 +536,9 @@ def feedback_rollout(
     """Closed-loop trajectory under the funnel feedback law.
 
     The feedback is evaluated at every integrator stage (exact law); the
-    returned ControlSignal holds its samples at the ZOH grid.  Membership of every chained error in its funnel is checked at
-    every grid point afterwards; the first violation raises
-    PreconditionViolation.
+    returned ControlSignal holds its samples at the ZOH grid.  Membership
+    of every chained error in its funnel is checked at every grid point
+    afterwards; the first violation raises PreconditionViolation.
     On a plant whose ``linear`` matrices are set the same law is applied
     as affine RK4 step maps (see ``_affine_feedback``).
     """
@@ -576,9 +576,10 @@ def _affine_feedback(law: FeedbackLaw, linear, x0, grid, h: float):
     u = K(t) x + c(t), and K(t) = K0 + w(t) K1 with w = theta'/theta.  The
     closed loop x' = P(t) x + q(t) then makes every RK4 step an affine map
     x+ = M_i x + v_i whose four stages use P and q at t_i, t_i + h/2 and
-    t_i + h, so the law still acts at every stage.  The time terms are
-    evaluated once on all stage times; the maps are built in blocks of
-    AFFINE_BLOCK steps and x is stepped through them in order.
+    t_i + h, so the law still acts at every stage.  Stages and steps are
+    augmented matrices [[P, q], [0, 0]] and [[M_i, v_i], [0, 1]], built in
+    blocks of AFFINE_BLOCK steps; a prefix scan composes each block into
+    the maps from its first state, so the block's states are one product.
 
     Returns (states, inputs, count) as ``_march`` does.
     """
@@ -612,30 +613,33 @@ def _affine_feedback(law: FeedbackLaw, linear, x0, grid, h: float):
     w_b, c_b = time_terms(grid[:-1] + 0.5 * h)
     w_c, c_c = time_terms(grid[:-1] + h)
 
+    def stage_maps(w, c):
+        """Augmented stage matrices [[P0 + w P1, B c], [0, 0]] on a block."""
+        s = np.zeros((w.size, n + 1, n + 1))
+        s[:, :n, :n] = p0 + w[:, None, None] * p1
+        s[:, :n, n] = c @ b.T
+        return s
+
     states = np.empty((n_steps + 1, n))
     states[0] = x0
-    x = states[0]
     count = n_steps + 1
-    eye = np.eye(n)
+    eye = np.eye(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, AFFINE_BLOCK):
             hi = min(lo + AFFINE_BLOCK, n_steps)
-            p_a = p0 + w_a[lo:hi, None, None] * p1
-            p_b = p0 + w_b[lo:hi, None, None] * p1
-            p_c = p0 + w_c[lo:hi, None, None] * p1
-            q_b = (c_b[lo:hi] @ b.T)[..., None]
-            m1, v1 = p_a, (c_a[lo:hi] @ b.T)[..., None]
-            m2 = p_b + (0.5 * h) * (p_b @ m1)
-            v2 = (0.5 * h) * (p_b @ v1) + q_b
-            m3 = p_b + (0.5 * h) * (p_b @ m2)
-            v3 = (0.5 * h) * (p_b @ v2) + q_b
-            m4 = p_c + h * (p_c @ m3)
-            v4 = h * (p_c @ v3) + (c_c[lo:hi] @ b.T)[..., None]
+            s_b = stage_maps(w_b[lo:hi], c_b[lo:hi])
+            s_c = stage_maps(w_c[lo:hi], c_c[lo:hi])
+            m1 = stage_maps(w_a[lo:hi], c_a[lo:hi])
+            m2 = s_b + (0.5 * h) * (s_b @ m1)
+            m3 = s_b + (0.5 * h) * (s_b @ m2)
+            m4 = s_c + h * (s_c @ m3)
             maps = eye + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-            shifts = (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)[..., 0]
-            for i in range(hi - lo):
-                x = maps[i] @ x + shifts[i]
-                states[lo + i + 1] = x
+            # Hillis-Steele scan: maps[i] becomes the map from row lo to lo+i+1
+            span = 1
+            while span < hi - lo:
+                maps[span:] = maps[span:] @ maps[:-span]
+                span *= 2
+            states[lo + 1 : hi + 1] = maps[:, :n, :n] @ states[lo] + maps[:, :n, n]
             # NaN fails the comparison too, so this covers non-finite states
             bad = ~(np.max(np.abs(states[lo + 1 : hi + 1]), axis=1) <= BLOWUP_NORM)
             if bad.any():

@@ -324,7 +324,7 @@ def test_infeasible_ocp_is_a_runtime_failure(tmp_path, capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", path, "--out", str(tmp_path))
     assert code == EXIT_RUNTIME
     assert out == ""
-    assert err.startswith("runtime failure: OCP infeasible at t = 1.4")
+    assert err.startswith("runtime failure: OCP infeasible at t = 1.4: ")
 
 
 def test_baseline_leaving_the_funnel_fails_the_guarantee(tmp_path, capsys):
@@ -355,6 +355,20 @@ def test_malformed_log_is_a_config_error(tmp_path, capsys, body):
     code, _, err = run_cli(capsys, "verify", path, "--config", config_path("integrator.json"))
     assert code == EXIT_CONFIG
     assert "cannot read log CSV" in err
+
+
+def test_short_log_row_names_the_row_and_the_header_width(tmp_path, capsys):
+    # numpy's own message for a ragged row advises `usecols`, which does
+    # not apply to a log
+    path = os.path.join(tmp_path, "short_row.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# {}\nt,y\n0.0,0.5\n0.1\n")
+    with pytest.raises(ValueError, match="^data row 2 has 1 fields; the header has 2$"):
+        read_trajectory_csv(path)
+    code, _, err = run_cli(capsys, "verify", path, "--config", config_path("integrator.json"))
+    assert code == EXIT_CONFIG
+    assert "data row 2 has 1 fields; the header has 2" in err
+    assert "usecols" not in err
 
 
 # ── Config error handling ────────────────────────────────────────────────────

@@ -39,7 +39,7 @@ from funnelmpc import (
     zoh_feedback_rollout,
 )
 from funnelmpc.funnel import InitialJetData
-from funnelmpc.sim import rollout_jets_batch
+from funnelmpc.sim import AFFINE_BLOCK, rollout_jets_batch
 from funnelmpc.systems import RelativeDegreeSystem
 
 from conftest import SHOWCASE, make_integrator_plant
@@ -385,6 +385,60 @@ def test_affine_feedback_matches_stagewise_law_with_two_inputs():
     np.testing.assert_allclose(affine.state, stagewise.state, rtol=0.0, atol=1e-12)
     u_max = float(np.max(np.abs(stagewise.input)))
     np.testing.assert_allclose(affine.input, stagewise.input, rtol=0.0, atol=1e-12 * u_max)
+
+
+@pytest.mark.parametrize("steps", [1, 129, 577], ids=["one-step", "short-span", "partial-block"])
+def test_affine_feedback_matches_stagewise_law_on_short_spans(
+    steps, showcase_chain, showcase_yref
+):
+    # one step (the scan has nothing to compose), fewer steps than one
+    # block of affine maps, and two full blocks plus a partial one; blocks
+    # of 2^k + 1 steps need every scan round, the last one for one row
+    system = mass_on_car_state_space()
+    h = 1e-4
+    runs = []
+    for record in (system, dataclasses.replace(system, linear=None)):
+        plant = make_plant(record, 0.0, np.zeros(4))
+        traj, _ = feedback_rollout(
+            plant, showcase_chain, SHOWCASE["gains"], showcase_yref, (0.0, steps * h), h
+        )
+        assert traj.status == "completed"
+        assert traj.grid.size == steps + 1
+        runs.append(traj)
+    affine, stagewise = runs
+    np.testing.assert_allclose(affine.state, stagewise.state, rtol=0.0, atol=1e-12)
+    u_max = float(np.max(np.abs(stagewise.input)))
+    np.testing.assert_allclose(affine.input, stagewise.input, rtol=0.0, atol=1e-12 * u_max)
+
+
+def test_affine_feedback_stops_at_blow_up_inside_a_later_block():
+    # y = x1 with x1' = x2 + u and x2' = 5 x2: the law cancels x2 in y's
+    # derivative, so y tracks while the hidden mode grows like e^{5t} and
+    # crosses BLOWUP_NORM near t = 3.68, in block 14 of the affine maps
+    a = np.array([[0.0, 1.0], [0.0, 5.0]])
+    b = np.array([[1.0], [0.0]])
+    c_jet = np.array([[1.0, 0.0]])
+    system = StateSpaceSystem(
+        n=2, m=1, r=1,
+        drift=lambda x: x @ a.T,
+        input_map=lambda x: np.broadcast_to(b, np.shape(x)[:-1] + (2, 1)),
+        output_jet=lambda x: np.asarray(x, dtype=float)[..., :1],
+        yr_parts=lambda x: (x @ a[:1].T, b[:1]),
+        linear=(a, b, c_jet),
+    )
+    _, chain, yref = _scalar_decay_setup(0.5)
+    runs = []
+    for record in (system, dataclasses.replace(system, linear=None)):
+        plant = make_plant(record, 0.0, np.array([0.5, 1.0]))
+        traj, _ = feedback_rollout(plant, chain, [], yref, (0.0, 4.0), 1e-3)
+        assert traj.status == "blow-up"
+        runs.append(traj)
+    affine, stagewise = runs
+    assert affine.grid.size == stagewise.grid.size
+    assert affine.grid[-1] == pytest.approx(3.68, abs=0.01)
+    assert (affine.grid.size - 1) // AFFINE_BLOCK > 1
+    scale = np.max(np.abs(stagewise.state), axis=1)
+    assert np.all(np.max(np.abs(affine.state - stagewise.state), axis=1) <= 1e-12 * scale)
 
 
 def test_sampled_feedback_matches_manual_receding_loop():

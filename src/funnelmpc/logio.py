@@ -116,8 +116,9 @@ def write_trajectory_csv(path, table: TrajectoryTable, config_echo: dict):
 def read_trajectory_csv(path):
     """Returns (columns dict of float arrays, echo comment lines).
 
-    Raises ValueError on a non-numeric field, a row of another width than
-    the header, or a header without rows.
+    Raises ValueError on a non-numeric or empty field, a row of another
+    width than the header, or a header without rows; a message counts the
+    data rows from 1 and names a bad field's column.
     """
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -126,15 +127,16 @@ def read_trajectory_csv(path):
     if len(body) < 2:
         raise ValueError(f"no data rows found in {path}")
     header = body[0].strip().split(",")
-    try:
-        data = np.loadtxt(body[1:], delimiter=",", ndmin=2)
-        if data.shape[1] != len(header):
-            raise ValueError("row width does not match the header")
-    except ValueError:
-        for k, line in enumerate(body[1:], start=1):
-            if (width := line.count(",") + 1) != len(header):
-                raise ValueError(f"data row {k} has {width} fields; the header has {len(header)}")
-        raise
+    data = np.empty((len(body) - 1, len(header)))
+    for k, line in enumerate(body[1:], start=1):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"data row {k} has {len(fields)} fields; the header has {len(header)}")
+        for j, field in enumerate(fields):
+            try:
+                data[k - 1, j] = float(field)
+            except ValueError:
+                raise ValueError(f"data row {k}, column {header[j]}: {field!r} is not a number")
     return {name: data[:, i] for i, name in enumerate(header)}, echo
 
 

@@ -40,7 +40,6 @@ from .funnel import FunnelFunction, chain_margins
 from .sim import (
     ControlSignal,
     _is_multiple,
-    integrate_open_loop,
     linear_jet_response,
     rollout_jets_batch,
     zoh_feedback_rollout,
@@ -276,27 +275,20 @@ class _Workspace:
         return grad, hess
 
     def feedback_values(self, chain, gains, head: np.ndarray) -> np.ndarray:
-        """N rows on a clone: the (n, m) ``head`` held from t0, then sampled
-        funnel feedback in the box to the end of the horizon.  Raises
-        PreconditionViolation without a chain or gains, or on a blow-up."""
+        """N rows from one sampled rollout on a clone: the (n, m) ``head``
+        held from t0, then funnel feedback sampled at the later knots of the
+        OCP grid and clamped to the box.  Raises PreconditionViolation
+        without a chain or gains, or when the rollout blows up."""
         if chain is None or gains is None:
             raise PreconditionViolation("no funnel chain to complete the start")
         spec = self.spec
-        probe = self.plant.clone()
-        t_end = self.t0 + spec.horizon
-        t_tail = t_end - (self.N - head.shape[0]) * spec.control_step
-        if head.shape[0]:
-            held = ControlSignal(t_start=self.t0, step=spec.control_step, values=head)
-            traj = integrate_open_loop(probe, held, (self.t0, t_tail), spec.ode_step)
-            if traj.status != "completed":
-                raise PreconditionViolation("held start blew up inside the horizon")
-        traj, tail = zoh_feedback_rollout(
-            probe, chain, gains, self.yref, (t_tail, t_end),
-            spec.control_step, spec.ode_step, saturation=spec.saturation,
+        traj, start = zoh_feedback_rollout(
+            self.plant.clone(), chain, gains, self.yref, (self.t0, self.t0 + spec.horizon),
+            spec.control_step, spec.ode_step, saturation=spec.saturation, head=head,
         )
         if traj.status != "completed":
-            raise PreconditionViolation("feedback rollout blew up inside the horizon")
-        return np.concatenate([head, tail.values])
+            raise PreconditionViolation(f"start rollout blew up after t = {traj.grid[-1]:g}")
+        return start.values
 
 
 def cost_functional(plant, control: ControlSignal, sc: StageCost, yref, spec: OcpSpec) -> float:
@@ -353,10 +345,10 @@ def solve_ocp(
     unit step passes the Armijo test costs one evaluation (one batch) and
     the accepted point's linearization is the next iteration's model.
 
-    The warm start's rows from the plant's time, clamped to the box, are
-    the start: as they are when they cover the horizon, else completed by
-    sampled funnel feedback (``_Workspace.feedback_values``); without rows
-    the feedback alone.  Given rows that cannot be completed (a blow-up or
+    The warm start must cover the plant's time.  Its rows from then,
+    clamped to the box, are the start: as they are when they cover the
+    horizon, else completed by sampled funnel feedback in one rollout
+    (``_Workspace.feedback_values``); without rows the feedback alone.  Given rows that cannot be completed (a blow-up or
     a singular input gain) or cost inf give way to the feedback alone; if
     the last start fails the problem is declared infeasible.  The returned
     cost never exceeds the starting cost.  The status is ``converged``
@@ -372,6 +364,8 @@ def solve_ocp(
 
     head = np.empty((0, ws.m))
     if warm_start is not None:
+        if warm_start.t_start > ws.t0 + 1e-9 or not ws.t0 < warm_start.t_end - 1e-9:
+            raise ValueError(f"warm start does not cover the plant's time {ws.t0:g}")
         i0 = warm_start.index_at(ws.t0)
         head = np.clip(warm_start.values[i0 : i0 + N], -M, M)
     # the given rows completed by feedback, then, if they fail, the feedback alone

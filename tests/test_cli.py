@@ -12,6 +12,7 @@ import filecmp
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,7 @@ def test_baseline_leaving_the_funnel_fails_the_guarantee(tmp_path, capsys):
 
 @pytest.mark.parametrize("body", [
     pytest.param("t,y\n0.0,0.5\n0.1,abc\n", id="non-numeric-field"),
+    pytest.param("t,y\n0.0,0.5\n,0.4\n", id="empty-field"),
     pytest.param("t,y\n0.0,0.5\n0.1\n", id="short-row"),
     pytest.param("t,y\n", id="header-without-rows"),
 ])
@@ -369,6 +371,23 @@ def test_short_log_row_names_the_row_and_the_header_width(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "data row 2 has 1 fields; the header has 2" in err
     assert "usecols" not in err
+
+
+@pytest.mark.parametrize("row,message", [
+    pytest.param("0.1,abc", "data row 2, column y: 'abc' is not a number",
+                 id="non-numeric-field"),
+    pytest.param(",0.4", "data row 2, column t: '' is not a number", id="empty-field"),
+])
+def test_bad_log_field_names_the_row_and_the_column(tmp_path, capsys, row, message):
+    # data rows count from 1, as in the width message
+    path = os.path.join(tmp_path, "bad_field.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {{}}\nt,y\n0.0,0.5\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_trajectory_csv(path)
+    code, _, err = run_cli(capsys, "verify", path, "--config", config_path("integrator.json"))
+    assert code == EXIT_CONFIG
+    assert message in err
 
 
 # ── Config error handling ────────────────────────────────────────────────────

@@ -143,22 +143,22 @@ def test_closed_loop_statuses_settle_after_first_cycle(decay_psi):
 
 def test_shifted_start_that_cannot_be_completed_is_recorded(monkeypatch, decay_psi):
     # N = 2: from the second cycle on the shifted start holds one row and
-    # sampled feedback completes it from t_hat + 0.1.  That completion fails
-    # once, at t_hat = 0.1; the solver then starts from the feedback alone,
-    # and the record says so
+    # sampled feedback completes it from t_hat + 0.1, in one rollout from
+    # t_hat.  That rollout fails once, at t_hat = 0.1; the solver then starts
+    # from the feedback alone, and the record says so
     rollout = ocp_module.zoh_feedback_rollout
     failed = []
 
-    def fail_first_completion(plant, chain, gains, yref, t_span, *args, **kwargs):
-        if t_span[0] > 0.15 and not failed:
+    def fail_first_completion(plant, chain, gains, yref, t_span, *args, head=None, **kwargs):
+        if head is not None and len(head) and not failed:
             failed.append(t_span[0])
             raise PreconditionViolation("completion blew up")
-        return rollout(plant, chain, gains, yref, t_span, *args, **kwargs)
+        return rollout(plant, chain, gains, yref, t_span, *args, head=head, **kwargs)
 
     monkeypatch.setattr(ocp_module, "zoh_feedback_rollout", fail_first_completion)
     config = scalar_mpc_config(decay_psi, t_end=0.5)
     log = run_fmpc(make_integrator_plant(0.5), constant_reference(0.0, r=1), config)
-    assert failed == [pytest.approx(0.2)]
+    assert failed == [pytest.approx(0.1)]
     statuses = [rec.status for rec in log.records]
     assert statuses[1] == "infeasible-start-recovered"
     assert "infeasible-start-recovered" not in statuses[:1] + statuses[2:]

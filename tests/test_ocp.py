@@ -12,6 +12,7 @@ so the total cost with lambda_u = 0.01 is that value plus 0.025.
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import math
 
@@ -20,6 +21,7 @@ import pytest
 
 from funnelmpc import (
     ControlSignal,
+    FeedbackLaw,
     FunnelChain,
     FunnelFunction,
     OcpInfeasibleError,
@@ -38,9 +40,12 @@ from funnelmpc import (
     zoh_feedback_rollout,
 )
 from funnelmpc import ocp as ocp_module
+from funnelmpc import sim as sim_module
+from funnelmpc.cli import ResolvedRun
+from funnelmpc.mpc import run_fmpc
 from funnelmpc.ocp import _Workspace
 
-from conftest import SHOWCASE, make_integrator_plant
+from conftest import SHOWCASE, config_path, make_integrator_plant
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +400,90 @@ def test_short_warm_start_is_completed_by_sampled_feedback(monkeypatch, scalar_s
     )
     assert tail.values[0, 0] != 0.0
     np.testing.assert_array_equal(starts[0][2:], tail.values)
+
+
+def _shipped_showcase(t_end=None):
+    with open(config_path("mass_on_car.json")) as fh:
+        cfg = json.load(fh)
+    if t_end is not None:
+        cfg["t_span"] = [0.0, t_end]
+    res = ResolvedRun(cfg)
+    return res.factory(res.t0), res.mpc, res.yref
+
+
+def test_start_samples_the_feedback_on_the_ocp_grid(monkeypatch):
+    # the shipped showcase at t0 = 0 with 14 of its N = 15 rows given: the
+    # feedback completes the last interval from the cost grid's knot
+    # 28 h = 0.56, not from 0.6 - 0.04 = 0.5599999999999999
+    plant, config, yref = _shipped_showcase()
+    solve = dict(chain=config.chain, gains=config.gains)
+    cold = solve_ocp(plant, config.stage, config.spec, yref, **solve)
+    warm = ControlSignal(t_start=0.0, step=0.04, values=cold.control.values[:14])
+    times, grids = [], []
+    law_call = FeedbackLaw.__call__
+    ws_init = _Workspace.__init__
+
+    def recording_law(self, t, plant, x):
+        times.append(t)
+        return law_call(self, t, plant, x)
+
+    def recording_init(ws, *args, **kwargs):
+        ws_init(ws, *args, **kwargs)
+        grids.append(ws.grid)
+
+    monkeypatch.setattr(FeedbackLaw, "__call__", recording_law)
+    monkeypatch.setattr(_Workspace, "__init__", recording_init)
+    sol = solve_ocp(plant, config.stage, config.spec, yref, warm_start=warm, **solve)
+    assert sol.status == "converged"
+    assert len(grids) == 1
+    assert times == [grids[0][28]]
+    assert np.isin(times, grids[0]).all()
+
+
+def test_each_start_is_one_rollout(monkeypatch):
+    # every start the closed loop builds, shifted rows or the feedback
+    # alone, steps one plant clone through one sampled rollout
+    plant, config, yref = _shipped_showcase(t_end=0.4)
+    counts = {"rollouts": 0, "marches": 0}
+    per_start = []
+    rollout, march, feedback_values = (
+        ocp_module.zoh_feedback_rollout, sim_module._march, _Workspace.feedback_values
+    )
+
+    def counting_rollout(*args, **kwargs):
+        counts["rollouts"] += 1
+        return rollout(*args, **kwargs)
+
+    def counting_march(*args, **kwargs):
+        counts["marches"] += 1
+        return march(*args, **kwargs)
+
+    def counting_start(ws, chain, gains, head):
+        before = dict(counts)
+        out = feedback_values(ws, chain, gains, head)
+        per_start.append((head.shape[0], *(counts[k] - before[k] for k in counts)))
+        return out
+
+    monkeypatch.setattr(ocp_module, "zoh_feedback_rollout", counting_rollout)
+    monkeypatch.setattr(sim_module, "_march", counting_march)
+    monkeypatch.setattr(_Workspace, "feedback_values", counting_start)
+    run_fmpc(plant, yref, config)
+    assert [rows for rows, _, _ in per_start] == [0] + [14] * 9
+    assert all((rollouts, marches) == (1, 1) for _, rollouts, marches in per_start)
+
+
+@pytest.mark.parametrize("t_start,t0", [(0.0, 1.0), (0.3, 0.2)], ids=["stale", "later"])
+def test_solver_rejects_a_warm_start_that_misses_the_plant_time(
+    scalar_stage, zero_ref, scalar_chain, t_start, t0
+):
+    # a warm start on [0, 0.2) given at t = 1.0 would clamp to its last row
+    # and start from it; one that starts after t0 would clamp to its first
+    spec = spec_for(saturation=20.0, ode_step=5e-3)
+    plant = make_plant(integrator_chain(1), t0, np.array([0.5]))
+    warm = ControlSignal(t_start=t_start, step=0.1, values=[[-1.0], [-1.0]])
+    with pytest.raises(ValueError, match="warm start does not cover"):
+        solve_ocp(plant, scalar_stage, spec, zero_ref, warm_start=warm,
+                  chain=scalar_chain, gains=np.array([]))
 
 
 def test_solver_raises_without_any_feasible_start(scalar_stage, zero_ref, scalar_chain):

@@ -190,6 +190,33 @@ def test_plant_clone_does_not_share_state():
     assert plant.t == pytest.approx(0.5)
     assert copy.t == 0.0
     assert copy.state[0] == 0.5
+    # the state-space mass-on-car: the copy keeps its state and its class
+    car = make_plant(mass_on_car_state_space(), 0.0, np.array([0.1, -0.2, 0.3, 0.0]))
+    car_copy = car.clone()
+    integrate_open_loop(car, ControlSignal(t_start=0.0, step=0.04, values=[[5.0]]),
+                        (0.0, 0.04), 0.02)
+    assert isinstance(car_copy, StateSpacePlant)
+    assert car_copy.t == 0.0 and car_copy.history is None
+    np.testing.assert_array_equal(car_copy.state, [0.1, -0.2, 0.3, 0.0])
+    assert not np.array_equal(car.state, car_copy.state)
+    # a plant with memory: each copy appends to its own history
+    T = delay_operator(0.1, lambda xi: xi, q=1)
+    sys = RelativeDegreeSystem(
+        m=1, r=1, f=lambda w: -np.asarray(w, dtype=float), g=lambda w: np.eye(1), T=T
+    )
+    delayed = make_plant(sys, 0.0, np.array([1.0]), initial_segment=lambda s: np.array([1.0]))
+    integrate_open_loop(delayed, ControlSignal(t_start=0.0, step=0.1, values=[[0.0]]),
+                        (0.0, 0.1), 0.01)
+    twin = delayed.clone()
+    integrate_open_loop(delayed, ControlSignal(t_start=0.1, step=0.1, values=[[2.0]]),
+                        (0.1, 0.2), 0.01)
+    integrate_open_loop(twin, ControlSignal(t_start=0.1, step=0.1, values=[[-2.0]]),
+                        (0.1, 0.2), 0.01)
+    assert delayed.history.latest() == twin.history.latest() == pytest.approx(0.2)
+    np.testing.assert_array_equal(delayed.history(0.2), delayed.state)
+    np.testing.assert_array_equal(twin.history(0.2), twin.state)
+    assert twin.state[0] < delayed.state[0]
+    np.testing.assert_array_equal(delayed.history(0.1), twin.history(0.1))
 
 
 def test_delay_plant_matches_method_of_steps():
@@ -514,6 +541,34 @@ def test_linear_record_supplies_the_highest_derivative_parts(showcase_chain, sho
         make_plant(bare, 0.0, np.zeros(4)).yr_parts(0.0, np.zeros(4))
 
 
+def test_sampled_feedback_holds_a_given_head():
+    # two rows held over [0, 0.2), then the law sampled at 0.2, 0.3, ... on
+    # the span's own grid; an empty head is the feedback alone
+    psi, chain, yref = _scalar_decay_setup(0.8)
+    given = np.array([[-0.5], [0.25]])
+    traj, control = zoh_feedback_rollout(
+        make_integrator_plant(0.8), chain, [], yref, (0.0, 1.0), 0.1, 0.01, head=given
+    )
+    assert traj.status == "completed"
+    np.testing.assert_array_equal(control.values[:2], given)
+    held = integrate_open_loop(
+        make_integrator_plant(0.8), ControlSignal(t_start=0.0, step=0.1, values=given),
+        (0.0, 0.2), 0.01,
+    )
+    np.testing.assert_array_equal(traj.state[:21], held.state)
+    mirror = make_integrator_plant(0.8)
+    mirror.advance(0.2, held.state[-1])
+    tail_traj, tail = zoh_feedback_rollout(mirror, chain, [], yref, (0.2, 1.0), 0.1, 0.01)
+    np.testing.assert_allclose(control.values[2:], tail.values, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(traj.state[20:], tail_traj.state, rtol=1e-12, atol=0.0)
+    alone = [
+        zoh_feedback_rollout(make_integrator_plant(0.8), chain, [], yref, (0.0, 1.0), 0.1, 0.01,
+                             head=head)[1].values
+        for head in (None, np.empty((0, 1)))
+    ]
+    np.testing.assert_array_equal(alone[0], alone[1])
+
+
 def test_sampled_feedback_validates_span():
     psi, chain, yref = _scalar_decay_setup(0.5)
     plant = make_integrator_plant(0.5)
@@ -521,6 +576,10 @@ def test_sampled_feedback_validates_span():
         zoh_feedback_rollout(plant, chain, [], yref, (0.0, 0.55), 0.1, 0.01)
     with pytest.raises(ValueError):
         zoh_feedback_rollout(plant, chain, [], yref, (0.0, 1.0), 0.1, 0.03)
+    # a head of another width, or longer than the span's ten intervals
+    for head in (np.zeros((2, 2)), np.zeros(2), np.zeros((11, 1))):
+        with pytest.raises(ValueError, match="does not fit"):
+            zoh_feedback_rollout(plant, chain, [], yref, (0.0, 1.0), 0.1, 0.01, head=head)
 
 
 # each entry point on the scalar integrator at t = 0 over (0, t1) with RK4

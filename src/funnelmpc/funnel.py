@@ -13,7 +13,7 @@ funnel feedback law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -69,9 +69,15 @@ class FunnelFunction:
 
 @dataclass(frozen=True)
 class FunnelChain:
-    """Funnels psi_1..psi_r for the chained error variables; last one is theta."""
+    """Funnels psi_1..psi_r for the chained error variables; last one is theta.
+
+    ``cache`` keeps what is derived from the chain and its gains once and
+    reused, such as the feedback law's coefficients, so the OCP starts of a
+    run, which share one chain, build them once.
+    """
 
     members: tuple
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:

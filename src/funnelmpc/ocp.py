@@ -15,8 +15,9 @@ accepted one brings the next iteration's model.  The Jacobian F = de_r/dd is
 
 - exact on a plant whose ``linear`` matrices are set (state space or
   normal form): e_r is affine in the stacked controls, the OCP is convex,
-  and candidates are costed through the exact e_r response formed from
-  ``sim.linear_jet_response``;
+  and candidates are costed through the exact e_r response of the run's
+  ``sim.LinearPropagator``, which the plant record keeps, so a run builds
+  it once rather than once per OCP;
 - elsewhere, those with memory included, taken by forward differences
   from one batched RK4 rollout of the control and its probes, which also
   costs the control itself.
@@ -40,7 +41,7 @@ from .funnel import FunnelFunction, chain_margins
 from .sim import (
     ControlSignal,
     _is_multiple,
-    linear_jet_response,
+    linear_propagator,
     rollout_jets_batch,
     zoh_feedback_rollout,
 )
@@ -167,19 +168,22 @@ class _Workspace:
         self.ref_flat = yref.jet_array(self.grid).reshape(n_steps + 1, self.r * self.m)
         # theta^2 on the grid, fixed for the OCP, enters every barrier cost
         self.theta_sq = np.asarray(sc.theta.value(self.grid), dtype=float) ** 2
-        self.er_block = top_error_rows(sc.gains, self.m)
         w = np.full(n_steps + 1, spec.ode_step)
         w[0] = w[-1] = 0.5 * spec.ode_step
         self.weights = w
         self.evaluations = 0
         # on a linear plant e_r of every candidate is the free response of the
         # start state plus its stacked controls v times one matrix:
-        # e_r = er_free + (v @ er_forced).reshape(K, m)
+        # e_r = er_free + (v @ er_forced).reshape(K, m); the run's propagator
+        # holds er_block and er_forced, and only er_free depends on the OCP
         if plant.linear is not None:
-            free, forced = linear_jet_response(plant.linear, spec.ode_step, spec.substeps, self.N)
+            prop = linear_propagator(plant, spec.ode_step, spec.substeps, self.N)
+            self.er_block, self.er_forced = prop.top_errors(sc.gains, self.N)
             K, rm = n_steps + 1, self.r * self.m
+            free = prop.free[:K]
             self.er_free = ((free @ plant.state).reshape(K, rm) - self.ref_flat) @ self.er_block.T
-            self.er_forced = (forced.reshape(-1, K, rm) @ self.er_block.T).reshape(-1, K * self.m)
+        else:
+            self.er_block = top_error_rows(sc.gains, self.m)
 
     def top_errors(self, jets: np.ndarray) -> np.ndarray:
         """e_r rows (B, K, m) of a (B, K, r*m) jet batch."""
@@ -271,7 +275,7 @@ class _Workspace:
         grad = fe @ (2.0 * wb1) + mu * d
         hess = (self.er_forced * np.repeat(2.0 * wb1, m)) @ self.er_forced.T
         hess += (fe * (4.0 * wb2)) @ fe.T
-        hess[np.diag_indices_from(hess)] += mu
+        hess.flat[:: hess.shape[0] + 1] += mu
         return grad, hess
 
     def feedback_values(self, chain, gains, head: np.ndarray) -> np.ndarray:
@@ -379,7 +383,10 @@ def solve_ocp(
             cause = exc
         if cause is None and math.isfinite(J):
             break
-        logger.debug("start of %d given rows at t=%g failed: %s", rows.shape[0], ws.t0, cause)
+        logger.debug(
+            "start of %d given rows at t=%g failed: %s", rows.shape[0], ws.t0,
+            "infinite cost" if cause is None else cause,
+        )
     else:
         # margins of the measured start to psi_1..psi_r
         margins = None if chain is None else chain_margins(

@@ -43,8 +43,9 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e8
-# steps per block of affine RK4 maps in the exact-feedback rollout of a
-# linear plant; bounds each map array to 256 (n+1)^2 floats whatever the span
+# steps per block of the exact-map rollouts of a linear plant: bounds the
+# affine maps of the exact feedback to 256 (n+1)^2 floats, and the
+# propagator a held span builds to 256 steps, whatever the span
 AFFINE_BLOCK = 256
 
 
@@ -369,15 +370,11 @@ def _rk4(field, t: float, x: np.ndarray, h: float):
 
 
 def _held_step(plant, h: float):
-    """One step of length h under an input held over it: (t, x, u) -> x+.
+    """One RK4 step of length h under an input held over it: (t, x, u) -> x+.
 
-    A plant whose ``linear`` matrices are set takes the exact RK4 map
-    x+ = phi x + gam u of ``rk4_step_maps``; any other plant runs the four
-    RK4 stages, each with the same held u.
+    The four stages use the same held u.  A plant whose ``linear``
+    matrices are set crosses held spans by ``_hold`` instead.
     """
-    if plant.linear is not None:
-        phi, gam = rk4_step_maps(plant.linear[0], plant.linear[1], h)
-        return lambda t, x, u: phi @ x + gam @ u
     rhs = plant.rhs
     return lambda t, x, u: _rk4(lambda s, y: (rhs(s, y, u), u), t, x, h)[0]
 
@@ -425,18 +422,31 @@ def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
     The step must divide the ZOH step and the span, so input discontinuities
     land on grid points.  Integration stops early with status 'blow-up' when
     the state norm exceeds 1e8 or turns non-finite.  A plant whose
-    ``linear`` matrices are set is stepped under a ControlSignal with the
-    exact RK4 step maps of ``rk4_step_maps``.
+    ``linear`` matrices are set crosses a ControlSignal's span by the exact
+    maps of the record's ``LinearPropagator``, with no step loop.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     held_input = isinstance(control, ControlSignal)
-    grid, _ = _step_grid(plant, t_span, h, control.step if held_input else h)
+    grid, substeps = _step_grid(plant, t_span, h, control.step if held_input else h)
     u_of = _control_callable(control, plant.m)
     if held_input:
         if not _is_multiple(t0 - control.t_start, h):
             raise ValueError("control breakpoints are not aligned with the grid")
         if control.t_start > t0 + 1e-9 or control.t_end < t1 - 1e-9:
             raise ValueError("control does not cover the integration span")
+    if held_input and plant.linear is not None:
+        # each step holds the value ControlSignal.index_at reads at its start
+        index = np.floor((grid[:-1] - control.t_start) / control.step + 1e-9).astype(int)
+        inputs = np.empty((grid.size, plant.m))
+        inputs[:-1] = control.values[np.minimum(np.maximum(index, 0), control.values.shape[0] - 1)]
+        # a span that starts inside an interval is held in pieces of
+        # gcd(offset, substeps) steps, so that every piece starts at a knot
+        piece = math.gcd(round((t0 - control.t_start) / h), substeps)
+        states = np.empty((grid.size, plant.state_dim))
+        states[0] = plant.state
+        count = _hold(plant, h, piece, states, inputs[:-1:piece])
+        plant.advance(grid[count - 1], states[count - 1].copy())
+    elif held_input:
         # the interval's own value feeds every stage: u_of(t + h) at a knot
         # would already read the next interval
         held = _held_step(plant, h)
@@ -445,6 +455,7 @@ def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
             u = u_of(grid[i])
             return held(grid[i], x, u), u
 
+        states, inputs, count = _march(plant, step, grid)
     else:
         rhs = plant.rhs
 
@@ -455,7 +466,7 @@ def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
         def step(i, x):
             return _rk4(field, grid[i], x, h)
 
-    states, inputs, count = _march(plant, step, grid)
+        states, inputs, count = _march(plant, step, grid)
     if count == grid.size:
         inputs[-1] = u_of(t1 - 1e-12)
     return _trajectory(plant, grid, states, inputs, count)
@@ -468,7 +479,8 @@ class FeedbackLaw:
                    + e_r(t) * theta'(t)/theta(t))
 
     All derivative terms are exact linear functions of the current jet, with
-    coefficients assembled once at construction.  The law does not check
+    coefficients the chain keeps per gains, so they are assembled once per
+    chain and gains rather than once per law.  The law does not check
     funnel membership; ``feasibility_feedback`` and ``feedback_rollout`` do.
     """
 
@@ -480,11 +492,17 @@ class FeedbackLaw:
         if self.gains.size != r - 1:
             raise ValueError(f"need {r - 1} gains, got {self.gains.size}")
         self.r = r
-        # e_r as ascending jet-block coefficients, those of p_{r-1}(s)
-        self.top_row = top_error_rows(self.gains)[0]
-        # sum_j k_j e_j^{(r-j)} = e_r' - e^{(r)}: the coefficients of
-        # s p_{r-1}(s) - s^r, which stay inside the jet
-        self.correction_row = np.concatenate(([0.0], self.top_row[:-1]))
+        key = ("feedback law rows", self.gains.tobytes())
+        if key not in chain.cache:
+            # e_r as ascending jet-block coefficients, those of p_{r-1}(s)
+            top = top_error_rows(self.gains)[0]
+            # sum_j k_j e_j^{(r-j)} = e_r' - e^{(r)}: the coefficients of
+            # s p_{r-1}(s) - s^r, which stay inside the jet
+            correction = np.concatenate(([0.0], top[:-1]))
+            for row in (top, correction):
+                row.setflags(write=False)
+            chain.cache[key] = top, correction
+        self.top_row, self.correction_row = chain.cache[key]
 
     def __call__(self, t, plant, x):
         jet_mat = plant.output_jet(x).reshape(self.r, plant.m)
@@ -669,6 +687,9 @@ def zoh_feedback_rollout(
     held for one interval.  The loop is open between knots, so the
     conservation property of the continuous law does not transfer; this is
     the implementable sampled controller, and it builds every OCP start.
+    On a plant whose ``linear`` matrices are set the head is one held span
+    of the record's ``LinearPropagator`` (``_hold``) and each later knot one
+    more, with the law evaluated once per knot, on the knot's state.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     grid, substeps = _step_grid(plant, t_span, h, zoh_step)
@@ -681,17 +702,35 @@ def zoh_feedback_rollout(
     if head.shape[1:] != (plant.m,) or head.shape[0] > values.shape[0]:
         raise ValueError(f"head {head.shape} does not fit the span's control {values.shape}")
     values[: head.shape[0]] = head
-    held = _held_step(plant, h)
 
-    def hold_law(i, x):
-        knot, offset = divmod(i, substeps)
-        if offset == 0 and knot >= head.shape[0]:
-            u = np.atleast_1d(law(grid[i], plant, x))
-            values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
-        u = values[knot]
-        return held(grid[i], x, u), u
+    def sample(knot, x):
+        u = np.atleast_1d(law(grid[knot * substeps], plant, x))
+        values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
 
-    states, inputs, count = _march(plant, hold_law, grid)
+    if plant.linear is not None:
+        states = np.empty((grid.size, plant.state_dim))
+        states[0] = plant.state
+        count = _hold(plant, h, substeps, states[: head.shape[0] * substeps + 1], head)
+        for knot in range(head.shape[0], values.shape[0]):
+            i = knot * substeps
+            if count <= i:
+                break
+            sample(knot, states[i])
+            count = i + _hold(plant, h, substeps, states[i : i + substeps + 1], values[[knot]])
+        inputs = np.empty((grid.size, plant.m))
+        inputs[:-1] = np.repeat(values, substeps, axis=0)
+        plant.advance(grid[count - 1], states[count - 1].copy())
+    else:
+        held = _held_step(plant, h)
+
+        def hold_law(i, x):
+            knot, offset = divmod(i, substeps)
+            if offset == 0 and knot >= head.shape[0]:
+                sample(knot, x)
+            u = values[knot]
+            return held(grid[i], x, u), u
+
+        states, inputs, count = _march(plant, hold_law, grid)
     if count == grid.size:
         inputs[-1] = values[-1]
     control = ControlSignal(
@@ -775,3 +814,92 @@ def linear_jet_response(linear, h: float, substeps: int, n_intervals: int):
     resp = cum[np.maximum(k - first, 0)] - cum[np.maximum(k - first - substeps, 0)]
     forced = resp.transpose(0, 3, 1, 2).reshape(n_intervals * m, n_grid * rm)
     return free, forced
+
+
+
+class LinearPropagator:
+    """RK4 on a linear plant x' = A x + B u as exact maps of one grid.
+
+    The grid has ``n_intervals`` ZOH intervals of ``substeps`` steps of
+    length h, K = n_intervals * substeps + 1 points.  ``powers`` (K, n, n)
+    holds phi^k and ``forced`` (n_intervals * m, K * n) the state responses
+    to each interval's input: ``linear_jet_response`` with C = I.  ``free``
+    (K, r*m, n) is that function's jet response C phi^k.  The maps on fewer
+    intervals are the leading blocks.  The arrays are read-only.
+    """
+
+    def __init__(self, linear, h: float, substeps: int, n_intervals: int):
+        a, b, _ = linear
+        self.m, self.substeps, self.n_intervals = b.shape[1], substeps, n_intervals
+        self.powers, self.forced = linear_jet_response(
+            (a, b, np.eye(a.shape[0])), h, substeps, n_intervals
+        )
+        self.free, self._jet_forced = linear_jet_response(linear, h, substeps, n_intervals)
+        for arr in (self.powers, self.forced, self.free, self._jet_forced):
+            arr.setflags(write=False)
+        self._top_errors = {}
+
+    def top_errors(self, gains: np.ndarray, n_intervals: int):
+        """(er_block, er_forced) of the chained errors with ``gains``:
+        e_r = jet @ er_block.T, and the stacked controls v of the first
+        ``n_intervals`` add (v @ er_forced).reshape(K, m) to it on their K
+        grid points.  Kept per gains and interval count."""
+        key = (gains.tobytes(), n_intervals)
+        if key not in self._top_errors:
+            er_block = top_error_rows(gains, self.m)
+            K, rm = n_intervals * self.substeps + 1, self.free.shape[1]
+            forced = self._jet_forced[: n_intervals * self.m, : K * rm].reshape(-1, K, rm)
+            er_forced = (forced @ er_block.T).reshape(-1, K * self.m)
+            for arr in (er_block, er_forced):
+                arr.setflags(write=False)
+            self._top_errors[key] = er_block, er_forced
+        return self._top_errors[key]
+
+
+def linear_propagator(plant, h: float, substeps: int, n_intervals: int) -> LinearPropagator:
+    """The propagator of the plant's record for steps h and ZOH intervals of
+    ``substeps`` steps, covering at least ``n_intervals`` intervals.
+
+    The record keeps one per (h, substeps) in its ``cache``, so a run, whose
+    plants share their record, builds it once; a request for more intervals
+    than it covers replaces it with a larger one.
+    """
+    cache = plant.system.cache
+    key = ("propagator", h, substeps)
+    prop = cache.get(key)
+    if prop is None or prop.n_intervals < n_intervals:
+        prop = cache[key] = LinearPropagator(plant.linear, h, substeps, n_intervals)
+    return prop
+
+
+def _hold(plant, h: float, substeps: int, states: np.ndarray, rows: np.ndarray) -> int:
+    """Fill states[1:] from states[0] on a plant with ``linear`` matrices,
+    under ``rows`` held over consecutive ZOH intervals of ``substeps`` steps
+    of length h; the last interval may be cut short.
+
+    Each block of intervals is one product with the record's propagator,
+    which a held span asks to cover at most AFFINE_BLOCK steps.  Returns
+    the count of valid rows as ``_march`` does: the first state whose norm
+    exceeds BLOWUP_NORM or that is not finite ends them.
+    """
+    n_steps = states.shape[0] - 1
+    if not n_steps:
+        return 1
+    prop = linear_propagator(
+        plant, h, substeps, min(-(-n_steps // substeps), max(1, AFFINE_BLOCK // substeps))
+    )
+    n, m = states.shape[1], rows.shape[1]
+    block = prop.n_intervals * substeps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_steps, block):
+            k = min(block, n_steps - lo)
+            p = -(-k // substeps)
+            first = lo // substeps
+            forced = rows[first : first + p].ravel() @ prop.forced[: p * m, n : (k + 1) * n]
+            out = states[lo + 1 : lo + k + 1]
+            out[:] = prop.powers[1 : k + 1] @ states[lo] + forced.reshape(k, n)
+            # NaN fails the comparison too, so this covers non-finite states
+            bad = ~(np.abs(out).max(axis=1) <= BLOWUP_NORM)
+            if bad.any():
+                return lo + 1 + int(bad.argmax())
+    return n_steps + 1

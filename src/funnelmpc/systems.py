@@ -17,7 +17,7 @@ with the output jet as a function of the state.  Either record may declare
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -161,6 +161,7 @@ class RelativeDegreeSystem:
     (..., m, m), so a batch of states is stepped in one call.  ``linear``
     is as for StateSpaceSystem, in the plant's coordinates x = (xi, eta) of
     flat jet and operator state, so C_jet = [I 0]; memory forbids it.
+    ``cache`` is as for StateSpaceSystem.
     """
 
     m: int
@@ -169,6 +170,7 @@ class RelativeDegreeSystem:
     g: Callable
     T: CausalOperator
     linear: tuple | None = None
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.linear is not None and self.sigma > 0.0:
@@ -193,6 +195,11 @@ class StateSpaceSystem:
     output jet is C_jet x (ascending derivative blocks of m rows).  The
     callables must then agree with it; simulation steps such plants with
     the matrices directly.
+
+    ``cache`` holds what simulation derives from the record and reuses, the
+    propagators of ``sim.linear_propagator``: the plants of a run share
+    their record, so a run builds each once.  ``dataclasses.replace``
+    starts it empty.
     """
 
     n: int
@@ -203,6 +210,7 @@ class StateSpaceSystem:
     output_jet: Callable
     yr_parts: Callable | None = None
     linear: tuple | None = None
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

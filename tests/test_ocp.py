@@ -39,6 +39,7 @@ from funnelmpc import (
     stage_cost,
     zoh_feedback_rollout,
 )
+from funnelmpc import errchain as errchain_module
 from funnelmpc import ocp as ocp_module
 from funnelmpc import sim as sim_module
 from funnelmpc.cli import ResolvedRun
@@ -366,6 +367,21 @@ def test_solver_recovers_from_infinite_warm_start(scalar_stage, zero_ref, scalar
     assert math.isfinite(sol.cost)
 
 
+def test_failed_start_names_infinite_cost(caplog, scalar_stage, zero_ref, scalar_chain):
+    # the held 20 drives y out of the funnel: the start fails on its cost,
+    # not on an exception, and the log says so
+    spec = spec_for(saturation=20.0, ode_step=5e-3)
+    bad = ControlSignal(t_start=0.0, step=0.1, values=[[20.0]])
+    caplog.set_level(logging.DEBUG, logger=ocp_module.__name__)
+    sol = solve_ocp(
+        make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
+        warm_start=bad, chain=scalar_chain, gains=np.array([]),
+    )
+    assert sol.status == "infeasible-start-recovered"
+    failed = [rec.getMessage() for rec in caplog.records if rec.msg.startswith("start of")]
+    assert failed == ["start of 1 given rows at t=0 failed: infinite cost"]
+
+
 def test_short_warm_start_is_completed_by_sampled_feedback(monkeypatch, scalar_stage, zero_ref):
     # N = 3 intervals and 2 given rows: the solver's start holds them and
     # takes its last row from the sampled feedback run from the held state;
@@ -395,11 +411,14 @@ def test_short_warm_start_is_completed_by_sampled_feedback(monkeypatch, scalar_s
     probe = make_integrator_plant(0.5)
     held = ControlSignal(t_start=0.0, step=0.1, values=given)
     assert integrate_open_loop(probe, held, (0.0, 0.2), spec.ode_step).status == "completed"
+    # the tail starts where the held rows left the probe, whatever rounding
+    # its time took; the two roads to that state may differ in the last bits
     _, tail = zoh_feedback_rollout(
-        probe, chain, np.array([]), zero_ref, (0.2, 0.3), 0.1, spec.ode_step, saturation=5.0
+        probe, chain, np.array([]), zero_ref, (probe.t, probe.t + 0.1), 0.1, spec.ode_step,
+        saturation=5.0,
     )
     assert tail.values[0, 0] != 0.0
-    np.testing.assert_array_equal(starts[0][2:], tail.values)
+    np.testing.assert_allclose(starts[0][2:], tail.values, rtol=1e-12, atol=0.0)
 
 
 def _shipped_showcase(t_end=None):
@@ -442,7 +461,8 @@ def test_start_samples_the_feedback_on_the_ocp_grid(monkeypatch):
 
 def test_each_start_is_one_rollout(monkeypatch):
     # every start the closed loop builds, shifted rows or the feedback
-    # alone, steps one plant clone through one sampled rollout
+    # alone, is one sampled rollout on a plant clone; on the linear showcase
+    # its held head and its sampled knot are exact maps, with no step loop
     plant, config, yref = _shipped_showcase(t_end=0.4)
     counts = {"rollouts": 0, "marches": 0}
     per_start = []
@@ -469,7 +489,41 @@ def test_each_start_is_one_rollout(monkeypatch):
     monkeypatch.setattr(_Workspace, "feedback_values", counting_start)
     run_fmpc(plant, yref, config)
     assert [rows for rows, _, _ in per_start] == [0] + [14] * 9
-    assert all((rollouts, marches) == (1, 1) for _, rollouts, marches in per_start)
+    assert all((rollouts, marches) == (1, 0) for _, rollouts, marches in per_start)
+
+
+def test_run_builds_its_constants_once_per_record(monkeypatch):
+    # the propagator, the chained-error rows and the law's coefficients are
+    # built once in a 10-cycle run, not once per OCP; another record, as
+    # another run makes, builds its own
+    builds, chain_matrices = [], []
+    init, chain_matrix = sim_module.LinearPropagator.__init__, errchain_module.chain_matrix
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_chain_matrix(*args, **kwargs):
+        chain_matrices.append(args)
+        return chain_matrix(*args, **kwargs)
+
+    plant, config, yref = _shipped_showcase(t_end=0.4)
+    monkeypatch.setattr(sim_module.LinearPropagator, "__init__", counting_init)
+    monkeypatch.setattr(errchain_module, "chain_matrix", counting_chain_matrix)
+    log = run_fmpc(plant, yref, config)
+    assert len(log.records) == 10
+    assert len(builds) == 1
+    assert len(chain_matrices) == 2
+    key = ("propagator", config.spec.ode_step, config.spec.substeps)
+    assert plant.system.cache[key] is builds[0]
+    assert dataclasses.replace(plant.system).cache == {}
+
+    other, other_config, _ = _shipped_showcase(t_end=0.4)
+    assert other.system is not plant.system
+    solve_ocp(other, other_config.stage, other_config.spec, yref,
+              chain=other_config.chain, gains=other_config.gains)
+    assert len(builds) == 2
+    assert other.system.cache[key] is builds[1] is not builds[0]
 
 
 @pytest.mark.parametrize("t_start,t0", [(0.0, 1.0), (0.3, 0.2)], ids=["stale", "later"])

@@ -487,7 +487,9 @@ def test_sampled_feedback_matches_manual_receding_loop():
         hold = ControlSignal(t_start=t, step=0.1, values=u.reshape(1, 1), saturation=0.2)
         integrate_open_loop(mirror, hold, (t, t + 0.1), 0.01)
     np.testing.assert_array_equal(control.values, np.stack(values))
-    np.testing.assert_array_equal(traj.state[-1], mirror.state)
+    # the two loops compute the same spans, but may sum them in another order
+    scale = float(np.max(np.abs(traj.state)))
+    np.testing.assert_allclose(traj.state[-1], mirror.state, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_linear_open_loop_matches_rk4_stages():
@@ -635,7 +637,10 @@ def test_batched_rollout_matches_sequential_integration():
         plant = make_integrator_plant(0.3)
         control = ControlSignal(t_start=0.0, step=0.1, values=values[b])
         traj = integrate_open_loop(plant, control, (0.0, 0.3), 0.02)
-        np.testing.assert_array_equal(jets[b], traj.output_jet)
+        # RK4 stages against the exact maps of the linear record: the same
+        # arithmetic up to the order of its sums
+        scale = float(np.max(np.abs(traj.output_jet)))
+        np.testing.assert_allclose(jets[b], traj.output_jet, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_batched_rollout_flags_divergent_members():
@@ -680,3 +685,138 @@ def test_batched_rollout_on_delay_plant_matches_members():
 
     with pytest.raises(ValueError, match="memory"):
         rollout_jets_batch(plant, values, 0.2, 0.2)
+
+
+# ── Linear propagator ────────────────────────────────────────────────────────
+
+
+def _coupled_two_input_system():
+    # two channels y = (x1, x2) coupled through the drift and the input gain
+    a = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                  [-1.0, 0.3, -0.2, 0.0], [0.1, -0.5, 0.0, -0.3]])
+    b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [-0.1, 0.8]])
+    return StateSpaceSystem(
+        n=4, m=2, r=2,
+        drift=lambda x: x @ a.T,
+        input_map=lambda x: np.broadcast_to(b, np.shape(x)[:-1] + (4, 2)),
+        output_jet=lambda x: np.asarray(x, dtype=float),
+        yr_parts=lambda x: (x @ a[2:].T, b[2:]),
+        linear=(a, b, np.eye(4)),
+    )
+
+
+@pytest.fixture(params=["mass-on-car", "coupled-two-input"])
+def linear_case(request, showcase_chain, showcase_yref):
+    """(record, x0, chain, gains, yref, saturation): a linear plant, a law to
+    sample on it, and a box that the law leaves at some knots."""
+    if request.param == "mass-on-car":
+        x0 = np.array([0.1, -0.2, 0.3, 0.0])
+        return (mass_on_car_state_space(), x0, showcase_chain, SHOWCASE["gains"], showcase_yref,
+                SHOWCASE["saturation"])
+    yref = constant_reference([0.3, -0.2], r=2)
+    psi = exponential_sum_funnel(0.5, [(3.0, 1.0)], alpha=1.0, beta=0.5)
+    x0 = np.array([0.1, 0.0, 0.2, -0.1])
+    chain = build_funnel_chain(
+        psi, InitialJetData(0.0, x0.reshape(2, 2), yref.jet(0.0)), [20.0], 0.5, r=2
+    )
+    return _coupled_two_input_system(), x0, chain, np.array([20.0]), yref, 1.0
+
+
+def _exact_and_stages(record, t0, x0, run):
+    """run(plant) on the record, whose propagator holds its spans, and on
+    the same record without ``linear``, which steps the RK4 stages; each
+    with the plant's time afterwards."""
+    out = []
+    for system in (record, dataclasses.replace(record, linear=None)):
+        plant = make_plant(system, t0, x0)
+        result = run(plant)
+        traj = result[0] if isinstance(result, tuple) else result
+        np.testing.assert_array_equal(plant.state, traj.state[-1])
+        out.append((result, plant.t))
+    return out
+
+
+def test_propagator_holds_spans_as_the_rk4_stages_do(linear_case):
+    # a delta segment from a knot, a span of 15 intervals, and spans that
+    # start 1 and 2 of the 4 steps into an interval (pieces of 1 and 2 steps)
+    record, x0, *_ = linear_case
+    values = np.random.default_rng(5).uniform(-3.0, 3.0, size=(15, record.m))
+    control = ControlSignal(t_start=0.0, step=0.04, values=values)
+    for span in ((0.0, 0.04), (0.0, 0.6), (0.01, 0.37), (0.02, 0.5)):
+        (exact, t_exact), (stages, t_stages) = _exact_and_stages(
+            record, span[0], x0, lambda plant: integrate_open_loop(plant, control, span, 0.01)
+        )
+        assert exact.status == stages.status == "completed"
+        assert t_exact == t_stages == exact.grid[-1] == span[1]
+        np.testing.assert_array_equal(exact.grid, stages.grid)
+        np.testing.assert_array_equal(exact.input, stages.input)
+        scale = float(np.max(np.abs(stages.state)))
+        np.testing.assert_allclose(exact.state, stages.state, rtol=0.0, atol=1e-13 * scale)
+
+
+def test_propagator_samples_the_feedback_as_the_rk4_stages_do(linear_case):
+    # four given rows, then the law sampled at the 11 later knots and clipped
+    # to the box
+    record, x0, chain, gains, yref, saturation = linear_case
+    head = np.random.default_rng(6).uniform(-1.0, 1.0, size=(4, record.m))
+    runs = _exact_and_stages(record, 0.0, x0, lambda plant: zoh_feedback_rollout(
+        plant, chain, gains, yref, (0.0, 0.6), 0.04, 0.01, saturation=saturation, head=head
+    ))
+    ((exact, exact_u), t_exact), ((stages, stages_u), t_stages) = runs
+    assert exact.status == stages.status == "completed"
+    assert t_exact == t_stages == 0.6
+    np.testing.assert_array_equal(exact_u.values[:4], head)
+    tail = np.abs(stages_u.values[4:])
+    assert np.any(tail == saturation) and np.any(tail < saturation)
+    scale = float(np.max(np.abs(stages.state)))
+    np.testing.assert_allclose(exact.state, stages.state, rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_allclose(exact_u.values, stages_u.values, rtol=0.0, atol=1e-12 * saturation)
+    np.testing.assert_allclose(exact.input, stages.input, rtol=0.0, atol=1e-12 * saturation)
+
+
+def test_propagator_stops_where_the_rk4_stages_blow_up(linear_case):
+    # inputs of 2e9 push a velocity past BLOWUP_NORM inside the held span,
+    # of an open loop and of a start's head; both paths stop at the same
+    # row and leave the plant there
+    record, x0, chain, gains, yref, _ = linear_case
+    big = np.full((15, record.m), 2e9)
+    for run in (
+        lambda plant: integrate_open_loop(plant, ControlSignal(0.0, 0.04, big), (0.0, 0.6), 0.01),
+        lambda plant: zoh_feedback_rollout(
+            plant, chain, gains, yref, (0.0, 0.6), 0.04, 0.01, head=big[:10]
+        ),
+    ):
+        runs = _exact_and_stages(record, 0.0, x0, run)
+        (exact, t_exact), (stages, t_stages) = [
+            (result[0] if isinstance(result, tuple) else result, t) for result, t in runs
+        ]
+        assert exact.status == stages.status == "blow-up"
+        assert 2 < exact.grid.size == stages.grid.size < 41
+        assert t_exact == t_stages == exact.grid[-1]
+        scale = np.max(np.abs(stages.state), axis=1)
+        assert np.all(np.max(np.abs(exact.state - stages.state), axis=1) <= 1e-13 * scale)
+
+
+def test_propagator_blocks_stop_at_a_blow_up_in_a_later_block():
+    # x2' = 5 x2 grows like e^{5t} under any input and crosses BLOWUP_NORM
+    # near t = 3.68, after the first AFFINE_BLOCK steps of the held span
+    a = np.array([[0.0, 1.0], [0.0, 5.0]])
+    b = np.array([[1.0], [0.0]])
+    system = StateSpaceSystem(
+        n=2, m=1, r=1,
+        drift=lambda x: x @ a.T,
+        input_map=lambda x: np.broadcast_to(b, np.shape(x)[:-1] + (2, 1)),
+        output_jet=lambda x: np.asarray(x, dtype=float)[..., :1],
+        linear=(a, b, np.array([[1.0, 0.0]])),
+    )
+    control = ControlSignal(t_start=0.0, step=0.04, values=np.full((100, 1), 0.5))
+    (exact, t_exact), (stages, t_stages) = _exact_and_stages(
+        system, 0.0, np.array([0.5, 1.0]),
+        lambda plant: integrate_open_loop(plant, control, (0.0, 4.0), 0.01),
+    )
+    assert exact.status == stages.status == "blow-up"
+    assert exact.grid.size == stages.grid.size
+    assert (exact.grid.size - 1) // AFFINE_BLOCK == 1
+    assert t_exact == t_stages == pytest.approx(3.68, abs=0.01)
+    scale = np.max(np.abs(stages.state), axis=1)
+    assert np.all(np.max(np.abs(exact.state - stages.state), axis=1) <= 1e-13 * scale)

@@ -349,16 +349,17 @@ def solve_ocp(
     unit step passes the Armijo test costs one evaluation (one batch) and
     the accepted point's linearization is the next iteration's model.
 
-    The warm start must cover the plant's time.  Its rows from then,
-    clamped to the box, are the start: as they are when they cover the
-    horizon, else completed by sampled funnel feedback in one rollout
-    (``_Workspace.feedback_values``); without rows the feedback alone.  Given rows that cannot be completed (a blow-up or
-    a singular input gain) or cost inf give way to the feedback alone; if
-    the last start fails the problem is declared infeasible.  The returned
-    cost never exceeds the starting cost.  The status is ``converged``
-    (projected gradient residual at most 1e-6), ``budget-exhausted``
-    (iteration budget spent), ``no-descent`` (the line search found no
-    decrease, or a forward-difference probe blew up) or, whatever the stop,
+    The warm start must cover the plant's time.  Its rows from then, clamped
+    to the box, are the start: as they are when they cover the horizon, else
+    completed by sampled funnel feedback in one rollout
+    (``_Workspace.feedback_values``); without rows the feedback alone.  Given
+    rows that cannot be completed (a blow-up or a singular input gain) or
+    cost inf give way to the feedback alone; if the last start fails the
+    problem is declared infeasible.  The returned cost never exceeds the
+    starting cost.  The status is ``converged`` (projected gradient residual
+    at most 1e-6), ``budget-exhausted`` (iteration budget spent),
+    ``no-descent`` (the line search found no decrease, or a
+    forward-difference probe blew up) or, whatever the stop,
     ``infeasible-start-recovered`` when the feedback alone replaced the
     given rows.
     """

@@ -75,9 +75,10 @@ class ControlSignal:
     def t_end(self) -> float:
         return self.t_start + self.step * self.values.shape[0]
 
-    def index_at(self, t: float) -> int:
-        idx = int(math.floor((t - self.t_start) / self.step + 1e-9))
-        return min(max(idx, 0), self.values.shape[0] - 1)
+    def index_at(self, t):
+        """The row held at time t, or at each time of an array, clipped to the rows."""
+        idx = np.floor((np.asarray(t) - self.t_start) / self.step + 1e-9).astype(int)
+        return np.clip(idx, 0, self.values.shape[0] - 1)
 
     def value_at(self, t: float) -> np.ndarray:
         if t < self.t_start - 1e-9 or t > self.t_end + 1e-9:
@@ -246,7 +247,9 @@ class NormalFormPlant(_Plant):
 
     __slots__ = ("_rm",)
 
-    def __init__(self, system: RelativeDegreeSystem, t0: float, xi0, eta0=None, initial_segment=None):
+    def __init__(
+        self, system: RelativeDegreeSystem, t0: float, xi0, eta0=None, initial_segment=None
+    ):
         self.system = system
         self.m = system.m
         self.r = system.r
@@ -369,41 +372,35 @@ def _rk4(field, t: float, x: np.ndarray, h: float):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), u
 
 
-def _held_step(plant, h: float):
-    """One RK4 step of length h under an input held over it: (t, x, u) -> x+.
+def _march(plant, grid: np.ndarray, h: float, u_of, states: np.ndarray):
+    """RK4 along the grid from states[0], with the input ``u_of(i, t, x)``
+    evaluated at every stage of step i.
 
-    The four stages use the same held u.  A plant whose ``linear``
-    matrices are set crosses held spans by ``_hold`` instead.
-    """
-    rhs = plant.rhs
-    return lambda t, x, u: _rk4(lambda s, y: (rhs(s, y, u), u), t, x, h)[0]
-
-
-def _march(plant, step, grid: np.ndarray):
-    """Step the plant along the grid with ``step(i, x) -> (x_next, u_i)``.
-
-    Stores the states and the input applied at each grid point and advances
-    the plant to every stored point, so operators with memory see the
-    trajectory's history.  Stops at the first state whose norm exceeds
-    BLOWUP_NORM or that is not finite, leaving the plant at the last good
-    point.  Returns (states, inputs, count): the first ``count`` rows are
-    valid, and count < grid.size means the step to row ``count`` blew up.
-    The input at the final point of a completed run is left to the caller.
+    Fills states[1:] and advances the plant to every filled point, so
+    operators with memory see the trajectory's history.  Stops at the first
+    state whose norm exceeds BLOWUP_NORM or that is not finite, leaving the
+    plant at the last good point.  Returns (inputs, count): the first
+    ``count`` rows are valid, and count < grid.size means the step to row
+    ``count`` blew up.  The last input of a completed run is the caller's.
     """
     n_steps = grid.size - 1
-    states = np.empty((n_steps + 1, plant.state_dim))
     inputs = np.empty((n_steps + 1, plant.m))
-    x = plant.state.copy()
-    states[0] = x
+    rhs = plant.rhs
+
+    def field(t, x):
+        u = u_of(i, t, x)
+        return rhs(t, x, u), u
+
+    x = states[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            x, inputs[i] = step(i, x)
+            x, inputs[i] = _rk4(field, grid[i], x, h)
             # NaN fails the comparison too, so this covers non-finite states
             if not float(np.max(np.abs(x))) <= BLOWUP_NORM:
-                return states, inputs, i + 1
+                return inputs, i + 1
             states[i + 1] = x
             plant.advance(grid[i + 1], x)
-    return states, inputs, n_steps + 1
+    return inputs, n_steps + 1
 
 
 def _trajectory(plant, grid, states, inputs, count: int) -> Trajectory:
@@ -419,54 +416,31 @@ def _trajectory(plant, grid, states, inputs, count: int) -> Trajectory:
 def integrate_open_loop(plant, control, t_span, h: float) -> Trajectory:
     """RK4 trajectory of the plant under the given input over t_span.
 
-    The step must divide the ZOH step and the span, so input discontinuities
-    land on grid points.  Integration stops early with status 'blow-up' when
-    the state norm exceeds 1e8 or turns non-finite.  A plant whose
-    ``linear`` matrices are set crosses a ControlSignal's span by the exact
-    maps of the record's ``LinearPropagator``, with no step loop.
+    A ControlSignal is one held span (``_hold``); its step must divide the
+    ZOH step and the span, so input discontinuities land on grid points.  A
+    callable of time is evaluated at every RK4 stage (``_march``).
+    Integration stops early with status 'blow-up' when the state norm
+    exceeds 1e8 or turns non-finite.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     held_input = isinstance(control, ControlSignal)
     grid, substeps = _step_grid(plant, t_span, h, control.step if held_input else h)
     u_of = _control_callable(control, plant.m)
+    states = np.empty((grid.size, plant.state_dim))
+    states[0] = plant.state
     if held_input:
         if not _is_multiple(t0 - control.t_start, h):
             raise ValueError("control breakpoints are not aligned with the grid")
         if control.t_start > t0 + 1e-9 or control.t_end < t1 - 1e-9:
             raise ValueError("control does not cover the integration span")
-    if held_input and plant.linear is not None:
-        # each step holds the value ControlSignal.index_at reads at its start
-        index = np.floor((grid[:-1] - control.t_start) / control.step + 1e-9).astype(int)
         inputs = np.empty((grid.size, plant.m))
-        inputs[:-1] = control.values[np.minimum(np.maximum(index, 0), control.values.shape[0] - 1)]
+        inputs[:-1] = control.values[control.index_at(grid[:-1])]
         # a span that starts inside an interval is held in pieces of
         # gcd(offset, substeps) steps, so that every piece starts at a knot
         piece = math.gcd(round((t0 - control.t_start) / h), substeps)
-        states = np.empty((grid.size, plant.state_dim))
-        states[0] = plant.state
-        count = _hold(plant, h, piece, states, inputs[:-1:piece])
-        plant.advance(grid[count - 1], states[count - 1].copy())
-    elif held_input:
-        # the interval's own value feeds every stage: u_of(t + h) at a knot
-        # would already read the next interval
-        held = _held_step(plant, h)
-
-        def step(i, x):
-            u = u_of(grid[i])
-            return held(grid[i], x, u), u
-
-        states, inputs, count = _march(plant, step, grid)
+        count = _hold(plant, grid, h, piece, states, inputs[:-1:piece])
     else:
-        rhs = plant.rhs
-
-        def field(t, x):
-            u = u_of(t)
-            return rhs(t, x, u), u
-
-        def step(i, x):
-            return _rk4(field, grid[i], x, h)
-
-        states, inputs, count = _march(plant, step, grid)
+        inputs, count = _march(plant, grid, h, lambda i, t, x: u_of(t), states)
     if count == grid.size:
         inputs[-1] = u_of(t1 - 1e-12)
     return _trajectory(plant, grid, states, inputs, count)
@@ -558,24 +532,22 @@ def feedback_rollout(
     of every chained error in its funnel is checked at every grid point
     afterwards; the first violation raises PreconditionViolation.
     On a plant whose ``linear`` matrices are set the same law is applied
-    as affine RK4 step maps (see ``_affine_feedback``).
+    as affine RK4 step maps (``_affine_feedback``); on any other plant
+    ``_march`` evaluates it stage by stage.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     step = h if zoh_step is None else float(zoh_step)
     grid, substeps = _step_grid(plant, t_span, h, step)
     n_steps = grid.size - 1
     law = FeedbackLaw(chain, gains, yref)
+    states = np.empty((grid.size, plant.state_dim))
+    states[0] = plant.state
     if plant.linear is not None:
-        states, inputs, count = _affine_feedback(law, plant.linear, plant.state, grid, h)
-        plant.advance(grid[count - 1], states[count - 1].copy())
+        inputs, count = _affine_feedback(law, plant, grid, h, states)
     else:
-        rhs = plant.rhs
-
-        def field(t, x):
-            u = np.atleast_1d(law(t, plant, x))
-            return rhs(t, x, u), u
-
-        states, inputs, count = _march(plant, lambda i, x: _rk4(field, grid[i], x, h), grid)
+        inputs, count = _march(
+            plant, grid, h, lambda i, t, x: np.atleast_1d(law(t, plant, x)), states
+        )
         if count == grid.size:
             inputs[-1] = np.atleast_1d(law(t1, plant, states[-1]))
 
@@ -587,7 +559,7 @@ def feedback_rollout(
     return trajectory, control
 
 
-def _affine_feedback(law: FeedbackLaw, linear, x0, grid, h: float):
+def _affine_feedback(law: FeedbackLaw, plant, grid, h: float, states: np.ndarray):
     """RK4 under the exact law on a linear plant x' = A x + B u, y-jet = C x.
 
     With F = C_{r-1} A and g = C_{r-1} B the law is affine in the state,
@@ -599,9 +571,10 @@ def _affine_feedback(law: FeedbackLaw, linear, x0, grid, h: float):
     blocks of AFFINE_BLOCK steps; a prefix scan composes each block into
     the maps from its first state, so the block's states are one product.
 
-    Returns (states, inputs, count) as ``_march`` does.
+    Fills states[1:] from states[0], leaves the plant at the last good
+    point and returns (inputs, count) as ``_march`` does.
     """
-    a, b, c_jet = linear
+    a, b, c_jet = plant.linear
     n, m = b.shape
     r = law.r
     top = c_jet[(r - 1) * m :]
@@ -638,8 +611,6 @@ def _affine_feedback(law: FeedbackLaw, linear, x0, grid, h: float):
         s[:, :n, n] = c @ b.T
         return s
 
-    states = np.empty((n_steps + 1, n))
-    states[0] = x0
     count = n_steps + 1
     eye = np.eye(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -665,7 +636,8 @@ def _affine_feedback(law: FeedbackLaw, linear, x0, grid, h: float):
                 break
         done = states[:count]
         inputs = done @ k0.T + w_a[:count, None] * (done @ k1.T) + c_a[:count]
-    return states, inputs, count
+    plant.advance(grid[count - 1], states[count - 1].copy())
+    return inputs, count
 
 
 def zoh_feedback_rollout(
@@ -687,9 +659,8 @@ def zoh_feedback_rollout(
     held for one interval.  The loop is open between knots, so the
     conservation property of the continuous law does not transfer; this is
     the implementable sampled controller, and it builds every OCP start.
-    On a plant whose ``linear`` matrices are set the head is one held span
-    of the record's ``LinearPropagator`` (``_hold``) and each later knot one
-    more, with the law evaluated once per knot, on the knot's state.
+    The head is one held span (``_hold``) and each later knot one more,
+    with the law evaluated once per knot, on the knot's state.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     grid, substeps = _step_grid(plant, t_span, h, zoh_step)
@@ -702,35 +673,20 @@ def zoh_feedback_rollout(
     if head.shape[1:] != (plant.m,) or head.shape[0] > values.shape[0]:
         raise ValueError(f"head {head.shape} does not fit the span's control {values.shape}")
     values[: head.shape[0]] = head
-
-    def sample(knot, x):
-        u = np.atleast_1d(law(grid[knot * substeps], plant, x))
+    states = np.empty((grid.size, plant.state_dim))
+    states[0] = plant.state
+    span = slice(0, head.shape[0] * substeps + 1)
+    count = _hold(plant, grid[span], h, substeps, states[span], head)
+    for knot in range(head.shape[0], values.shape[0]):
+        i = knot * substeps
+        if count <= i:
+            break
+        u = np.atleast_1d(law(grid[i], plant, states[i]))
         values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
-
-    if plant.linear is not None:
-        states = np.empty((grid.size, plant.state_dim))
-        states[0] = plant.state
-        count = _hold(plant, h, substeps, states[: head.shape[0] * substeps + 1], head)
-        for knot in range(head.shape[0], values.shape[0]):
-            i = knot * substeps
-            if count <= i:
-                break
-            sample(knot, states[i])
-            count = i + _hold(plant, h, substeps, states[i : i + substeps + 1], values[[knot]])
-        inputs = np.empty((grid.size, plant.m))
-        inputs[:-1] = np.repeat(values, substeps, axis=0)
-        plant.advance(grid[count - 1], states[count - 1].copy())
-    else:
-        held = _held_step(plant, h)
-
-        def hold_law(i, x):
-            knot, offset = divmod(i, substeps)
-            if offset == 0 and knot >= head.shape[0]:
-                sample(knot, x)
-            u = values[knot]
-            return held(grid[i], x, u), u
-
-        states, inputs, count = _march(plant, hold_law, grid)
+        span = slice(i, i + substeps + 1)
+        count = i + _hold(plant, grid[span], h, substeps, states[span], values[[knot]])
+    inputs = np.empty((grid.size, plant.m))
+    inputs[:-1] = np.repeat(values, substeps, axis=0)
     if count == grid.size:
         inputs[-1] = values[-1]
     control = ControlSignal(
@@ -872,17 +828,20 @@ def linear_propagator(plant, h: float, substeps: int, n_intervals: int) -> Linea
     return prop
 
 
-def _hold(plant, h: float, substeps: int, states: np.ndarray, rows: np.ndarray) -> int:
-    """Fill states[1:] from states[0] on a plant with ``linear`` matrices,
-    under ``rows`` held over consecutive ZOH intervals of ``substeps`` steps
-    of length h; the last interval may be cut short.
+def _hold(plant, grid, h: float, substeps: int, states: np.ndarray, rows: np.ndarray) -> int:
+    """Fill states[1:] from states[0] on the grid under ``rows`` held over
+    consecutive ZOH intervals of ``substeps`` steps of length h; the last
+    interval may be cut short.  Every held span is crossed here.
 
-    Each block of intervals is one product with the record's propagator,
-    which a held span asks to cover at most AFFINE_BLOCK steps.  Returns
-    the count of valid rows as ``_march`` does: the first state whose norm
-    exceeds BLOWUP_NORM or that is not finite ends them.
+    On a plant with ``linear`` matrices each block of intervals is one
+    product with the record's propagator, which a held span asks to cover
+    at most AFFINE_BLOCK steps; any other plant is stepped by ``_march``.
+    Returns the count of valid rows as ``_march`` does and leaves the plant
+    at the last good point.
     """
     n_steps = states.shape[0] - 1
+    if plant.linear is None:
+        return _march(plant, grid, h, lambda i, t, x: rows[i // substeps], states)[1]
     if not n_steps:
         return 1
     prop = linear_propagator(
@@ -890,6 +849,7 @@ def _hold(plant, h: float, substeps: int, states: np.ndarray, rows: np.ndarray) 
     )
     n, m = states.shape[1], rows.shape[1]
     block = prop.n_intervals * substeps
+    count = n_steps + 1
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, block):
             k = min(block, n_steps - lo)
@@ -901,5 +861,7 @@ def _hold(plant, h: float, substeps: int, states: np.ndarray, rows: np.ndarray) 
             # NaN fails the comparison too, so this covers non-finite states
             bad = ~(np.abs(out).max(axis=1) <= BLOWUP_NORM)
             if bad.any():
-                return lo + 1 + int(bad.argmax())
-    return n_steps + 1
+                count = lo + 1 + int(bad.argmax())
+                break
+    plant.advance(grid[count - 1], states[count - 1].copy())
+    return count

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errchain import chain_matrix
 from .errors import PreconditionViolation, SingularGainError
 
 __all__ = [
@@ -461,7 +462,6 @@ def estimate_dynamics_bounds(
     certificate.  The paths come from a fixed seed, so the bounds are
     reproducible.
     """
-    from .errchain import chain_matrix
 
     rng = np.random.default_rng(0)
     r, m = chain.r, sys.m

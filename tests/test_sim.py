@@ -58,6 +58,12 @@ def test_control_signal_is_right_continuous_at_knots():
     assert sig.value_at(1.0)[0] == 3.0
     # queries at the right endpoint hold the last value
     assert sig.value_at(1.5)[0] == 3.0
+    # an array of times, before the start, on knots, inside intervals and
+    # past the end, reads the rows one scalar query at a time reads
+    times = np.array([-0.7, -1e-12, 0.0, 0.3, 0.5, 0.5 - 1e-12, 0.99, 1.0, 1.5, 4.2])
+    rows = sig.index_at(times)
+    assert rows.shape == times.shape
+    assert rows.tolist() == [sig.index_at(t) for t in times] == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
 def test_control_signal_coverage_and_saturation():
@@ -569,6 +575,48 @@ def test_sampled_feedback_holds_a_given_head():
         for head in (None, np.empty((0, 1)))
     ]
     np.testing.assert_array_equal(alone[0], alone[1])
+
+
+def test_sampled_feedback_on_a_plant_with_memory_matches_manual_loop():
+    # y'(t) = -y(t - 0.1) + u with y = 0.8 on (-inf, 0]: three given rows,
+    # then the law sampled at 0.3, 0.4 and 0.5 and clipped to the box, each
+    # step reading the rollout's own past; the mirror holds the head in one
+    # open loop and each sample in one more
+    psi, chain, yref = _scalar_decay_setup(0.8)
+    system = RelativeDegreeSystem(
+        m=1, r=1, f=lambda w: -np.asarray(w, dtype=float), g=lambda w: np.eye(1),
+        T=delay_operator(0.1, lambda xi: xi, q=1),
+    )
+
+    def delayed():
+        return make_plant(system, 0.0, np.array([0.8]), initial_segment=lambda s: np.array([0.8]))
+
+    head = np.array([[0.3], [-0.1], [0.2]])
+    plant = delayed()
+    traj, control = zoh_feedback_rollout(
+        plant, chain, [], yref, (0.0, 0.6), 0.1, 0.01, saturation=0.5, head=head
+    )
+    assert traj.status == "completed"
+    assert plant.t == 0.6
+
+    mirror = delayed()
+    integrate_open_loop(mirror, ControlSignal(t_start=0.0, step=0.1, values=head), (0.0, 0.3), 0.01)
+    law = FeedbackLaw(chain, [], yref)
+    values = [*head]
+    for t in (0.3, 0.4, 0.5):
+        u = np.clip(np.atleast_1d(law(t, mirror, mirror.state)), -0.5, 0.5)
+        values.append(u)
+        hold = ControlSignal(t_start=t, step=0.1, values=u.reshape(1, 1), saturation=0.5)
+        integrate_open_loop(mirror, hold, (t, t + 0.1), 0.01)
+    # the knots t0 + h j and 0.1 k differ in the last bit, so the two loops
+    # agree to rounding, not bit for bit
+    np.testing.assert_array_equal(control.values[:3], head)
+    np.testing.assert_allclose(control.values, np.stack(values), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(plant.state, mirror.state, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(plant.history.ts, mirror.history.ts, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        np.stack(plant.history.jets), np.stack(mirror.history.jets), rtol=0.0, atol=1e-13
+    )
 
 
 def test_sampled_feedback_validates_span():

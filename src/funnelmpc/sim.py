@@ -13,7 +13,6 @@ as a standalone baseline controller.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import math
 from dataclasses import dataclass
@@ -23,7 +22,9 @@ import numpy as np
 from .errchain import top_error_rows
 from .errors import PreconditionViolation
 from .funnel import FunnelChain, chain_margins
-from .systems import ReferenceSignal, RelativeDegreeSystem, StateSpaceSystem, _guard_gain_matrix
+from .systems import (
+    ReferenceSignal, RelativeDegreeSystem, StateSpaceSystem, _DelayOperator, _guard_gain_matrix
+)
 
 __all__ = [
     "ControlSignal",
@@ -100,64 +101,102 @@ class Trajectory:
 class JetHistory:
     """Output-jet history: an initial segment plus appended integration samples.
 
-    Queries at s <= t0 use the supplied initial segment; later queries use
-    cubic Lagrange interpolation over the four nearest stored samples.
-    Queries beyond the newest sample raise PreconditionViolation.  Samples
-    keep their shape, so a batch's (B, r*m) rows broadcast with the (r*m,) past.
+    Queries at s <= t0 use the supplied initial segment, at a stored time
+    its sample, elsewhere cubic Lagrange interpolation over the four nearest
+    stored samples.  Queries beyond the newest sample raise
+    PreconditionViolation.  ``ts`` and ``jets`` view arrays that grow by
+    doubling; a batch's first (B, r*m) row broadcasts the stored past once.
     """
 
-    __slots__ = ("t0", "segment", "ts", "jets", "_memo")
+    __slots__ = ("t0", "segment", "size", "_ts", "_jets")
 
     def __init__(self, t0: float, jet0: np.ndarray, initial_segment=None):
-        jet0 = np.asarray(jet0, dtype=float).ravel()
         self.t0 = float(t0)
         self.segment = initial_segment
-        self.ts = [self.t0]
-        self.jets = [jet0.copy()]
-        self._memo = None  # the k2 and k3 stages of an RK4 step query one time
+        self.size = 1
+        self._ts = np.array([self.t0])
+        self._jets = np.array(jet0, dtype=float).reshape(1, -1)
+
+    @property
+    def ts(self) -> np.ndarray:
+        return self._ts[: self.size]
+
+    @property
+    def jets(self) -> np.ndarray:
+        return self._jets[: self.size]
 
     def append(self, t: float, jet: np.ndarray):
-        if t <= self.ts[-1]:
+        self.extend(np.array([t], dtype=float), np.asarray(jet, dtype=float)[None])
+
+    def extend(self, ts: np.ndarray, jets: np.ndarray):
+        """Append the samples jets[k] at the increasing times ts[k]."""
+        n, k = self.size, ts.size
+        if not (ts[0] > self._ts[n - 1] and np.all(ts[1:] > ts[:-1])):
             raise ValueError("history samples must be appended in increasing time order")
-        self.ts.append(float(t))
-        self.jets.append(np.array(jet, dtype=float))
+        row = np.broadcast_shapes(self._jets.shape[1:], jets.shape[1:])
+        if n + k > self._ts.size or row != self._jets.shape[1:]:
+            grown_ts, grown = np.empty(2 * (n + k)), np.empty((2 * (n + k),) + row)
+            grown_ts[:n], grown[:n] = self.ts, _unit_axes(self.jets, 1, len(row) + 1)
+            self._ts, self._jets = grown_ts, grown
+        self._ts[n : n + k] = ts
+        self._jets[n : n + k] = jets
+        self.size = n + k
 
     def latest(self) -> float:
-        return self.ts[-1]
+        return float(self._ts[self.size - 1])
 
     def clone(self) -> "JetHistory":
         out = copy.copy(self)
-        out.ts = list(self.ts)
-        out.jets = [j.copy() for j in self.jets]
-        out._memo = None
+        out._ts, out._jets = self._ts.copy(), self._jets.copy()
+        return out
+
+    def _locate(self, s: np.ndarray):
+        """Insertion points of the times s among the stored ones, and which
+        of them hit a stored time exactly."""
+        idx = np.searchsorted(self.ts, s)
+        return idx, self._ts[np.minimum(idx, self.size - 1)] == s
+
+    def settled(self, s: np.ndarray) -> np.ndarray:
+        """Whether the query at each time s reads the same after any later
+        append: it reads the initial segment, a stored time, or a full
+        stencil of four stored samples."""
+        idx, hit = self._locate(s)
+        return (s <= self.t0 + 1e-12) | hit | (np.maximum(idx - 2, 0) + 4 <= self.size)
+
+    def query(self, s: np.ndarray) -> np.ndarray:
+        """The jets at the times of an array s, shape s.shape + a sample's."""
+        n, ts = self.size, self.ts
+        if np.any(s > ts[-1] + 1e-9):
+            raise PreconditionViolation(
+                f"history queried at {np.max(s)} beyond newest sample {ts[-1]}"
+            )
+        idx, hit = self._locate(s)
+        k = min(n, 4)
+        near = np.maximum(np.minimum(idx - 2, n - 4), 0)[..., None] + np.arange(k)
+        t = ts[near]
+        # sample j weighs the product of (s - t_l) / (t_j - t_l) over l != j,
+        # taken in the order of l, and the weighted samples add in order
+        col = np.arange(k - 1)
+        others = t[..., col + (col >= np.arange(k)[:, None])]
+        weights = ((s[..., None, None] - others) / (t[..., None] - others)).prod(axis=-1)
+        terms = _unit_axes(weights, s.ndim + 1, s.ndim + self._jets.ndim) * self._jets[near]
+        out = 0.0
+        for term in np.moveaxis(terms, s.ndim, 0):
+            out = out + term
+        out[hit] = self._jets[idx[hit]]
+        for pos in zip(*np.nonzero(s <= self.t0 + 1e-12)):
+            out[pos] = self._jets[0] if self.segment is None else np.asarray(
+                self.segment(float(s[pos])), dtype=float
+            ).ravel()
         return out
 
     def __call__(self, s: float) -> np.ndarray:
-        if s <= self.t0 + 1e-12:
-            if self.segment is not None:
-                return np.asarray(self.segment(s), dtype=float).ravel()
-            return self.jets[0]
-        if s > self.ts[-1] + 1e-9:
-            raise PreconditionViolation(
-                f"history queried at {s} beyond newest sample {self.ts[-1]}"
-            )
-        ts = self.ts
-        if self._memo is not None and self._memo[0] == (s, len(ts)):
-            return self._memo[1]
-        idx = bisect.bisect_left(ts, s)
-        if idx < len(ts) and ts[idx] == s:
-            return self.jets[idx]
-        lo = max(0, min(idx - 2, len(ts) - 4))
-        hi = min(len(ts), lo + 4)
-        out = 0.0
-        for j in range(lo, hi):
-            w = 1.0
-            for l in range(lo, hi):
-                if l != j:
-                    w *= (s - ts[l]) / (ts[j] - ts[l])
-            out = out + w * self.jets[j]
-        self._memo = ((s, len(ts)), out)
-        return out
+        return self.query(np.array([s], dtype=float))[0]
+
+
+def _unit_axes(a: np.ndarray, lead: int, ndim: int) -> np.ndarray:
+    """a with unit axes after its first ``lead`` axes, up to ``ndim`` axes."""
+    return a.reshape(a.shape[:lead] + (1,) * (ndim - a.ndim) + a.shape[lead:])
 
 
 class _Plant:
@@ -241,8 +280,10 @@ class NormalFormPlant(_Plant):
     internal state.  When the operator has memory, a jet history buffer is
     maintained; the initial segment must cover [t0 - sigma, t0].  ``rhs``
     and ``output_jet`` map states with any leading axes; with memory, a
-    batch is stepped on a clone whose history holds one row per member.
-    ``linear`` is the record's (A, B, C_jet) in these coordinates, or None.
+    batch is stepped on a clone whose history holds one row per member.  A
+    pure-delay plant crosses its held spans and batches window by window
+    (``_delay_windows``), without ``rhs``.  ``linear`` is the record's
+    (A, B, C_jet) in these coordinates, or None.
     """
 
     __slots__ = ("_rm",)
@@ -699,26 +740,28 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
     """Integrate a batch of ZOH controls on a clone of the plant.
 
     ``values`` has shape (B, N, m); the rollout covers N*step from the
-    plant's current time.  The clone is advanced after every step, so on a
-    plant with memory each member reads its own predicted past.  Returns
+    plant's current time.  The clone's history takes every step, so on a
+    plant with memory each member reads its own predicted past: a
+    pure-delay plant steps window by window (``_delay_windows``), any other
+    plant stage by stage in one RK4 loop over the batch.  Returns
     (grid, jets (B, K, r*m), inputs_ok) where inputs_ok flags batch members
     that stayed finite and bounded.
     """
     B, N, m = values.shape
     grid, substeps = _step_grid(plant, (plant.t, plant.t + N * step), h, step)
-    n_steps = grid.size - 1
     plant = plant.clone()
-    X = np.broadcast_to(plant.state, (B, plant.state_dim)).copy()
-    states = np.empty((B, n_steps + 1, plant.state_dim))
-    states[:, 0] = X
-    rhs = plant.rhs
+    states = np.empty((grid.size, B, plant.state_dim))
+    states[0] = plant.state
+    inputs = values[:, np.arange(grid.size - 1) // substeps].swapaxes(0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            U = values[:, i // substeps, :]
-            X, _ = _rk4(lambda t, x: (rhs(t, x, U), U), grid[i], X, h)
-            states[:, i + 1] = X
-            plant.advance(grid[i + 1], X)
-        jets = plant.output_jet(states)
+        if isinstance(getattr(plant.system, "T", None), _DelayOperator):
+            _delay_windows(plant, grid, h, states, inputs)
+        else:
+            rhs = plant.rhs
+            for i, U in enumerate(inputs):
+                states[i + 1], _ = _rk4(lambda t, x: (rhs(t, x, U), U), grid[i], states[i], h)
+                plant.advance(grid[i + 1], states[i + 1])
+        jets = plant.output_jet(states.swapaxes(0, 1))
     # NaN becomes inf, which fails the bound, so non-finite members are flagged too
     np.copyto(jets, np.inf, where=np.isnan(jets))
     return grid, jets, (np.abs(jets) <= BLOWUP_NORM).all(axis=(1, 2))
@@ -833,17 +876,21 @@ def _hold(plant, grid, h: float, substeps: int, states: np.ndarray, rows: np.nda
     consecutive ZOH intervals of ``substeps`` steps of length h; the last
     interval may be cut short.  Every held span is crossed here.
 
-    On a plant with ``linear`` matrices each block of intervals is one
-    product with the record's propagator, which a held span asks to cover
-    at most AFFINE_BLOCK steps; any other plant is stepped by ``_march``.
-    Returns the count of valid rows as ``_march`` does and leaves the plant
-    at the last good point.
+    An empty span returns 1 at once.  On a plant with ``linear`` matrices
+    each block of intervals is one product with the record's propagator,
+    which a held span asks to cover at most AFFINE_BLOCK steps; a
+    pure-delay plant is stepped window by window (``_delay_windows``); any
+    other plant is stepped by ``_march``.  Returns the count of valid rows
+    as ``_march`` does and leaves the plant at the last good point.
     """
     n_steps = states.shape[0] - 1
-    if plant.linear is None:
-        return _march(plant, grid, h, lambda i, t, x: rows[i // substeps], states)[1]
     if not n_steps:
         return 1
+    if plant.linear is None:
+        inputs = rows[np.arange(n_steps) // substeps]
+        if isinstance(getattr(plant.system, "T", None), _DelayOperator):
+            return _delay_windows(plant, grid, h, states, inputs)
+        return _march(plant, grid, h, lambda i, t, x: inputs[i], states)[1]
     prop = linear_propagator(
         plant, h, substeps, min(-(-n_steps // substeps), max(1, AFFINE_BLOCK // substeps))
     )
@@ -865,3 +912,50 @@ def _hold(plant, grid, h: float, substeps: int, states: np.ndarray, rows: np.nda
                 break
     plant.advance(grid[count - 1], states[count - 1].copy())
     return count
+
+
+def _delay_windows(plant, grid, h: float, states: np.ndarray, inputs: np.ndarray) -> int:
+    """RK4 on a pure-delay plant by the method of steps: fills states[1:]
+    (K, ..., n) from states[0] under inputs[i] (..., m) held over step i.
+
+    A window takes the next step and every later one whose stage queries
+    the stored past already settles (``JetHistory.settled``), so it is one
+    history query.  Its top jet block's slopes are f(w) + g(w) u, each
+    lower block's follow from the block above, and a block's states are a
+    cumulative sum: the operations of ``_rk4`` in its order, bit for bit.
+    A span without batch axes stops at a row that blows up, as ``_march``
+    does.  Returns the count of valid rows; the plant ends at the last one.
+    """
+    system, history, m = plant.system, plant.history, plant.m
+    delay = system.T
+    stage_times = (grid[:-1, None] + np.array([0.0, 0.5 * h, h])) - delay.tau
+    # a window spans at most one delay, so later steps are never settled
+    i, n_steps, reach = 0, grid.size - 1, math.ceil(delay.tau / h) + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i < n_steps:
+            later = history.settled(stage_times[i + 1 : i + 1 + reach]).all(axis=1)
+            size = 1 + int(np.logical_and.accumulate(later).sum())
+            # a batch's first window reads the one past its members share
+            w = delay.func(_unit_axes(history.query(stage_times[i : i + size]), 2, states.ndim + 1))
+            top = system.f(w) + _times_input(np.asarray(system.g(w), dtype=float),
+                                             inputs[i : i + size, None])
+            slopes = top[:, 0], top[:, 1], top[:, 1], top[:, 2]
+            for block in range(plant.r - 1, -1, -1):
+                k1, k2, k3, k4 = slopes
+                col = states[i : i + size + 1, ..., block * m : (block + 1) * m]
+                col[1:] = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                np.cumsum(col, axis=0, out=col)
+                x = col[:-1]
+                slopes = x, x + (0.5 * h) * k1, x + (0.5 * h) * k2, x + h * k3
+            new = states[i + 1 : i + size + 1]
+            # NaN fails the comparison too, so this covers non-finite states
+            bad = ~(np.abs(new).max(axis=-1) <= BLOWUP_NORM)
+            good = int(bad.argmax()) if states.ndim == 2 and bad.any() else size
+            if good:
+                history.extend(grid[i + 1 : i + good + 1], plant.output_jet(new[:good]))
+                i += good
+            if good < size:
+                break
+    if i:
+        plant.advance(grid[i], states[i].copy())
+    return i + 1

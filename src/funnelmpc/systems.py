@@ -131,8 +131,10 @@ def static_operator(func: Callable, q: int) -> CausalOperator:
 def delay_operator(tau: float, func: Callable, q: int) -> CausalOperator:
     """Pure delay T(xi)(t) = func(xi(t - tau)) with sigma = tau.
 
-    ``func`` must broadcast over leading axes: a batched rollout passes it
-    one delayed (r*m,) jet per member.
+    ``func`` must broadcast over leading axes: a held span passes it the
+    delayed (r*m,) jets of a window's stage times, shape (L, 3, r*m), and a
+    batched rollout (L, 3, B, r*m), B = 1 while its members share their
+    past; ``f`` and ``g`` then see the same leading axes.
     """
     if not tau > 0.0:
         raise ValueError("delay must be positive")

@@ -38,6 +38,7 @@ from funnelmpc import (
     mass_on_car_state_space,
     zoh_feedback_rollout,
 )
+from funnelmpc import sim
 from funnelmpc.funnel import InitialJetData
 from funnelmpc.sim import AFFINE_BLOCK, rollout_jets_batch
 from funnelmpc.systems import RelativeDegreeSystem
@@ -868,3 +869,117 @@ def test_propagator_blocks_stop_at_a_blow_up_in_a_later_block():
     assert t_exact == t_stages == pytest.approx(3.68, abs=0.01)
     scale = np.max(np.abs(stages.state), axis=1)
     assert np.all(np.max(np.abs(exact.state - stages.state), axis=1) <= 1e-13 * scale)
+
+
+# ── Delay plants by the method of steps ──────────────────────────────────────
+
+
+def _coupled_delay_system(tau):
+    # r = 2, m = 2: w = T(jet)(t) reads the delayed jet (y1, y2, y1', y2');
+    # f and g depend on it nonlinearly, and g couples the two inputs
+    def f(w):
+        return np.stack([-0.5 * w[..., 0] + 0.2 * w[..., 3] ** 2, -0.3 * w[..., 1] * w[..., 2]],
+                        axis=-1)
+
+    def g(w):
+        out = np.empty(np.shape(w)[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.1 * w[..., 0] ** 2
+        out[..., 0, 1] = 0.2
+        out[..., 1, 0] = -0.1 * w[..., 1]
+        out[..., 1, 1] = 1.0 + 0.05 * w[..., 3] ** 2
+        return out
+
+    T = delay_operator(tau, lambda xi: xi * (1.0 + 0.1 * xi), q=4)
+    return RelativeDegreeSystem(m=2, r=2, f=f, g=g, T=T)
+
+
+def _delay_segment(s):
+    return 0.5 * np.array([np.cos(3.0 * s), np.sin(3.0 * s), -3.0 * np.sin(3.0 * s),
+                           3.0 * np.cos(3.0 * s)])
+
+
+def _delay_plant(tau):
+    return make_plant(_coupled_delay_system(tau), 0.0, _delay_segment(0.0),
+                      initial_segment=_delay_segment)
+
+
+def _stagewise(plant, grid, rows, substeps):
+    """The RK4 stages of ``_march`` under rows held over ZOH intervals."""
+    states = np.empty((grid.size, plant.state_dim))
+    states[0] = plant.state
+    _, count = sim._march(plant, grid, 0.01, lambda i, t, x: rows[i // substeps], states)
+    return states[:count]
+
+
+def _assert_same_plant(plant, mirror):
+    assert plant.t == mirror.t
+    np.testing.assert_array_equal(plant.state, mirror.state)
+    np.testing.assert_array_equal(plant.history.ts, mirror.history.ts)
+    np.testing.assert_array_equal(plant.history.jets, mirror.history.jets)
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.015, 0.01])
+def test_delay_windows_step_as_the_rk4_stages_do(tau):
+    # from t = 0 the first windows read the initial segment; a held open
+    # loop, then a 4-member batch that reads the held past and its own
+    rows = np.random.default_rng(8).uniform(-2.0, 2.0, size=(6, 2))
+    plant, mirror = _delay_plant(tau), _delay_plant(tau)
+    traj = integrate_open_loop(plant, ControlSignal(0.0, 0.05, rows), (0.0, 0.3), 0.01)
+    states = _stagewise(mirror, traj.grid, rows, 5)
+    assert traj.status == "completed"
+    np.testing.assert_array_equal(traj.state, states)
+    np.testing.assert_array_equal(traj.output_jet, mirror.output_jet(states))
+    _assert_same_plant(plant, mirror)
+
+    values = np.random.default_rng(9).uniform(-2.0, 2.0, size=(4, 5, 2))
+    grid, jets, alive = rollout_jets_batch(plant, values, 0.05, 0.01)
+    assert alive.all() and plant.t == 0.3
+    for b in range(4):
+        member = mirror.clone()
+        np.testing.assert_array_equal(jets[b], member.output_jet(
+            _stagewise(member, grid, values[b], 5)))
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.015, 0.01])
+def test_delay_windows_stop_where_the_rk4_stages_blow_up(tau):
+    # a 1e12 input from t = 0.15 pushes y' past BLOWUP_NORM at the first
+    # step it is held, the 16th of the span
+    rows = np.array([[0.5, -0.5], [1.0, 0.0], [0.0, 1.0], [1e12, 0.0], [0.0, 0.0]])
+    plant, mirror = _delay_plant(tau), _delay_plant(tau)
+    traj = integrate_open_loop(plant, ControlSignal(0.0, 0.05, rows), (0.0, 0.25), 0.01)
+    states = _stagewise(mirror, traj.grid, rows, 5)
+    assert traj.status == "blow-up" and traj.grid.size == states.shape[0] == 16
+    np.testing.assert_array_equal(traj.state, states)
+    _assert_same_plant(plant, mirror)
+
+
+def test_delay_windows_take_every_step_the_stored_past_settles(monkeypatch):
+    # tau = 10 h: after its first step a window takes the steps whose stage
+    # queries read full stencils of the stored past, at most 8 more, so a
+    # 50-step rollout is 6 history queries and no call of the plant's rhs
+    system = RelativeDegreeSystem(
+        m=1, r=1, f=lambda w: -0.5 * np.asarray(w, dtype=float), g=lambda w: np.eye(1),
+        T=delay_operator(0.1, lambda xi: xi, q=1),
+    )
+    plant = make_plant(system, 0.0, np.array([0.5]), initial_segment=lambda s: np.array([0.5]))
+    integrate_open_loop(plant, ControlSignal(0.0, 0.1, [[1.0], [-2.0]]), (0.0, 0.2), 0.01)
+    queries = []
+    monkeypatch.setattr(JetHistory, "query", lambda self, s, q=JetHistory.query: (
+        queries.append(s.shape[0]), q(self, s))[1])
+    monkeypatch.setattr(NormalFormPlant, "rhs", None)
+    rollout_jets_batch(plant, np.zeros((6, 5, 1)), 0.1, 0.01)
+    assert len(queries) == 6 and sum(queries) == 50 and max(queries) <= 9
+
+
+def test_an_empty_held_span_takes_no_step(monkeypatch):
+    # an empty head is crossed before any kernel is chosen
+    marches = []
+    monkeypatch.setattr(sim, "_march", lambda *args: marches.append(args) or (None, 1))
+    plant = make_plant(_coupled_delay_system(0.1), 0.0, np.zeros(4),
+                       initial_segment=lambda s: np.zeros(4))
+    grid = np.array([0.0])
+    assert sim._hold(plant, grid, 0.01, 5, np.zeros((1, 4)), np.empty((0, 2))) == 1
+    record = dataclasses.replace(mass_on_car_state_space(), linear=None)
+    plant = make_plant(record, 0.0, np.zeros(4))
+    assert sim._hold(plant, grid, 0.01, 5, np.zeros((1, 4)), np.empty((0, 1))) == 1
+    assert marches == [] and plant.t == 0.0

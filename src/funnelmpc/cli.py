@@ -496,7 +496,7 @@ def cmd_gains(args, res: ResolvedRun):
 
 
 def cmd_verify(args, res: ResolvedRun):
-    """Check a log against the config: its echoed settings, y - y_ref(t)
+    """Check a log against the config: its echoed settings and t_span, y - y_ref(t)
     against psi, e_r against theta, and the input box.  y_ref, psi and theta
     are recomputed from the config; the log's own columns for them are unused."""
     try:
@@ -521,31 +521,36 @@ def cmd_verify(args, res: ResolvedRun):
     missing = [name for name in required if name not in cols]
     if missing:
         raise ConfigError(f"log CSV is missing columns: {missing}")
-    K = cols["t"].size
+    t = cols["t"]
+    spans = bool(np.abs(t[[0, -1]] - [res.t0, res.t_end]).max() <= 1e-9 and (np.diff(t) > 0).all())
     y = np.stack([cols[n] for n in y_names], axis=1)
     u = np.stack([cols[n] for n in u_names], axis=1)
-    ref = res.yref.jet_array(cols["t"])[:, 0, :]
-    report = output_guarantees(cols["t"], y - ref, u, res.psi, bound)
-    theta_margins = chain_margins(FunnelChain((res.chain.theta,)), (), cols["t"], cols["e_r"])[:, 0]
+    ref = res.yref.jet_array(t)[:, 0, :]
+    report = output_guarantees(t, y - ref, u, res.psi, bound)
+    theta_margins = chain_margins(FunnelChain((res.chain.theta,)), (), t, cols["e_r"])[:, 0]
     i_theta = int(np.argmin(theta_margins))
-    passed = report.passed and bool(theta_margins[i_theta] > 0.0) and not mismatch
+    passed = report.passed and bool(theta_margins[i_theta] > 0.0) and not mismatch and spans
     payload = {
         "passed": passed,
-        "rows": int(K),
+        "rows": int(t.size),
+        "log_span": [float(t[0]), float(t[-1])],
         "min_margin": report.min_margin,
         "margin_t": report.margin_t,
         "min_theta_margin": float(theta_margins[i_theta]),
-        "theta_margin_t": float(cols["t"][i_theta]),
+        "theta_margin_t": float(t[i_theta]),
         "max_input": report.max_input,
         "max_input_t": report.max_input_t,
         "settings_mismatch": mismatch,
     }
     lines = [
-        f"{K} rows: min margin {report.min_margin:.6g} at t = {report.margin_t:g}, "
+        f"{t.size} rows: min margin {report.min_margin:.6g} at t = {report.margin_t:g}, "
         f"min e_r margin to theta {payload['min_theta_margin']:.6g} at "
         f"t = {payload['theta_margin_t']:g}, "
         f"max input {report.max_input:.6g} at t = {report.max_input_t:g}"
     ]
+    if not spans:
+        lines.append(f"log spans t = {t[0]:g} to {t[-1]:g}; the config runs on [{res.t0:g}, "
+                     f"{res.t_end:g}] in strictly increasing t")
     if mismatch:
         lines.append(f"settings differ from the config: {', '.join(mismatch)}")
     return payload, lines, passed

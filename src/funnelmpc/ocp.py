@@ -295,16 +295,26 @@ class _Workspace:
         return start.values
 
 
+def _rows_from(control: ControlSignal, t: float, spec: OcpSpec, cover: float, name: str):
+    """The rows of ``control`` held from t on, at most a horizon's; raises
+    ValueError unless they cover [t, t + cover] on the OCP's ZOH grid."""
+    if control.t_start > t + 1e-9 or control.t_end < t + cover - 1e-9:
+        raise ValueError(f"{name} does not cover [{t:g}, {t + cover:g}]")
+    if abs(control.step - spec.control_step) > 1e-9 * spec.control_step:
+        raise ValueError(f"{name} steps by {control.step:g}, the OCP by {spec.control_step:g}")
+    if not _is_multiple(t - control.t_start, control.step):
+        raise ValueError(f"{name} has no knot at the plant's time {t:g}")
+    i0 = control.index_at(t)
+    return control.values[i0 : i0 + spec.n_intervals]
+
+
 def cost_functional(plant, control: ControlSignal, sc: StageCost, yref, spec: OcpSpec) -> float:
-    """Cost of one control over the horizon starting at the plant's time.
+    """Cost of one control on the OCP's ZOH grid over the horizon from the plant's time.
 
     A plant with memory is rolled out on a clone that extends its history.
     """
-    if control.t_start > plant.t + 1e-9 or control.t_end < plant.t + spec.horizon - 1e-9:
-        raise ValueError("control does not cover the optimization horizon")
-    ws = _Workspace(plant, sc, spec, yref)
-    i0 = control.index_at(plant.t)
-    return ws.cost_single(control.values[i0 : i0 + spec.n_intervals])
+    rows = _rows_from(control, plant.t, spec, spec.horizon, "control")
+    return _Workspace(plant, sc, spec, yref).cost_single(rows)
 
 
 def _newton_direction(grad: np.ndarray, hess: np.ndarray, d: np.ndarray, M: float, band: float):
@@ -349,9 +359,9 @@ def solve_ocp(
     unit step passes the Armijo test costs one evaluation (one batch) and
     the accepted point's linearization is the next iteration's model.
 
-    The warm start must cover the plant's time.  Its rows from then, clamped
-    to the box, are the start: as they are when they cover the horizon, else
-    completed by sampled funnel feedback in one rollout
+    The warm start's rows from the plant's time, on the OCP's ZOH grid and
+    clamped to the box, are the start: as they are when they cover the
+    horizon, else completed by sampled funnel feedback in one rollout
     (``_Workspace.feedback_values``); without rows the feedback alone.  Given
     rows that cannot be completed (a blow-up or a singular input gain) or
     cost inf give way to the feedback alone; if the last start fails the
@@ -369,10 +379,7 @@ def solve_ocp(
 
     head = np.empty((0, ws.m))
     if warm_start is not None:
-        if warm_start.t_start > ws.t0 + 1e-9 or not ws.t0 < warm_start.t_end - 1e-9:
-            raise ValueError(f"warm start does not cover the plant's time {ws.t0:g}")
-        i0 = warm_start.index_at(ws.t0)
-        head = np.clip(warm_start.values[i0 : i0 + N], -M, M)
+        head = np.clip(_rows_from(warm_start, ws.t0, spec, spec.control_step, "warm start"), -M, M)
     # the given rows completed by feedback, then, if they fail, the feedback alone
     attempts = (head, head[:0]) if head.shape[0] else (head,)
     for attempt, rows in enumerate(attempts):

@@ -400,48 +400,38 @@ def _control_callable(control, m: int):
     raise TypeError("control must be a ControlSignal or a callable of time")
 
 
-def _rk4(field, t: float, x: np.ndarray, h: float):
-    """One classical RK4 step of x' = field(t, x)[0].
-
-    ``field(t, x)`` returns the derivative and the input it applied; the
-    step returns the new state and the input applied at t.
-    """
-    k1, u = field(t, x)
-    k2, _ = field(t + 0.5 * h, x + (0.5 * h) * k1)
-    k3, _ = field(t + 0.5 * h, x + (0.5 * h) * k2)
-    k4, _ = field(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), u
-
-
 def _march(plant, grid: np.ndarray, h: float, u_of, states: np.ndarray):
-    """RK4 along the grid from states[0], with the input ``u_of(i, t, x)``
-    evaluated at every stage of step i.
+    """RK4 along the grid from states[0] ([B,] n), with the input
+    ``u_of(i, t, x)`` ([B,] m) evaluated at every stage of step i.
 
     Fills states[1:] and advances the plant to every filled point, so
-    operators with memory see the trajectory's history.  Stops at the first
-    state whose norm exceeds BLOWUP_NORM or that is not finite, leaving the
-    plant at the last good point.  Returns (inputs, count): the first
-    ``count`` rows are valid, and count < grid.size means the step to row
-    ``count`` blew up.  The last input of a completed run is the caller's.
+    operators with memory see the trajectory's history.  A span without
+    batch axes stops at the first state whose norm exceeds BLOWUP_NORM or
+    that is not finite, leaving the plant at the last good point; a batch
+    runs on.  Returns (inputs, count): the first ``count`` rows are valid,
+    and count < grid.size means the step to row ``count`` blew up.  The
+    last input of a completed run is the caller's.
     """
-    n_steps = grid.size - 1
-    inputs = np.empty((n_steps + 1, plant.m))
+    inputs = np.empty(grid.shape + states.shape[1:-1] + (plant.m,))
     rhs = plant.rhs
-
-    def field(t, x):
-        u = u_of(i, t, x)
-        return rhs(t, x, u), u
-
     x = states[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            x, inputs[i] = _rk4(field, grid[i], x, h)
+        for i, t in enumerate(grid[:-1]):
+            inputs[i] = u = u_of(i, t, x)
+            k1 = rhs(t, x, u)
+            x2 = x + (0.5 * h) * k1
+            k2 = rhs(t + 0.5 * h, x2, u_of(i, t + 0.5 * h, x2))
+            x3 = x + (0.5 * h) * k2
+            k3 = rhs(t + 0.5 * h, x3, u_of(i, t + 0.5 * h, x3))
+            x4 = x + h * k3
+            k4 = rhs(t + h, x4, u_of(i, t + h, x4))
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # NaN fails the comparison too, so this covers non-finite states
-            if not float(np.max(np.abs(x))) <= BLOWUP_NORM:
+            if states.ndim == 2 and not float(np.max(np.abs(x))) <= BLOWUP_NORM:
                 return inputs, i + 1
             states[i + 1] = x
             plant.advance(grid[i + 1], x)
-    return inputs, n_steps + 1
+    return inputs, grid.size
 
 
 def _trajectory(plant, grid, states, inputs, count: int) -> Trajectory:
@@ -579,7 +569,6 @@ def feedback_rollout(
     t0, t1 = float(t_span[0]), float(t_span[1])
     step = h if zoh_step is None else float(zoh_step)
     grid, substeps = _step_grid(plant, t_span, h, step)
-    n_steps = grid.size - 1
     law = FeedbackLaw(chain, gains, yref)
     states = np.empty((grid.size, plant.state_dim))
     states[0] = plant.state
@@ -595,7 +584,7 @@ def feedback_rollout(
     trajectory = _trajectory(plant, grid, states, inputs, count)
     ref = yref.jet_array(trajectory.grid, chain.r).reshape(count, -1)
     _require_membership(chain, law.gains, trajectory.grid, trajectory.output_jet - ref)
-    zoh_values = inputs[: min(count, n_steps) : substeps].copy()
+    zoh_values = inputs[: min(count, grid.size - 1) : substeps].copy()
     control = ControlSignal(t_start=t0, step=step, values=zoh_values)
     return trajectory, control
 
@@ -740,10 +729,10 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
     """Integrate a batch of ZOH controls on a clone of the plant.
 
     ``values`` has shape (B, N, m); the rollout covers N*step from the
-    plant's current time.  The clone's history takes every step, so on a
-    plant with memory each member reads its own predicted past: a
-    pure-delay plant steps window by window (``_delay_windows``), any other
-    plant stage by stage in one RK4 loop over the batch.  Returns
+    plant's current time as one batch-shaped held span (``_hold``): on a
+    plant with memory each member reads its own predicted past in the
+    clone's history, a blown member leaves the others untouched, and on a
+    linear plant a member's rows do not depend on its batch.  Returns
     (grid, jets (B, K, r*m), inputs_ok) where inputs_ok flags batch members
     that stayed finite and bounded.
     """
@@ -752,15 +741,8 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
     plant = plant.clone()
     states = np.empty((grid.size, B, plant.state_dim))
     states[0] = plant.state
-    inputs = values[:, np.arange(grid.size - 1) // substeps].swapaxes(0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(getattr(plant.system, "T", None), _DelayOperator):
-            _delay_windows(plant, grid, h, states, inputs)
-        else:
-            rhs = plant.rhs
-            for i, U in enumerate(inputs):
-                states[i + 1], _ = _rk4(lambda t, x: (rhs(t, x, U), U), grid[i], states[i], h)
-                plant.advance(grid[i + 1], states[i + 1])
+        _hold(plant, grid, h, substeps, states, values.swapaxes(0, 1))
         jets = plant.output_jet(states.swapaxes(0, 1))
     # NaN becomes inf, which fails the bound, so non-finite members are flagged too
     np.copyto(jets, np.inf, where=np.isnan(jets))
@@ -872,16 +854,18 @@ def linear_propagator(plant, h: float, substeps: int, n_intervals: int) -> Linea
 
 
 def _hold(plant, grid, h: float, substeps: int, states: np.ndarray, rows: np.ndarray) -> int:
-    """Fill states[1:] from states[0] on the grid under ``rows`` held over
-    consecutive ZOH intervals of ``substeps`` steps of length h; the last
-    interval may be cut short.  Every held span is crossed here.
+    """Fill states[1:] (K, [B,] n) from states[0] on the grid under
+    ``rows`` (N, [B,] m) held over consecutive ZOH intervals of
+    ``substeps`` steps of length h; the last interval may be cut short.
+    Every held span, single or batched, is crossed here.
 
     An empty span returns 1 at once.  On a plant with ``linear`` matrices
     each block of intervals is one product with the record's propagator,
     which a held span asks to cover at most AFFINE_BLOCK steps; a
     pure-delay plant is stepped window by window (``_delay_windows``); any
-    other plant is stepped by ``_march``.  Returns the count of valid rows
-    as ``_march`` does and leaves the plant at the last good point.
+    other plant is stepped by ``_march``.  A span without batch axes stops
+    at its first blown row; a batch runs on.  Returns the count of valid
+    rows as ``_march`` does and leaves the plant at the last good point.
     """
     n_steps = states.shape[0] - 1
     if not n_steps:
@@ -894,20 +878,23 @@ def _hold(plant, grid, h: float, substeps: int, states: np.ndarray, rows: np.nda
     prop = linear_propagator(
         plant, h, substeps, min(-(-n_steps // substeps), max(1, AFFINE_BLOCK // substeps))
     )
-    n, m = states.shape[1], rows.shape[1]
+    n, m, batch = states.shape[-1], rows.shape[-1], states.shape[1:-1]
     block = prop.n_intervals * substeps
     count = n_steps + 1
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, block):
             k = min(block, n_steps - lo)
-            p = -(-k // substeps)
-            first = lo // substeps
-            forced = rows[first : first + p].ravel() @ prop.forced[: p * m, n : (k + 1) * n]
+            p, first = -(-k // substeps), lo // substeps
+            # per-member matrix-vector products and einsum: a row rounds alike in any batch
+            held = rows[first : first + p].swapaxes(0, -2).reshape(batch + (p * m,))
+            gain = prop.forced[: p * m, n : (k + 1) * n]
+            forced = np.einsum("bi,ij->bj", held, gain) if batch else held @ gain
+            free = prop.powers[(slice(1, k + 1),) + (None,) * len(batch)] @ states[lo][..., None]
             out = states[lo + 1 : lo + k + 1]
-            out[:] = prop.powers[1 : k + 1] @ states[lo] + forced.reshape(k, n)
+            out[:] = free[..., 0] + forced.reshape(batch + (k, n)).swapaxes(0, -2)
             # NaN fails the comparison too, so this covers non-finite states
-            bad = ~(np.abs(out).max(axis=1) <= BLOWUP_NORM)
-            if bad.any():
+            bad = ~(np.abs(out).max(axis=-1) <= BLOWUP_NORM)
+            if states.ndim == 2 and bad.any():
                 count = lo + 1 + int(bad.argmax())
                 break
     plant.advance(grid[count - 1], states[count - 1].copy())
@@ -916,13 +903,13 @@ def _hold(plant, grid, h: float, substeps: int, states: np.ndarray, rows: np.nda
 
 def _delay_windows(plant, grid, h: float, states: np.ndarray, inputs: np.ndarray) -> int:
     """RK4 on a pure-delay plant by the method of steps: fills states[1:]
-    (K, ..., n) from states[0] under inputs[i] (..., m) held over step i.
+    (K, [B,] n) from states[0] under inputs[i] ([B,] m) held over step i.
 
     A window takes the next step and every later one whose stage queries
     the stored past already settles (``JetHistory.settled``), so it is one
     history query.  Its top jet block's slopes are f(w) + g(w) u, each
     lower block's follow from the block above, and a block's states are a
-    cumulative sum: the operations of ``_rk4`` in its order, bit for bit.
+    cumulative sum: the stage operations of ``_march`` in order, bit for bit.
     A span without batch axes stops at a row that blows up, as ``_march``
     does.  Returns the count of valid rows; the plant ends at the last one.
     """

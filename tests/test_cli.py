@@ -150,6 +150,28 @@ def test_verify_rejects_tampered_log(tmp_path, capsys):
         assert json.loads(out)["passed"] is False
 
 
+def test_verify_rejects_a_log_that_misses_the_config_span(tmp_path, capsys):
+    # a log cut short passes every pointwise check; so does one whose rows
+    # repeat a time; neither covers the config's run
+    out_dir = os.path.join(tmp_path, "run")
+    run_cli(capsys, "simulate", "--config", config_path("integrator.json"), "--out", out_dir)
+    csv_path = os.path.join(out_dir, "trajectory.csv")
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        fresh = fh.readlines()
+    header = next(i for i, line in enumerate(fresh) if not line.startswith("#"))
+    cut = header + 1 + 245  # rows on [0, 2.44]
+    for lines, span in ((fresh[:cut], "t = 0 to 2.44"),
+                        (fresh[:cut] + fresh[cut - 1 :], "t = 0 to 5")):
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        code, out, _ = run_cli(
+            capsys, "verify", csv_path, "--config", config_path("integrator.json")
+        )
+        assert code == EXIT_GUARANTEE
+        assert f"log spans {span}; the config runs on [0, 5]" in out
+        assert out.rstrip().endswith("FAIL")
+
+
 def _short_showcase_log(tmp_path, capsys):
     """The shipped showcase over [0, 0.4]: its config path and its log."""
     with open(config_path("mass_on_car.json"), "r", encoding="utf-8") as fh:

@@ -129,6 +129,18 @@ def test_cost_functional_matches_antiderivative(scalar_stage, zero_ref):
     assert cost == pytest.approx(expected, abs=1e-6)
 
 
+def test_cost_functional_rejects_a_control_off_the_ocp_grid(scalar_stage, zero_ref):
+    # a control on a finer ZOH grid, or one whose knots miss the plant's
+    # time, would be costed on rows the OCP never holds
+    plant = make_integrator_plant(0.5)
+    spec = spec_for(horizon=0.2)
+    finer = ControlSignal(t_start=0.0, step=0.05, values=[[-1.0]] * 4)
+    offset = ControlSignal(t_start=-0.05, step=0.1, values=[[-1.0]] * 3)
+    for control, match in ((finer, "the OCP by"), (offset, "no knot")):
+        with pytest.raises(ValueError, match=match):
+            cost_functional(plant, control, scalar_stage, zero_ref, spec)
+
+
 def test_cost_functional_infinite_outside_funnel(scalar_stage, zero_ref):
     plant = make_integrator_plant(0.5)
     control = ControlSignal(t_start=0.0, step=0.1, values=[[6.0]])
@@ -538,6 +550,18 @@ def test_solver_rejects_a_warm_start_that_misses_the_plant_time(
     with pytest.raises(ValueError, match="warm start does not cover"):
         solve_ocp(plant, scalar_stage, spec, zero_ref, warm_start=warm,
                   chain=scalar_chain, gains=np.array([]))
+
+
+def test_solver_rejects_a_warm_start_off_the_ocp_grid(scalar_stage, zero_ref, scalar_chain):
+    # a half-step warm start, or one whose knots fall half a step off the
+    # plant's time, would seed the solve with rows the OCP never holds
+    spec = spec_for(saturation=20.0, ode_step=5e-3)
+    finer = ControlSignal(t_start=0.0, step=0.05, values=[[-1.0], [-1.0]])
+    offset = ControlSignal(t_start=-0.05, step=0.1, values=[[-1.0], [-1.0]])
+    for warm, match in ((finer, "the OCP by"), (offset, "no knot")):
+        with pytest.raises(ValueError, match=match):
+            solve_ocp(make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
+                      warm_start=warm, chain=scalar_chain, gains=np.array([]))
 
 
 def test_solver_raises_without_any_feasible_start(scalar_stage, zero_ref, scalar_chain):

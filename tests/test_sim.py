@@ -35,6 +35,7 @@ from funnelmpc import (
     integrate_open_loop,
     integrator_chain,
     make_plant,
+    mass_on_car_normal_form,
     mass_on_car_state_space,
     zoh_feedback_rollout,
 )
@@ -675,29 +676,53 @@ def test_rollouts_reject_degenerate_spans(name, bad):
 # ── Batched rollouts ─────────────────────────────────────────────────────────
 
 
+def _batch_records():
+    """The integrator and the normal-form mass-on-car, whose operator state
+    rides along, each crossed by propagator products and, without
+    ``linear`` matrices, stepped by ``_march``."""
+    records = integrator_chain(1), mass_on_car_normal_form()
+    return records + tuple(dataclasses.replace(record, linear=None) for record in records)
+
+
+def _batch_plant(record, y0: float):
+    return make_plant(record, 0.0, np.eye(1, record.r * record.m)[0] * y0)
+
+
 def test_batched_rollout_matches_sequential_integration():
     rng = np.random.default_rng(17)
     values = rng.uniform(-1.0, 1.0, size=(5, 3, 1))
-    base = make_integrator_plant(0.3)
-    grid, jets, alive = rollout_jets_batch(base, values, 0.1, 0.02)
-    assert grid.shape == (16,)
-    assert alive.all()
-    for b in range(5):
-        plant = make_integrator_plant(0.3)
-        control = ControlSignal(t_start=0.0, step=0.1, values=values[b])
-        traj = integrate_open_loop(plant, control, (0.0, 0.3), 0.02)
-        # RK4 stages against the exact maps of the linear record: the same
-        # arithmetic up to the order of its sums
-        scale = float(np.max(np.abs(traj.output_jet)))
-        np.testing.assert_allclose(jets[b], traj.output_jet, rtol=0.0, atol=1e-13 * scale)
+    for record in _batch_records():
+        grid, jets, alive = rollout_jets_batch(_batch_plant(record, 0.3), values, 0.1, 0.02)
+        assert grid.shape == (16,)
+        assert alive.all()
+        for b in range(5):
+            control = ControlSignal(t_start=0.0, step=0.1, values=values[b])
+            traj = integrate_open_loop(_batch_plant(record, 0.3), control, (0.0, 0.3), 0.02)
+            # a batch and a single span: the same arithmetic up to the order
+            # of the sums in their products
+            scale = float(np.max(np.abs(traj.output_jet)))
+            np.testing.assert_allclose(jets[b], traj.output_jet, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_batched_rollout_flags_divergent_members():
-    values = np.array([[[0.5]], [[1e12]]])
-    base = make_integrator_plant(0.0)
-    _, _, alive = rollout_jets_batch(base, values, 1.0, 0.01)
-    assert alive[0]
-    assert not alive[1]
+    # three intervals of 100 steps: more than one propagator block of the
+    # linear record, so a blow-up in the first block has a block after it
+    values = np.random.default_rng(23).uniform(-1.0, 1.0, size=(4, 3, 1))
+    values[1] = 1e12
+    for record in _batch_records():
+        base = _batch_plant(record, 0.1)
+        _, jets, alive = rollout_jets_batch(base, values, 1.0, 0.01)
+        assert alive.tolist() == [True, False, True, True]
+        # the blown member leaves the others untouched
+        _, kept, kept_alive = rollout_jets_batch(base, values[alive], 1.0, 0.01)
+        assert kept_alive.all()
+        np.testing.assert_array_equal(kept, jets[alive])
+        # propagator products give a member the same rows in a batch of one;
+        # the mass-on-car's own maps are BLAS products, which round a single
+        # row differently from a row of a batch
+        for b in np.flatnonzero(alive) if record.linear is not None else ():
+            np.testing.assert_array_equal(
+                rollout_jets_batch(base, values[b : b + 1], 1.0, 0.01)[1][0], jets[b])
 
 
 def test_batched_rollout_on_delay_plant_matches_members():

@@ -44,10 +44,12 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e8
-# steps per block of the exact-map rollouts of a linear plant: bounds the
-# affine maps of the exact feedback to 256 (n+1)^2 floats, and the
-# propagator a held span builds to 256 steps, whatever the span
+# steps per block of a held span on a linear plant: bounds the propagator
+# a held span builds to 256 steps, whatever the span
 AFFINE_BLOCK = 256
+# steps per block of the exact feedback on a linear plant: bounds its step
+# maps and their scan to 4096 (n+1)^2 floats, whatever the span
+FEEDBACK_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -563,8 +565,9 @@ def feedback_rollout(
     of every chained error in its funnel is checked at every grid point
     afterwards; the first violation raises PreconditionViolation.
     On a plant whose ``linear`` matrices are set the same law is applied
-    as affine RK4 step maps (``_affine_feedback``); on any other plant
-    ``_march`` evaluates it stage by stage.
+    as affine RK4 step maps, one product with the record's step polynomial
+    per block, composed by one scan (``_affine_feedback``); on any other
+    plant ``_march`` evaluates it stage by stage.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     step = h if zoh_step is None else float(zoh_step)
@@ -592,82 +595,206 @@ def feedback_rollout(
 def _affine_feedback(law: FeedbackLaw, plant, grid, h: float, states: np.ndarray):
     """RK4 under the exact law on a linear plant x' = A x + B u, y-jet = C x.
 
-    With F = C_{r-1} A and g = C_{r-1} B the law is affine in the state,
-    u = K(t) x + c(t), and K(t) = K0 + w(t) K1 with w = theta'/theta.  The
-    closed loop x' = P(t) x + q(t) then makes every RK4 step an affine map
-    x+ = M_i x + v_i whose four stages use P and q at t_i, t_i + h/2 and
-    t_i + h, so the law still acts at every stage.  Stages and steps are
-    augmented matrices [[P, q], [0, 0]] and [[M_i, v_i], [0, 1]], built in
-    blocks of AFFINE_BLOCK steps; a prefix scan composes each block into
-    the maps from its first state, so the block's states are one product.
+    The law is affine in the state there, so every RK4 step is an affine
+    map x+ = M_i x + v_i whose four stages still apply the law at t_i,
+    t_i + h/2 and t_i + h.  Each block of FEEDBACK_BLOCK steps evaluates
+    its augmented maps [[M_i, v_i], [0, 1]] as one product with the
+    record's step polynomial (``_step_polynomial``) and composes them from
+    the block's first state by ``_scan``.
 
     Fills states[1:] from states[0], leaves the plant at the last good
     point and returns (inputs, count) as ``_march`` does.
     """
-    a, b, c_jet = plant.linear
-    n, m = b.shape
-    r = law.r
-    top = c_jet[(r - 1) * m :]
-    gmat = _guard_gain_matrix(top @ b)
-    # the zeta terms of the law as (m, r*m) maps of the flat jet error
-    lock = top_error_rows(law.gains, m)
-    correction = np.kron(law.correction_row, np.eye(m))
-    k0 = np.linalg.solve(gmat, -top @ a - correction @ c_jet)
-    k1 = np.linalg.solve(gmat, lock @ c_jet)
-    p0 = a + b @ k0
-    p1 = b @ k1
+    poly = _step_polynomial(law, plant, h)
+    n, n_steps = states.shape[1], grid.size - 1
+    # w and c of the law at the grid points
+    w_at, c_at = np.empty(grid.size), np.empty((grid.size, plant.m))
+    stages = np.array([0.0, 0.5 * h, h])[:, None]
+    count = grid.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_steps, FEEDBACK_BLOCK):
+            hi = min(lo + FEEDBACK_BLOCK, n_steps)
+            k = hi - lo
+            # the terms at the steps' stages a, b and c, then at the block's end
+            w, c = poly.time_terms(law, np.append(grid[lo:hi] + stages, grid[hi]))
+            w_at[lo:hi], c_at[lo:hi], w_at[hi], c_at[hi] = w[:k], c[:k], w[-1], c[-1]
+            maps = poly.maps(w[:-1].reshape(3, k), c[:-1].reshape(3, k, -1))
+            states[lo + 1 : hi + 1] = _scan(maps, np.append(states[lo], 1.0)[:, None])[:, :n, 0]
+            # NaN fails the comparisons too, so this covers non-finite states
+            block = np.abs(states[lo + 1 : hi + 1])
+            if not block.max() <= BLOWUP_NORM:
+                count = lo + 1 + int(np.argmax(~(block.max(axis=1) <= BLOWUP_NORM)))
+                break
+        done = states[:count]
+        inputs = done @ poly.k0.T + w_at[:count, None] * (done @ poly.k1.T) + c_at[:count]
+    plant.advance(grid[count - 1], states[count - 1].copy())
+    return inputs, count
 
-    theta = law.chain.theta
 
-    def time_terms(ts):
-        """w(t) and c(t) on a time array."""
+def _scan(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Every prefix composition of square maps applied to a start:
+    out[i] = maps[i] @ ... @ maps[0] @ start for maps (L, d, d) and a
+    start (d, k), shape (L, d, k).
+
+    Two levels over ceil(sqrt(L)) chunks of consecutive maps, the last
+    one padded with identities: the prefix products inside the chunks one
+    step at a time, all chunks at once; then each chunk's start from the
+    one before, one product per chunk; then every row in one batched
+    product.  That is about 2 sqrt(L) numpy calls for L steps.  When no
+    chunk needs padding the products overwrite ``maps``.
+    """
+    n_maps, d = maps.shape[:2]
+    chunks = math.isqrt(n_maps - 1) + 1
+    size = -(-n_maps // chunks)
+    pad = chunks * size - n_maps
+    if pad:
+        maps = np.concatenate([maps, np.broadcast_to(np.eye(d), (pad, d, d))])
+    pre = maps.reshape(chunks, size, d, d)
+    for k in range(1, size):
+        pre[:, k] = pre[:, k] @ pre[:, k - 1]
+    heads = np.empty((chunks,) + start.shape)
+    heads[0] = start
+    for j in range(1, chunks):
+        heads[j] = pre[j - 1, -1] @ heads[j - 1]
+    out = pre.reshape(chunks, size * d, d) @ heads
+    return out.reshape((chunks * size,) + start.shape)[:n_maps]
+
+
+class _StepPolynomial:
+    """The RK4 step maps of the exact funnel feedback on a linear plant, as
+    one polynomial in the law's time terms.
+
+    With F = C_{r-1} A and g = C_{r-1} B the law is affine in the state,
+    u = (k0 + w(t) k1) x + c(t) with w = theta'/theta, so the closed loop
+    is x' = (P0 + w P1) x + B c with P0 = A + B k0 and P1 = B k1.  Its
+    augmented stage matrices S = [[P0 + w P1, B c], [0, 0]] are linear in
+    (1, w, c), and the RK4 step map
+
+        I + h/6 (m1 + 2 m2 + 2 m3 + m4),  m1 = S_a,  m2 = S_b + h/2 S_b m1,
+        m3 = S_b + h/2 S_b m2,  m4 = S_c + h S_c m3,
+
+    with stages a, b, c at t, t + h/2 and t + h, is a fixed polynomial in
+    the stage values w_a, w_b, w_c and c_a, c_b, c_c.  A product whose
+    left factor is a c term vanishes, since every stage's last row is zero,
+    so each monomial is a product of stage w's times at most one entry of
+    a c: 12 + 11 m of them.  Their coefficients, (n+1)^2 each, are formed
+    once by running that recursion on matrix polynomials.  The arrays are
+    read-only.
+    """
+
+    def __init__(self, law: FeedbackLaw, linear, h: float):
+        a, b, c_jet = linear
+        n, m = b.shape
+        top = c_jet[(law.r - 1) * m :]
+        self.m, self.d = m, n + 1
+        gmat = _guard_gain_matrix(top @ b)
+        self.gain_inverse = np.linalg.inv(gmat)
+        # the zeta terms of the law as (m, r*m) maps of the flat jet error
+        self.lock = top_error_rows(law.gains, m)
+        self.correction = np.kron(law.correction_row, np.eye(m))
+        self.k0 = np.linalg.solve(gmat, -top @ a - self.correction @ c_jet)
+        self.k1 = np.linalg.solve(gmat, self.lock @ c_jet)
+
+        # a matrix polynomial maps (e_a, e_b, e_c, col) to the coefficient of
+        # w_a^e_a w_b^e_b w_c^e_c times entry col of the stacked (c_a, c_b,
+        # c_c), or times 1 when col is -1
+        d = self.d
+        p0, p1, drive = np.zeros((d, d)), np.zeros((d, d)), np.zeros((m, d, d))
+        p0[:n, :n], p1[:n, :n] = a + b @ self.k0, b @ self.k1
+        drive[:, :n, n] = b.T
+
+        def stage(s):
+            unit = tuple(int(k == s) for k in range(3))
+            return {(0, 0, 0, -1): p0, unit + (-1,): p1,
+                    **{(0, 0, 0, s * m + j): drive[j] for j in range(m)}}
+
+        def product(x, y, scale):
+            """scale * x @ y; a left c term meets a zero last row."""
+            out = {}
+            for kx, cx in x.items():
+                if kx[3] < 0:
+                    for ky, cy in y.items():
+                        key = (kx[0] + ky[0], kx[1] + ky[1], kx[2] + ky[2], ky[3])
+                        out[key] = out.get(key, 0.0) + scale * (cx @ cy)
+            return out
+
+        def combine(*terms):
+            """The sum of weight * polynomial over (weight, polynomial) pairs."""
+            out = {}
+            for weight, poly in terms:
+                for key, coef in poly.items():
+                    out[key] = out.get(key, 0.0) + weight * coef
+            return out
+
+        s_a, s_b, s_c = stage(0), stage(1), stage(2)
+        m2 = combine((1.0, s_b), (1.0, product(s_b, s_a, 0.5 * h)))
+        m3 = combine((1.0, s_b), (1.0, product(s_b, m2, 0.5 * h)))
+        m4 = combine((1.0, s_c), (1.0, product(s_c, m3, h)))
+        sixth = h / 6.0
+        step = combine((1.0, {(0, 0, 0, -1): np.eye(d)}), (sixth, s_a),
+                       (2.0 * sixth, m2), (2.0 * sixth, m3), (sixth, m4))
+
+        # rows: every w monomial in C order, then the driven monomials, a w
+        # monomial times one c entry, by c entry; rows c_bounds[j] up to
+        # c_bounds[j + 1] of the driven ones take entry j
+        self.degree = tuple(max(key[s] for key in step) for s in range(3))
+        shape = tuple(e + 1 for e in self.degree)
+        self.n_mono = math.prod(shape)
+        driven = sorted((key for key in step if key[3] >= 0), key=lambda key: key[::-1])
+        self.w_index = np.array([np.ravel_multi_index(key[:3], shape) for key in driven])
+        self.c_bounds = np.searchsorted([key[3] for key in driven], np.arange(3 * m + 1))
+        rows = {key: np.ravel_multi_index(key[:3], shape) for key in step if key[3] < 0}
+        rows.update({key: self.n_mono + i for i, key in enumerate(driven)})
+        self.coef = np.zeros((len(rows), d * d))
+        for key, coef in step.items():
+            self.coef[rows[key]] = coef.ravel()
+        for arr in (self.gain_inverse, self.lock, self.correction, self.k0, self.k1, self.coef):
+            arr.setflags(write=False)
+
+    def time_terms(self, law: FeedbackLaw, ts: np.ndarray):
+        """w(t) = theta'/theta and c(t) of the law on a time array."""
+        r, m = law.r, self.m
         ext = law.yref.jet_array(ts, r + 1).reshape(ts.size, (r + 1) * m)
         ref, ref_high = ext[:, : r * m], ext[:, r * m :]
+        theta = law.chain.theta
         w = np.asarray(theta.derivative(ts), dtype=float) / np.asarray(
             theta.value(ts), dtype=float
         )
-        shift = ref_high - w[:, None] * (ref @ lock.T) + ref @ correction.T
-        return w, np.linalg.solve(gmat, shift.T).T
+        shift = ref_high - w[:, None] * (ref @ self.lock.T) + ref @ self.correction.T
+        return w, shift @ self.gain_inverse.T
 
-    n_steps = grid.size - 1
-    w_a, c_a = time_terms(grid)
-    w_b, c_b = time_terms(grid[:-1] + 0.5 * h)
-    w_c, c_c = time_terms(grid[:-1] + h)
+    def maps(self, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Augmented step maps (L, n+1, n+1) from the stage values of L
+        steps, w (3, L) and c (3, L, m): one product with the coefficients."""
+        n_steps = w.shape[1]
+        powers = []
+        for stage, degree in zip(w, self.degree):
+            power = np.ones((degree + 1, n_steps))
+            for e in range(1, degree + 1):
+                power[e] = power[e - 1] * stage
+            powers.append(power)
+        pa, pb, pc = powers
+        # filled in place: temporaries of this size cost fresh pages
+        values = np.empty((self.coef.shape[0], n_steps))
+        mono, driven = values[: self.n_mono], values[self.n_mono :]
+        np.multiply(pa[:, None, None] * pb[None, :, None], pc[None, None],
+                    out=mono.reshape(pa.shape[:1] + pb.shape[:1] + pc.shape))
+        np.take(mono, self.w_index, axis=0, out=driven)
+        entries = c.transpose(0, 2, 1).reshape(-1, n_steps)
+        for j, entry in enumerate(entries):
+            driven[self.c_bounds[j] : self.c_bounds[j + 1]] *= entry
+        return (values.T @ self.coef).reshape(n_steps, self.d, self.d)
 
-    def stage_maps(w, c):
-        """Augmented stage matrices [[P0 + w P1, B c], [0, 0]] on a block."""
-        s = np.zeros((w.size, n + 1, n + 1))
-        s[:, :n, :n] = p0 + w[:, None, None] * p1
-        s[:, :n, n] = c @ b.T
-        return s
 
-    count = n_steps + 1
-    eye = np.eye(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n_steps, AFFINE_BLOCK):
-            hi = min(lo + AFFINE_BLOCK, n_steps)
-            s_b = stage_maps(w_b[lo:hi], c_b[lo:hi])
-            s_c = stage_maps(w_c[lo:hi], c_c[lo:hi])
-            m1 = stage_maps(w_a[lo:hi], c_a[lo:hi])
-            m2 = s_b + (0.5 * h) * (s_b @ m1)
-            m3 = s_b + (0.5 * h) * (s_b @ m2)
-            m4 = s_c + h * (s_c @ m3)
-            maps = eye + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-            # Hillis-Steele scan: maps[i] becomes the map from row lo to lo+i+1
-            span = 1
-            while span < hi - lo:
-                maps[span:] = maps[span:] @ maps[:-span]
-                span *= 2
-            states[lo + 1 : hi + 1] = maps[:, :n, :n] @ states[lo] + maps[:, :n, n]
-            # NaN fails the comparison too, so this covers non-finite states
-            bad = ~(np.max(np.abs(states[lo + 1 : hi + 1]), axis=1) <= BLOWUP_NORM)
-            if bad.any():
-                count = lo + 1 + int(np.argmax(bad))
-                break
-        done = states[:count]
-        inputs = done @ k0.T + w_a[:count, None] * (done @ k1.T) + c_a[:count]
-    plant.advance(grid[count - 1], states[count - 1].copy())
-    return inputs, count
+def _step_polynomial(law: FeedbackLaw, plant, h: float) -> _StepPolynomial:
+    """The step polynomial of the law's gains and the step h on the plant's
+    linear record.  The record keeps one per (gains, h) in its ``cache``,
+    so a run, whose plants share their record, builds it once."""
+    cache = plant.system.cache
+    key = ("step polynomial", law.gains.tobytes(), h)
+    if key not in cache:
+        cache[key] = _StepPolynomial(law, plant.linear, h)
+    return cache[key]
 
 
 def zoh_feedback_rollout(

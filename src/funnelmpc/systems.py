@@ -200,8 +200,9 @@ class StateSpaceSystem:
     the matrices directly.
 
     ``cache`` holds what simulation derives from the record and reuses, the
-    propagators of ``sim.linear_propagator``: the plants of a run share
-    their record, so a run builds each once.  ``dataclasses.replace``
+    propagators of ``sim.linear_propagator`` and the exact feedback's step
+    polynomials (``sim._step_polynomial``): the plants of a run share their
+    record, so a run builds each once.  ``dataclasses.replace``
     starts it empty.
     """
 

@@ -41,7 +41,7 @@ from funnelmpc import (
 )
 from funnelmpc import sim
 from funnelmpc.funnel import InitialJetData
-from funnelmpc.sim import AFFINE_BLOCK, rollout_jets_batch
+from funnelmpc.sim import AFFINE_BLOCK, FEEDBACK_BLOCK, rollout_jets_batch
 from funnelmpc.systems import RelativeDegreeSystem
 
 from conftest import SHOWCASE, make_integrator_plant
@@ -391,9 +391,9 @@ def test_affine_feedback_matches_stagewise_law(showcase_chain, showcase_yref):
             )
 
 
-def test_affine_feedback_matches_stagewise_law_with_two_inputs():
-    # coupled two-channel plant with y = (x1, x2): the law's error terms act
-    # blockwise on the flat jet, which only m > 1 exercises
+def _two_channel_setup():
+    """A coupled two-channel plant with y = (x1, x2), its chain with gain
+    20, a constant reference and a start inside the funnels."""
     a = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                   [-1.0, 0.3, -0.2, 0.0], [0.1, -0.5, 0.0, -0.3]])
     b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [-0.1, 0.8]])
@@ -411,6 +411,13 @@ def test_affine_feedback_matches_stagewise_law_with_two_inputs():
     chain = build_funnel_chain(
         psi, InitialJetData(0.0, x0.reshape(2, 2), yref.jet(0.0)), [20.0], 0.5, r=2
     )
+    return system, chain, yref, x0
+
+
+def test_affine_feedback_matches_stagewise_law_with_two_inputs():
+    # coupled two-channel plant with y = (x1, x2): the law's error terms act
+    # blockwise on the flat jet, which only m > 1 exercises
+    system, chain, yref, x0 = _two_channel_setup()
     runs = [
         feedback_rollout(make_plant(record, 0.0, x0), chain, [20.0], yref, (0.0, 1.0), 1e-3)
         for record in (system, dataclasses.replace(system, linear=None))
@@ -426,9 +433,9 @@ def test_affine_feedback_matches_stagewise_law_with_two_inputs():
 def test_affine_feedback_matches_stagewise_law_on_short_spans(
     steps, showcase_chain, showcase_yref
 ):
-    # one step (the scan has nothing to compose), fewer steps than one
-    # block of affine maps, and two full blocks plus a partial one; blocks
-    # of 2^k + 1 steps need every scan round, the last one for one row
+    # one step (the scan has one map and nothing to compose); 129 steps,
+    # 12 chunks of 11 maps whose last chunk holds 8 maps and 3 identities;
+    # 577 steps, 25 chunks of 24 whose last chunk holds a single map
     system = mass_on_car_state_space()
     h = 1e-4
     runs = []
@@ -447,10 +454,11 @@ def test_affine_feedback_matches_stagewise_law_on_short_spans(
 
 
 def test_affine_feedback_stops_at_blow_up_inside_a_later_block():
-    # y = x1 with x1' = x2 + u and x2' = 5 x2: the law cancels x2 in y's
-    # derivative, so y tracks while the hidden mode grows like e^{5t} and
-    # crosses BLOWUP_NORM near t = 3.68, in block 14 of the affine maps
-    a = np.array([[0.0, 1.0], [0.0, 5.0]])
+    # y = x1 with x1' = x2 + u and x2' = 4 x2: the law cancels x2 in y's
+    # derivative, so y tracks while the hidden mode grows like e^{4t} and
+    # crosses BLOWUP_NORM near t = 4.61, step 4606, in the second block of
+    # FEEDBACK_BLOCK steps
+    a = np.array([[0.0, 1.0], [0.0, 4.0]])
     b = np.array([[1.0], [0.0]])
     c_jet = np.array([[1.0, 0.0]])
     system = StateSpaceSystem(
@@ -465,15 +473,110 @@ def test_affine_feedback_stops_at_blow_up_inside_a_later_block():
     runs = []
     for record in (system, dataclasses.replace(system, linear=None)):
         plant = make_plant(record, 0.0, np.array([0.5, 1.0]))
-        traj, _ = feedback_rollout(plant, chain, [], yref, (0.0, 4.0), 1e-3)
+        traj, _ = feedback_rollout(plant, chain, [], yref, (0.0, 5.0), 1e-3)
         assert traj.status == "blow-up"
         runs.append(traj)
     affine, stagewise = runs
     assert affine.grid.size == stagewise.grid.size
-    assert affine.grid[-1] == pytest.approx(3.68, abs=0.01)
-    assert (affine.grid.size - 1) // AFFINE_BLOCK > 1
+    assert affine.grid[-1] == pytest.approx(4.61, abs=0.01)
+    assert (affine.grid.size - 1) // FEEDBACK_BLOCK == 1
     scale = np.max(np.abs(stagewise.state), axis=1)
     assert np.all(np.max(np.abs(affine.state - stagewise.state), axis=1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_step_polynomial_matches_the_stage_products(m, showcase_chain, showcase_yref):
+    # the polynomial's maps against the RK4 recursion on the augmented
+    # stage matrices [[P0 + w P1, B c], [0, 0]], at a step where h |P| is
+    # about 1/2, so that every order of the polynomial counts
+    if m == 1:
+        system, chain, gains, yref = (
+            mass_on_car_state_space(), showcase_chain, SHOWCASE["gains"], showcase_yref
+        )
+    else:
+        system, chain, yref, _ = _two_channel_setup()
+        gains = [20.0]
+    law = FeedbackLaw(chain, gains, yref)
+    a, b, _ = system.linear
+    n = a.shape[0]
+    probe = sim._StepPolynomial(law, system.linear, 1.0)
+    p0, p1 = a + b @ probe.k0, b @ probe.k1
+    h = 0.5 / np.linalg.norm(p0 + 3.0 * p1, 2)
+    poly = sim._StepPolynomial(law, system.linear, h)
+    assert poly.coef.shape[0] == 12 + 11 * m
+
+    rng = np.random.default_rng(m)
+    w, c = rng.uniform(-3.0, 3.0, (3, 200)), rng.uniform(-2.0, 2.0, (3, 200, m))
+    s_a, s_b, s_c = np.zeros((3, 200, n + 1, n + 1))
+    for s, stage in enumerate((s_a, s_b, s_c)):
+        stage[:, :n, :n] = p0 + w[s][:, None, None] * p1
+        stage[:, :n, n] = c[s] @ b.T
+    m2 = s_b + (0.5 * h) * (s_b @ s_a)
+    m3 = s_b + (0.5 * h) * (s_b @ m2)
+    m4 = s_c + h * (s_c @ m3)
+    expected = np.eye(n + 1) + (h / 6.0) * (s_a + 2.0 * m2 + 2.0 * m3 + m4)
+    maps = poly.maps(w, c)
+    np.testing.assert_allclose(maps, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+    assert (maps[:, n] == np.eye(n + 1)[n]).all()
+
+
+@pytest.mark.parametrize("n_maps", [1, 49, 50], ids=["one-map", "square", "one-past-a-chunk"])
+def test_scan_composes_as_the_maps_in_sequence(n_maps):
+    # 49 maps fill 7 chunks of 7; 50 maps take 8 chunks of 7, the last one
+    # holding one map and six identities
+    rng = np.random.default_rng(n_maps)
+    maps = np.eye(5) + 0.2 * rng.standard_normal((n_maps, 5, 5))
+    start = rng.standard_normal((5, 2))
+    expected, x = [], start
+    for step in maps:
+        x = step @ x
+        expected.append(x)
+    out = sim._scan(maps.copy(), start)
+    assert out.shape == (n_maps, 5, 2)
+    np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+
+def test_affine_feedback_composes_its_maps_across_outer_blocks(showcase_chain, showcase_yref):
+    # one step past an outer block: the second block starts from the
+    # first one's last state, and every state is the step maps applied
+    # one after another
+    h, steps = 1e-4, FEEDBACK_BLOCK + 1
+    law = FeedbackLaw(showcase_chain, SHOWCASE["gains"], showcase_yref)
+    plant = make_plant(mass_on_car_state_space(), 0.0, np.zeros(4))
+    traj, _ = feedback_rollout(
+        plant, showcase_chain, SHOWCASE["gains"], showcase_yref, (0.0, steps * h), h
+    )
+    assert traj.status == "completed" and traj.grid.size == steps + 1
+    poly = sim._step_polynomial(law, plant, h)
+    grid = traj.grid
+    w, c = poly.time_terms(law, np.append(grid[:-1] + np.array([[0.0], [0.5 * h], [h]]), grid[-1]))
+    x, expected = np.append(traj.state[0], 1.0), [traj.state[0]]
+    for step in poly.maps(w[:-1].reshape(3, steps), c[:-1].reshape(3, steps, 1)):
+        x = step @ x
+        expected.append(x[:4])
+    np.testing.assert_allclose(
+        traj.state, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+    )
+
+
+def test_exact_feedback_keeps_one_step_polynomial_per_gains_and_step(
+    showcase_chain, showcase_yref
+):
+    system = mass_on_car_state_space()
+
+    def run(record, h):
+        plant = make_plant(record, 0.0, np.zeros(4))
+        feedback_rollout(
+            plant, showcase_chain, SHOWCASE["gains"], showcase_yref, (0.0, 0.01), h
+        )
+
+    run(system, 1e-4)
+    cached = dict(system.cache)
+    run(system, 1e-4)
+    assert len(cached) == 1 and system.cache == cached
+    run(system, 5e-4)
+    assert len(system.cache) == 2
+    assert dataclasses.replace(system).cache == {}
 
 
 def test_sampled_feedback_matches_manual_receding_loop():
@@ -943,10 +1046,11 @@ def _assert_same_plant(plant, mirror):
     np.testing.assert_array_equal(plant.history.jets, mirror.history.jets)
 
 
-@pytest.mark.parametrize("tau", [0.1, 0.015, 0.01])
+@pytest.mark.parametrize("tau", [0.1, 0.03, 0.02, 0.015, 0.01])
 def test_delay_windows_step_as_the_rk4_stages_do(tau):
     # from t = 0 the first windows read the initial segment; a held open
-    # loop, then a 4-member batch that reads the held past and its own
+    # loop, then a 4-member batch that reads the held past and its own.
+    # Windows are short at tau = 3 h and mostly hold one step below it
     rows = np.random.default_rng(8).uniform(-2.0, 2.0, size=(6, 2))
     plant, mirror = _delay_plant(tau), _delay_plant(tau)
     traj = integrate_open_loop(plant, ControlSignal(0.0, 0.05, rows), (0.0, 0.3), 0.01)
@@ -965,7 +1069,7 @@ def test_delay_windows_step_as_the_rk4_stages_do(tau):
             _stagewise(member, grid, values[b], 5)))
 
 
-@pytest.mark.parametrize("tau", [0.1, 0.015, 0.01])
+@pytest.mark.parametrize("tau", [0.1, 0.03, 0.015, 0.01])
 def test_delay_windows_stop_where_the_rk4_stages_blow_up(tau):
     # a 1e12 input from t = 0.15 pushes y' past BLOWUP_NORM at the first
     # step it is held, the 16th of the span

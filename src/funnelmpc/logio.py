@@ -145,9 +145,10 @@ def write_records_csv(path, records, config_echo: dict):
         for line in _echo_lines(config_echo):
             fh.write(line + "\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_hat", "cost", "iters", "status"])
+        writer.writerow(["t_hat", "cost", "iters", "status", "evaluations", "residual"])
         for rec in records:
-            writer.writerow([fmt(rec.t_hat), fmt(rec.cost), str(rec.iterations), rec.status])
+            writer.writerow([fmt(rec.t_hat), fmt(rec.cost), str(rec.iterations), rec.status,
+                             str(rec.evaluations), fmt(rec.residual)])
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):

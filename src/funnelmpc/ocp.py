@@ -11,7 +11,9 @@ current control, takes a projected Newton step (Bertsekas, SIAM J. Control
 Optim. 20, 1982) on that model and backtracks from the unit step, halving
 it until the Armijo test passes (Nocedal & Wright, Numerical Optimization,
 Alg. 3.1).  Every trial point is costed by linearizing there, so the
-accepted one brings the next iteration's model.  The Jacobian F = de_r/dd is
+accepted one brings the next iteration's model and its e_r rows; the
+Hessian is formed only once the residual test says the iteration goes on.
+The Jacobian F = de_r/dd is
 
 - exact on a plant whose ``linear`` matrices are set (state space or
   normal form): e_r is affine in the stacked controls, the OCP is convex,
@@ -23,7 +25,9 @@ accepted one brings the next iteration's model.  The Jacobian F = de_r/dd is
   costs the control itself.
 
 ``solve_ocp`` builds every start: the given rows completed by sampled
-funnel feedback, or the feedback alone.  A brute-force grid search over
+funnel feedback, or the feedback alone.  On a linear plant the start's knot
+states are read off the same propagator, with no rollout; elsewhere the
+start is one sampled rollout on a clone.  A brute-force grid search over
 tiny decision spaces serves as an independent reference.
 """
 
@@ -39,7 +43,9 @@ from .errchain import top_error_rows
 from .errors import OcpInfeasibleError, PreconditionViolation, SingularGainError
 from .funnel import FunnelFunction, chain_margins
 from .sim import (
+    BLOWUP_NORM,
     ControlSignal,
+    FeedbackLaw,
     _is_multiple,
     linear_propagator,
     rollout_jets_batch,
@@ -62,6 +68,8 @@ logger = logging.getLogger(__name__)
 FD_RELATIVE_STEP = 1e-6
 ARMIJO_CONSTANT = 1e-4
 MAX_HALVINGS = 40
+# the line search's step lengths 1, 1/2, ..., 2^-MAX_HALVINGS
+STEP_LENGTHS = 0.5 ** np.arange(MAX_HALVINGS + 1)
 RESIDUAL_TOL = 1e-6
 # widest band next to a bound in which an entry whose gradient points out
 # of the box counts as active in the projected Newton step
@@ -171,13 +179,16 @@ class _Workspace:
         w = np.full(n_steps + 1, spec.ode_step)
         w[0] = w[-1] = 0.5 * spec.ode_step
         self.weights = w
+        # mu = 2 lambda_u delta, the input term's curvature
+        self.mu = 2.0 * sc.lambda_u * spec.control_step
         self.evaluations = 0
         # on a linear plant e_r of every candidate is the free response of the
         # start state plus its stacked controls v times one matrix:
         # e_r = er_free + (v @ er_forced).reshape(K, m); the run's propagator
         # holds er_block and er_forced, and only er_free depends on the OCP
+        self.prop = None
         if plant.linear is not None:
-            prop = linear_propagator(plant, spec.ode_step, spec.substeps, self.N)
+            self.prop = prop = linear_propagator(plant, spec.ode_step, spec.substeps, self.N)
             self.er_block, self.er_forced = prop.top_errors(sc.gains, self.N)
             K, rm = n_steps + 1, self.r * self.m
             free = prop.free[:K]
@@ -206,7 +217,7 @@ class _Workspace:
         """Costs of a (B, N, m) control stack and the e_r rows they come from."""
         B = values.shape[0]
         self.evaluations += B
-        if self.plant.linear is not None:
+        if self.prop is not None:
             # einsum sums each entry in one order whatever B; a BLAS product
             # rounds a single row differently from a row of a batch
             forced = np.einsum("bi,ij->bj", values.reshape(B, -1), self.er_forced)
@@ -230,33 +241,59 @@ class _Workspace:
     def linearize(self, d: np.ndarray) -> float:
         """Make e_r = er_free + (v @ er_forced).reshape(K, m) hold around d.
 
-        Returns the cost at the stacked control d.  On a plant with
-        ``linear`` matrices the exact response holds for every v already.
-        Elsewhere one batched rollout of d and its forward-difference probes
-        (relative step 1e-6, not clamped to the box) gives F = de_r/dd; a
+        Returns the cost at the stacked control d and keeps the model's
+        values there for ``gradient``: the e_r rows ``er`` (K, m) and the
+        barrier gaps ``gap`` theta^2 - |e_r|^2.  On a plant with ``linear``
+        matrices the exact response holds for every v already, and the rows
+        are those the cost came from.  Elsewhere one batched rollout of d
+        and its forward-difference probes (relative step 1e-6, not clamped
+        to the box) gives F = de_r/dd, and the rows are the model's at d; a
         probe that blows up leaves non-finite columns.
         """
         shape = (self.N, self.m)
-        if self.plant.linear is not None:
-            return self.cost_single(d.reshape(shape))
-        du = FD_RELATIVE_STEP * np.maximum(1.0, np.abs(d))
-        probes = np.vstack([d, d + np.diag(du)])
-        costs, er = self._costs(probes.reshape((-1,) + shape))
-        er = er.reshape(probes.shape[0], -1)
+        if self.prop is not None:
+            costs, er = self._costs(d.reshape((1,) + shape))
+            self.er = er[0]
+        else:
+            du = FD_RELATIVE_STEP * np.maximum(1.0, np.abs(d))
+            probes = np.vstack([d, d + np.diag(du)])
+            costs, er = self._costs(probes.reshape((-1,) + shape))
+            er = er.reshape(probes.shape[0], -1)
+            with np.errstate(invalid="ignore", over="ignore"):
+                self.er_forced = (er[1:] - er[0]) / du[:, None]
+                self.er_free = (er[0] - d @ self.er_forced).reshape(-1, self.m)
+                self.er = self.er_free + (d @ self.er_forced).reshape(-1, self.m)
         with np.errstate(invalid="ignore", over="ignore"):
-            self.er_forced = (er[1:] - er[0]) / du[:, None]
-            self.er_free = (er[0] - d @ self.er_forced).reshape(-1, self.m)
+            self.gap = self.theta_sq - np.sum(self.er * self.er, axis=1)
         return float(costs[0])
+
+    def gradient(self, d: np.ndarray) -> np.ndarray:
+        """Gradient of the cost at d, the point of the last ``linearize``,
+        from the e_r rows and gaps kept there (see ``exact_derivatives``)."""
+        K, m = self.weights.size, self.m
+        wb1 = self.weights * self.theta_sq / (self.gap * self.gap)
+        # row i, column k: F_k^T e_k for control entry i
+        fe = np.sum(self.er_forced.reshape(-1, K, m) * self.er, axis=2)
+        self._gradient_terms = fe, wb1
+        return fe @ (2.0 * wb1) + self.mu * d
+
+    def hessian(self) -> np.ndarray:
+        """Gauss-Newton Hessian at the point of the last ``gradient``."""
+        fe, wb1 = self._gradient_terms
+        wb2 = 2.0 * wb1 / self.gap
+        hess = (self.er_forced * np.repeat(2.0 * wb1, self.m)) @ self.er_forced.T
+        hess += (fe * (4.0 * wb2)) @ fe.T
+        hess.flat[:: hess.shape[0] + 1] += self.mu
+        return hess
 
     def exact_derivatives(self, d: np.ndarray):
         """Gradient and Gauss-Newton Hessian of the cost at the stacked control d.
 
-        Reads the linearization e_r = er_free + d @ er_forced set by
-        ``linearize``, at a point of finite cost.  With s_k = |e_k|^2 for
-        e_k = e_r at grid point k, the barrier b(s) = s / (theta_k^2 - s)
-        has b' = theta_k^2 / (theta_k^2 - s)^2 and b'' = 2 b' / (theta_k^2 - s),
-        so with F_k the (N*m, m) block of ``er_forced`` at k and trapezoid
-        weights w_k
+        Linearizes e_r = er_free + d @ er_forced at d, a point of finite
+        cost.  With s_k = |e_k|^2 for e_k = e_r at grid point k, the barrier
+        b(s) = s / (theta_k^2 - s) has b' = theta_k^2 / (theta_k^2 - s)^2 and
+        b'' = 2 b' / (theta_k^2 - s), so with F_k the (N*m, m) block of
+        ``er_forced`` at k and trapezoid weights w_k
 
             g = sum_k F_k 2 w_k b'_k e_k + mu d,
             H = sum_k F_k (2 w_k b'_k I + 4 w_k b''_k e_k e_k^T) F_k^T + mu I,
@@ -264,35 +301,55 @@ class _Workspace:
         where mu = 2 lambda_u delta.  H drops the curvature of e_r(d), so it
         is the exact Hessian on a plant with ``linear`` matrices.
         """
-        K, m = self.weights.size, self.m
-        e = self.er_free + (d @ self.er_forced).reshape(K, m)
-        gap = self.theta_sq - np.sum(e * e, axis=1)
-        wb1 = self.weights * self.theta_sq / (gap * gap)
-        wb2 = 2.0 * wb1 / gap
-        # row i, column k: F_k^T e_k for control entry i
-        fe = np.sum(self.er_forced.reshape(-1, K, m) * e, axis=2)
-        mu = 2.0 * self.sc.lambda_u * self.spec.control_step
-        grad = fe @ (2.0 * wb1) + mu * d
-        hess = (self.er_forced * np.repeat(2.0 * wb1, m)) @ self.er_forced.T
-        hess += (fe * (4.0 * wb2)) @ fe.T
-        hess.flat[:: hess.shape[0] + 1] += mu
-        return grad, hess
+        self.linearize(d)
+        return self.gradient(d), self.hessian()
 
     def feedback_values(self, chain, gains, head: np.ndarray) -> np.ndarray:
-        """N rows from one sampled rollout on a clone: the (n, m) ``head``
-        held from t0, then funnel feedback sampled at the later knots of the
-        OCP grid and clamped to the box.  Raises PreconditionViolation
-        without a chain or gains, or when the rollout blows up."""
+        """N rows: the (k, m) ``head`` held from t0, then funnel feedback
+        sampled at the later knots of the OCP grid and clamped to the box.
+
+        On a plant with ``linear`` matrices the knot states are read off the
+        run's propagator: the first sampled knot's is one product, each later
+        one an interval map of the knot before, and one product gives every
+        grid state for the blow-up test.  Elsewhere the rows come from one
+        sampled rollout on a clone (``zoh_feedback_rollout``).  Raises
+        PreconditionViolation without a chain or gains, or when a state
+        blows up.
+        """
         if chain is None or gains is None:
             raise PreconditionViolation("no funnel chain to complete the start")
-        spec = self.spec
-        traj, start = zoh_feedback_rollout(
-            self.plant.clone(), chain, gains, self.yref, (self.t0, self.t0 + spec.horizon),
-            spec.control_step, spec.ode_step, saturation=spec.saturation, head=head,
-        )
-        if traj.status != "completed":
-            raise PreconditionViolation(f"start rollout blew up after t = {traj.grid[-1]:g}")
-        return start.values
+        spec, prop = self.spec, self.prop
+        if prop is None:
+            traj, start = zoh_feedback_rollout(
+                self.plant.clone(), chain, gains, self.yref, (self.t0, self.t0 + spec.horizon),
+                spec.control_step, spec.ode_step, saturation=spec.saturation, head=head,
+            )
+            if traj.status != "completed":
+                raise PreconditionViolation(f"start blew up after t = {traj.grid[-1]:g}")
+            return start.values
+        # a linear record has no memory, so the law reads only the knot's
+        # state, whatever time and state the plant itself holds
+        law = FeedbackLaw(chain, gains, self.yref)
+        s, m, n, k = spec.substeps, self.m, self.plant.state_dim, head.shape[0]
+        K, x0 = self.grid.size, self.plant.state
+        values = np.empty((self.N, m))
+        values[:k] = head
+        i = k * s
+        x = prop.powers[i] @ x0 + head.ravel() @ prop.forced[: k * m, i * n : (i + 1) * n]
+        step_gain = prop.forced[:m, s * n : (s + 1) * n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for knot in range(k, self.N):
+                u = np.atleast_1d(law(self.grid[knot * s], self.plant, x))
+                values[knot] = np.clip(u, -spec.saturation, spec.saturation)
+                x = prop.powers[s] @ x + values[knot] @ step_gain
+            states = prop.powers[1:K] @ x0 + (
+                values.ravel() @ prop.forced[: self.N * m, n : K * n]
+            ).reshape(K - 1, n)
+            # NaN fails the comparison too, so this covers non-finite states
+            bad = ~(np.abs(states).max(axis=1) <= BLOWUP_NORM)
+        if bad.any():
+            raise PreconditionViolation(f"start blew up after t = {self.grid[bad.argmax()]:g}")
+        return values
 
 
 def _rows_from(control: ControlSignal, t: float, spec: OcpSpec, cover: float, name: str):
@@ -325,6 +382,8 @@ def _newton_direction(grad: np.ndarray, hess: np.ndarray, d: np.ndarray, M: floa
     Newton step H_ff^-1 g_f.
     """
     active = ((d <= -M + band) & (grad > 0.0)) | ((d >= M - band) & (grad < 0.0))
+    if not active.any():
+        return np.linalg.solve(hess, grad)
     free = ~active
     direction = grad.copy()
     if np.any(free):
@@ -361,7 +420,7 @@ def solve_ocp(
 
     The warm start's rows from the plant's time, on the OCP's ZOH grid and
     clamped to the box, are the start: as they are when they cover the
-    horizon, else completed by sampled funnel feedback in one rollout
+    horizon, else completed by sampled funnel feedback
     (``_Workspace.feedback_values``); without rows the feedback alone.  Given
     rows that cannot be completed (a blow-up or a singular input gain) or
     cost inf give way to the feedback alone; if the last start fails the
@@ -410,16 +469,16 @@ def solve_ocp(
     while it < spec.max_iterations:
         it += 1
         # a forward-difference probe of d blew up: no model to step on
-        if not np.all(np.isfinite(ws.er_forced)):
+        if ws.prop is None and not np.all(np.isfinite(ws.er_forced)):
             status = "no-descent"
             break
-        grad, hess = ws.exact_derivatives(d)
+        grad = ws.gradient(d)
         residual = float(np.max(np.abs(d - np.clip(d - grad, -M, M))))
         if residual <= RESIDUAL_TOL:
             status = "converged"
             break
-        direction = _newton_direction(grad, hess, d, M, min(residual, ACTIVE_BAND))
-        for alpha in 0.5 ** np.arange(MAX_HALVINGS + 1):
+        direction = _newton_direction(grad, ws.hessian(), d, M, min(residual, ACTIVE_BAND))
+        for alpha in STEP_LENGTHS:
             trial = np.clip(d - alpha * direction, -M, M)
             J_trial = ws.linearize(trial)
             if _sufficient_decrease(J_trial, J, (d - trial) @ grad):

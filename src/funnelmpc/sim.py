@@ -815,7 +815,8 @@ def zoh_feedback_rollout(
     the running trajectory, optionally clamped to the saturation box, and
     held for one interval.  The loop is open between knots, so the
     conservation property of the continuous law does not transfer; this is
-    the implementable sampled controller, and it builds every OCP start.
+    the implementable sampled controller; it builds the OCP starts of
+    plants without ``linear`` matrices.
     The head is one held span (``_hold``) and each later knot one more,
     with the law evaluated once per knot, on the knot's state.
     """

@@ -267,18 +267,21 @@ def constant_reference(value, r: int) -> ReferenceSignal:
 def cosine_reference(amplitude: float, omega: float, r: int, phase: float = 0.0) -> ReferenceSignal:
     """Scalar reference y_ref(t) = amplitude * cos(omega t + phase)."""
     w = float(omega)
-    # d^n/dt^n cos(w t + phi) = w^n cos(w t + phi + n pi/2) for n = 0..r,
-    # formed once since the feedback law asks for them at every RK4 stage
+    # d^n/dt^n cos(w t + phi) = w^n (c, -s, -c, s)[n % 4] with c, s the cosine
+    # and sine of w t + phi: even orders scale c, odd ones s, so each is
+    # evaluated once per time however many orders the feedback law asks for
     n = np.arange(r + 1)
-    scales = float(amplitude) * w**n
-    shifts = phase + n * (math.pi / 2.0)
+    scales = float(amplitude) * w**n * np.array([1.0, -1.0, -1.0, 1.0])[n % 4]
 
     def jet_array(ts, order=r):
         if order > r + 1:
             raise ValueError(f"cosine reference of order {r} has no jet of order {order}")
-        ts = np.asarray(ts, dtype=float)
-        out = scales[:order] * np.cos(w * ts[:, None] + shifts[:order])
-        return out[:, :, None]
+        arg = w * np.asarray(ts, dtype=float)[:, None] + phase
+        out = np.empty((arg.shape[0], order, 1))
+        np.multiply(scales[0:order:2], np.cos(arg), out=out[:, 0::2, 0])
+        if order > 1:
+            np.multiply(scales[1:order:2], np.sin(arg), out=out[:, 1::2, 0])
+        return out
 
     return ReferenceSignal(r=r, m=1, jet_array=jet_array)
 

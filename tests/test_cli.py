@@ -8,6 +8,7 @@ own acceptance test).
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import json
 import math
@@ -17,8 +18,9 @@ import re
 import numpy as np
 import pytest
 
-from funnelmpc.cli import EXIT_CONFIG, EXIT_GUARANTEE, EXIT_OK, EXIT_RUNTIME, main
+from funnelmpc.cli import EXIT_CONFIG, EXIT_GUARANTEE, EXIT_OK, EXIT_RUNTIME, ResolvedRun, main
 from funnelmpc.logio import read_trajectory_csv
+from funnelmpc.mpc import run_fmpc
 
 from conftest import config_path
 
@@ -182,6 +184,22 @@ def _short_showcase_log(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--config", path, "--out", out_dir)
     assert code == EXIT_OK
     return cfg, path, os.path.join(out_dir, "trajectory.csv")
+
+
+def test_records_hold_each_solution_with_its_counters(tmp_path, capsys):
+    # ocp_records.csv holds every OcpSolution of the run: start time, cost,
+    # iterations and status, then its cost evaluations and residual
+    cfg, _, csv_path = _short_showcase_log(tmp_path, capsys)
+    res = ResolvedRun(cfg)
+    log = run_fmpc(res.factory(res.t0), res.yref, res.mpc)
+    with open(os.path.join(os.path.dirname(csv_path), "ocp_records.csv"), encoding="utf-8") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert rows[0] == ["t_hat", "cost", "iters", "status", "evaluations", "residual"]
+    assert len(rows) == len(log.records) + 1 == 11
+    for row, rec in zip(rows[1:], log.records):
+        t_hat, cost, iters, status, evaluations, residual = row
+        assert (float(t_hat), float(cost), int(iters), status, int(evaluations), float(residual)) \
+            == (rec.t_hat, rec.cost, rec.iterations, rec.status, rec.evaluations, rec.residual)
 
 
 def test_verify_rejects_top_error_outside_theta(tmp_path, capsys):

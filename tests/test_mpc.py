@@ -38,9 +38,9 @@ from funnelmpc import (
     verify_guarantees,
 )
 from funnelmpc import mpc as mpc_module
-from funnelmpc import ocp as ocp_module
 from funnelmpc.systems import RelativeDegreeSystem
 from funnelmpc.cli import ResolvedRun
+from funnelmpc.ocp import _Workspace
 
 from conftest import config_path, make_integrator_plant
 
@@ -143,19 +143,19 @@ def test_closed_loop_statuses_settle_after_first_cycle(decay_psi):
 
 def test_shifted_start_that_cannot_be_completed_is_recorded(monkeypatch, decay_psi):
     # N = 2: from the second cycle on the shifted start holds one row and
-    # sampled feedback completes it from t_hat + 0.1, in one rollout from
-    # t_hat.  That rollout fails once, at t_hat = 0.1; the solver then starts
-    # from the feedback alone, and the record says so
-    rollout = ocp_module.zoh_feedback_rollout
+    # sampled feedback completes it from t_hat + 0.1.  That completion fails
+    # once, at t_hat = 0.1; the solver then starts from the feedback alone,
+    # and the record says so
+    feedback_values = _Workspace.feedback_values
     failed = []
 
-    def fail_first_completion(plant, chain, gains, yref, t_span, *args, head=None, **kwargs):
-        if head is not None and len(head) and not failed:
-            failed.append(t_span[0])
+    def fail_first_completion(ws, chain, gains, head):
+        if len(head) and not failed:
+            failed.append(ws.t0)
             raise PreconditionViolation("completion blew up")
-        return rollout(plant, chain, gains, yref, t_span, *args, head=head, **kwargs)
+        return feedback_values(ws, chain, gains, head)
 
-    monkeypatch.setattr(ocp_module, "zoh_feedback_rollout", fail_first_completion)
+    monkeypatch.setattr(_Workspace, "feedback_values", fail_first_completion)
     config = scalar_mpc_config(decay_psi, t_end=0.5)
     log = run_fmpc(make_integrator_plant(0.5), constant_reference(0.0, r=1), config)
     assert failed == [pytest.approx(0.1)]
@@ -167,7 +167,7 @@ def test_shifted_start_that_cannot_be_completed_is_recorded(monkeypatch, decay_p
 
 def test_horizon_of_one_shift_builds_each_feedback_start_once(monkeypatch):
     # T = delta leaves no shifted rows, so every OCP starts from sampled
-    # feedback; each such rollout builds one law.  The shipped showcase with
+    # feedback; each such start builds one law.  The shipped showcase with
     # T = 0.04 and M = 20 loses feasibility at t = 1.40 without building the
     # failing start a second time
     with open(config_path("mass_on_car.json")) as fh:

@@ -26,6 +26,7 @@ from funnelmpc import (
     FunnelFunction,
     OcpInfeasibleError,
     OcpSpec,
+    PreconditionViolation,
     StageCost,
     brute_force_ocp,
     constant_reference,
@@ -471,24 +472,22 @@ def test_start_samples_the_feedback_on_the_ocp_grid(monkeypatch):
     assert np.isin(times, grids[0]).all()
 
 
-def test_each_start_is_one_rollout(monkeypatch):
-    # every start the closed loop builds, shifted rows or the feedback
-    # alone, is one sampled rollout on a plant clone; on the linear showcase
-    # its held head and its sampled knot are exact maps, with no step loop
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_linear_starts_are_read_off_the_propagator(monkeypatch):
+    # every start the closed loop builds on the linear showcase, shifted
+    # rows or the feedback alone, reads its knot states off the run's
+    # propagator: no sampled rollout, no held span and no step loop
     plant, config, yref = _shipped_showcase(t_end=0.4)
-    counts = {"rollouts": 0, "marches": 0}
+    counts = {"rollouts": 0, "holds": 0, "marches": 0}
     per_start = []
-    rollout, march, feedback_values = (
-        ocp_module.zoh_feedback_rollout, sim_module._march, _Workspace.feedback_values
-    )
-
-    def counting_rollout(*args, **kwargs):
-        counts["rollouts"] += 1
-        return rollout(*args, **kwargs)
-
-    def counting_march(*args, **kwargs):
-        counts["marches"] += 1
-        return march(*args, **kwargs)
+    feedback_values = _Workspace.feedback_values
 
     def counting_start(ws, chain, gains, head):
         before = dict(counts)
@@ -496,12 +495,105 @@ def test_each_start_is_one_rollout(monkeypatch):
         per_start.append((head.shape[0], *(counts[k] - before[k] for k in counts)))
         return out
 
-    monkeypatch.setattr(ocp_module, "zoh_feedback_rollout", counting_rollout)
-    monkeypatch.setattr(sim_module, "_march", counting_march)
+    for module, name, key in ((ocp_module, "zoh_feedback_rollout", "rollouts"),
+                              (sim_module, "_hold", "holds"), (sim_module, "_march", "marches")):
+        monkeypatch.setattr(module, name, _counting(counts, key, getattr(module, name)))
     monkeypatch.setattr(_Workspace, "feedback_values", counting_start)
     run_fmpc(plant, yref, config)
-    assert [rows for rows, _, _ in per_start] == [0] + [14] * 9
-    assert all((rollouts, marches) == (1, 0) for _, rollouts, marches in per_start)
+    assert [start[0] for start in per_start] == [0] + [14] * 9
+    assert all(start[1:] == (0, 0, 0) for start in per_start)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 14])
+def test_linear_start_matches_the_sampled_rollout(rows):
+    # the rows read off the propagator are the sampled rollout's bit for
+    # bit, after no, one and N - 1 given rows; at t = 0 the feedback runs
+    # into the box, so the clamp is active at a sampled knot in each case
+    plant, config, yref = _shipped_showcase()
+    spec = config.spec
+    head = np.full((rows, 1), 3.0)
+    ws = _Workspace(plant, config.stage, spec, yref)
+    values = ws.feedback_values(config.chain, config.gains, head)
+    _, start = zoh_feedback_rollout(
+        plant.clone(), config.chain, config.gains, yref, (0.0, spec.horizon),
+        spec.control_step, spec.ode_step, saturation=spec.saturation, head=head,
+    )
+    np.testing.assert_array_equal(values, start.values)
+    assert np.any(np.abs(values[rows:]) == spec.saturation)
+
+
+def test_start_without_linear_record_is_one_rollout(monkeypatch):
+    # a linear=None copy of the record still builds its start in one
+    # sampled RK4 rollout, which agrees with the propagator's rows up to
+    # the rounding of the steps, amplified by the feedback gains
+    plant, config, yref = _shipped_showcase()
+    generic = make_plant(dataclasses.replace(plant.system, linear=None), 0.0, plant.state)
+    head = np.full((1, 1), 3.0)
+    counts = {"rollouts": 0}
+    monkeypatch.setattr(ocp_module, "zoh_feedback_rollout",
+                        _counting(counts, "rollouts", ocp_module.zoh_feedback_rollout))
+    rows = [
+        _Workspace(p, config.stage, config.spec, yref).feedback_values(
+            config.chain, config.gains, head)
+        for p in (generic, plant)
+    ]
+    assert counts["rollouts"] == 1
+    np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("rows", [0, 14])
+def test_start_that_blows_up_is_a_precondition_violation(rows):
+    # a car position just below BLOWUP_NORM moving at 1e6 crosses it near
+    # t = 0.1; both start builders raise and name the same last good time
+    plant, config, yref = _shipped_showcase()
+    x0 = np.array([sim_module.BLOWUP_NORM - 1e5, 0.0, 1e6, 0.0])
+    messages = []
+    for record in (plant.system, dataclasses.replace(plant.system, linear=None)):
+        ws = _Workspace(make_plant(record, 0.0, x0), config.stage, config.spec, yref)
+        with pytest.raises(PreconditionViolation, match="start blew up after t = ") as exc:
+            ws.feedback_values(config.chain, config.gains, np.full((rows, 1), 3.0))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_iterations_reuse_the_accepted_model(monkeypatch):
+    # each iteration's gradient and Hessian come from the e_r rows kept
+    # when its point was costed: those rows are the affine response at the
+    # iterate, and the derivatives match those of a fresh linearization
+    # there; the converged last iteration forms no Hessian
+    plant, config, yref = _shipped_showcase()
+    gradient, hessian = _Workspace.gradient, _Workspace.hessian
+    seen = []
+
+    def recording_gradient(ws, d):
+        grad = gradient(ws, d)
+        er = ws.er_free + (d @ ws.er_forced).reshape(-1, ws.m)
+        np.testing.assert_allclose(ws.er, er, rtol=0.0, atol=1e-12 * np.max(np.abs(er)))
+        np.testing.assert_allclose(ws.gap, ws.theta_sq - np.sum(er * er, axis=1), rtol=1e-12)
+        seen.append([d.copy(), grad, None])
+        return grad
+
+    def recording_hessian(ws):
+        seen[-1][2] = hessian(ws)
+        return seen[-1][2]
+
+    monkeypatch.setattr(_Workspace, "gradient", recording_gradient)
+    monkeypatch.setattr(_Workspace, "hessian", recording_hessian)
+    sol = solve_ocp(plant, config.stage, config.spec, yref, chain=config.chain,
+                    gains=config.gains)
+    monkeypatch.undo()
+    assert sol.status == "converged"
+    assert sol.iterations > 2
+    assert len(seen) == sol.iterations
+    assert [hess is not None for _, _, hess in seen] == [True] * (sol.iterations - 1) + [False]
+    for d, grad, hess in seen:
+        fresh = _Workspace(plant, config.stage, config.spec, yref)
+        want_grad, want_hess = fresh.exact_derivatives(d)
+        np.testing.assert_allclose(grad, want_grad, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(want_grad)))
+        if hess is not None:
+            np.testing.assert_allclose(hess, want_hess, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(want_hess)))
 
 
 def test_run_builds_its_constants_once_per_record(monkeypatch):

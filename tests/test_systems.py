@@ -170,6 +170,25 @@ def test_cosine_reference_array_evaluation_matches_pointwise():
         np.testing.assert_allclose(jets[i], ref.jet(float(t)), atol=1e-14)
 
 
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("phase", [-1.0, 0.0, 0.5])
+def test_cosine_reference_orders_match_the_shifted_cosine(omega, phase):
+    # every order up to r + 1 comes from one cosine and one sine of
+    # omega t + phase; order n agrees with A omega^n cos(omega t + phase +
+    # n pi/2) up to the rounding of that shifted argument (kept below 8,
+    # where it is at most 4.4e-16), and order 0 is the cosine itself
+    amplitude, r = 1.5, 4
+    ref = cosine_reference(amplitude, omega, r=r, phase=phase)
+    ts = np.linspace(0.0, 0.5, 51)
+    jets = ref.jet_array(ts, r + 1)[:, :, 0]
+    assert jets.shape == (51, r + 1)
+    for n in range(r + 1):
+        scale = amplitude * omega**n
+        shifted = scale * np.cos(omega * ts + phase + n * math.pi / 2.0)
+        assert np.max(np.abs(jets[:, n] - shifted)) <= 1e-15 * scale
+    np.testing.assert_array_equal(jets[:, 0], amplitude * np.cos(omega * ts + phase))
+
+
 def test_constant_reference_jets_are_flat():
     ref = constant_reference(0.7, r=3)
     jet = ref.jet(2.5)

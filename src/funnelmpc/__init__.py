@@ -75,7 +75,6 @@ from .sim import (
     feasibility_feedback,
     feedback_rollout,
     integrate_open_loop,
-    linear_jet_response,
     make_plant,
     rk4_step_maps,
     rollout_jets_batch,

@@ -17,9 +17,9 @@ The Jacobian F = de_r/dd is
 
 - exact on a plant whose ``linear`` matrices are set (state space or
   normal form): e_r is affine in the stacked controls, the OCP is convex,
-  and candidates are costed through the exact e_r response of the run's
-  ``sim.LinearPropagator``, which the plant record keeps, so a run builds
-  it once rather than once per OCP;
+  and candidates are costed through the exact e_r response read off the
+  state maps of the run's ``sim.LinearPropagator``, which the plant record
+  keeps, so a run builds it once rather than once per OCP;
 - elsewhere, those with memory included, taken by forward differences
   from one batched RK4 rollout of the control and its probes, which also
   costs the control itself.
@@ -43,9 +43,9 @@ from .errchain import top_error_rows
 from .errors import OcpInfeasibleError, PreconditionViolation, SingularGainError
 from .funnel import FunnelFunction, chain_margins
 from .sim import (
-    BLOWUP_NORM,
     ControlSignal,
     FeedbackLaw,
+    _blown,
     _is_multiple,
     linear_propagator,
     rollout_jets_batch,
@@ -185,14 +185,14 @@ class _Workspace:
         # on a linear plant e_r of every candidate is the free response of the
         # start state plus its stacked controls v times one matrix:
         # e_r = er_free + (v @ er_forced).reshape(K, m); the run's propagator
-        # holds er_block and er_forced, and only er_free depends on the OCP
+        # reads er_block, the free map and er_forced off its state maps, per
+        # gains, and only er_free, which holds the start and the reference,
+        # depends on the OCP
         self.prop = None
         if plant.linear is not None:
             self.prop = prop = linear_propagator(plant, spec.ode_step, spec.substeps, self.N)
-            self.er_block, self.er_forced = prop.top_errors(sc.gains, self.N)
-            K, rm = n_steps + 1, self.r * self.m
-            free = prop.free[:K]
-            self.er_free = ((free @ plant.state).reshape(K, rm) - self.ref_flat) @ self.er_block.T
+            self.er_block, free, self.er_forced = prop.top_errors(sc.gains, self.N)
+            self.er_free = free @ plant.state - self.ref_flat @ self.er_block.T
         else:
             self.er_block = top_error_rows(sc.gains, self.m)
 
@@ -235,9 +235,6 @@ class _Workspace:
         """Cost of each (N, m) control in a (B, N, m) stack."""
         return self._costs(values)[0]
 
-    def cost_single(self, values: np.ndarray) -> float:
-        return float(self.cost_batch(values[None, :, :])[0])
-
     def linearize(self, d: np.ndarray) -> float:
         """Make e_r = er_free + (v @ er_forced).reshape(K, m) hold around d.
 
@@ -269,7 +266,17 @@ class _Workspace:
 
     def gradient(self, d: np.ndarray) -> np.ndarray:
         """Gradient of the cost at d, the point of the last ``linearize``,
-        from the e_r rows and gaps kept there (see ``exact_derivatives``)."""
+        from the e_r rows and gaps kept there.
+
+        With s_k = |e_k|^2 for e_k = e_r at grid point k, the barrier
+        b(s) = s / (theta_k^2 - s) has b' = theta_k^2 / (theta_k^2 - s)^2,
+        so with F_k the (N*m, m) block of ``er_forced`` at k and trapezoid
+        weights w_k
+
+            g = sum_k F_k 2 w_k b'_k e_k + mu d,
+
+        where mu = 2 lambda_u delta.
+        """
         K, m = self.weights.size, self.m
         wb1 = self.weights * self.theta_sq / (self.gap * self.gap)
         # row i, column k: F_k^T e_k for control entry i
@@ -278,31 +285,21 @@ class _Workspace:
         return fe @ (2.0 * wb1) + self.mu * d
 
     def hessian(self) -> np.ndarray:
-        """Gauss-Newton Hessian at the point of the last ``gradient``."""
+        """Gauss-Newton Hessian at the point of the last ``gradient``.
+
+        With b'' = 2 b' / (theta_k^2 - s) and the terms of ``gradient``
+
+            H = sum_k F_k (2 w_k b'_k I + 4 w_k b''_k e_k e_k^T) F_k^T + mu I.
+
+        H drops the curvature of e_r(d), so it is the exact Hessian on a
+        plant with ``linear`` matrices.
+        """
         fe, wb1 = self._gradient_terms
         wb2 = 2.0 * wb1 / self.gap
         hess = (self.er_forced * np.repeat(2.0 * wb1, self.m)) @ self.er_forced.T
         hess += (fe * (4.0 * wb2)) @ fe.T
         hess.flat[:: hess.shape[0] + 1] += self.mu
         return hess
-
-    def exact_derivatives(self, d: np.ndarray):
-        """Gradient and Gauss-Newton Hessian of the cost at the stacked control d.
-
-        Linearizes e_r = er_free + d @ er_forced at d, a point of finite
-        cost.  With s_k = |e_k|^2 for e_k = e_r at grid point k, the barrier
-        b(s) = s / (theta_k^2 - s) has b' = theta_k^2 / (theta_k^2 - s)^2 and
-        b'' = 2 b' / (theta_k^2 - s), so with F_k the (N*m, m) block of
-        ``er_forced`` at k and trapezoid weights w_k
-
-            g = sum_k F_k 2 w_k b'_k e_k + mu d,
-            H = sum_k F_k (2 w_k b'_k I + 4 w_k b''_k e_k e_k^T) F_k^T + mu I,
-
-        where mu = 2 lambda_u delta.  H drops the curvature of e_r(d), so it
-        is the exact Hessian on a plant with ``linear`` matrices.
-        """
-        self.linearize(d)
-        return self.gradient(d), self.hessian()
 
     def feedback_values(self, chain, gains, head: np.ndarray) -> np.ndarray:
         """N rows: the (k, m) ``head`` held from t0, then funnel feedback
@@ -345,8 +342,7 @@ class _Workspace:
             states = prop.powers[1:K] @ x0 + (
                 values.ravel() @ prop.forced[: self.N * m, n : K * n]
             ).reshape(K - 1, n)
-            # NaN fails the comparison too, so this covers non-finite states
-            bad = ~(np.abs(states).max(axis=1) <= BLOWUP_NORM)
+            bad = _blown(states)
         if bad.any():
             raise PreconditionViolation(f"start blew up after t = {self.grid[bad.argmax()]:g}")
         return values
@@ -371,7 +367,7 @@ def cost_functional(plant, control: ControlSignal, sc: StageCost, yref, spec: Oc
     A plant with memory is rolled out on a clone that extends its history.
     """
     rows = _rows_from(control, plant.t, spec, spec.horizon, "control")
-    return _Workspace(plant, sc, spec, yref).cost_single(rows)
+    return float(_Workspace(plant, sc, spec, yref).cost_batch(rows[None])[0])
 
 
 def _newton_direction(grad: np.ndarray, hess: np.ndarray, d: np.ndarray, M: float, band: float):

@@ -40,7 +40,6 @@ __all__ = [
     "zoh_feedback_rollout",
     "rollout_jets_batch",
     "rk4_step_maps",
-    "linear_jet_response",
 ]
 
 BLOWUP_NORM = 1e8
@@ -402,6 +401,12 @@ def _control_callable(control, m: int):
     raise TypeError("control must be a ControlSignal or a callable of time")
 
 
+def _blown(rows: np.ndarray) -> np.ndarray:
+    """Whether each row (..., n) has blown up: an entry above BLOWUP_NORM
+    in magnitude, or a non-finite one, since NaN fails the comparison too."""
+    return ~(np.abs(rows).max(axis=-1) <= BLOWUP_NORM)
+
+
 def _march(plant, grid: np.ndarray, h: float, u_of, states: np.ndarray):
     """RK4 along the grid from states[0] ([B,] n), with the input
     ``u_of(i, t, x)`` ([B,] m) evaluated at every stage of step i.
@@ -428,8 +433,7 @@ def _march(plant, grid: np.ndarray, h: float, u_of, states: np.ndarray):
             x4 = x + h * k3
             k4 = rhs(t + h, x4, u_of(i, t + h, x4))
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # NaN fails the comparison too, so this covers non-finite states
-            if states.ndim == 2 and not float(np.max(np.abs(x))) <= BLOWUP_NORM:
+            if states.ndim == 2 and _blown(x):
                 return inputs, i + 1
             states[i + 1] = x
             plant.advance(grid[i + 1], x)
@@ -619,11 +623,11 @@ def _affine_feedback(law: FeedbackLaw, plant, grid, h: float, states: np.ndarray
             w, c = poly.time_terms(law, np.append(grid[lo:hi] + stages, grid[hi]))
             w_at[lo:hi], c_at[lo:hi], w_at[hi], c_at[hi] = w[:k], c[:k], w[-1], c[-1]
             maps = poly.maps(w[:-1].reshape(3, k), c[:-1].reshape(3, k, -1))
-            states[lo + 1 : hi + 1] = _scan(maps, np.append(states[lo], 1.0)[:, None])[:, :n, 0]
-            # NaN fails the comparisons too, so this covers non-finite states
-            block = np.abs(states[lo + 1 : hi + 1])
-            if not block.max() <= BLOWUP_NORM:
-                count = lo + 1 + int(np.argmax(~(block.max(axis=1) <= BLOWUP_NORM)))
+            block = states[lo + 1 : hi + 1]
+            block[:] = _scan(maps, np.append(states[lo], 1.0)[:, None])[:, :n, 0]
+            # one max over the whole block; rows are scanned only once it fails
+            if _blown(block.ravel()):
+                count = lo + 1 + int(np.argmax(_blown(block)))
                 break
         done = states[:count]
         inputs = done @ poly.k0.T + w_at[:count, None] * (done @ poly.k1.T) + c_at[:count]
@@ -872,9 +876,9 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
     with np.errstate(over="ignore", invalid="ignore"):
         _hold(plant, grid, h, substeps, states, values.swapaxes(0, 1))
         jets = plant.output_jet(states.swapaxes(0, 1))
-    # NaN becomes inf, which fails the bound, so non-finite members are flagged too
+    # a blown member's non-finite entries read inf, never NaN
     np.copyto(jets, np.inf, where=np.isnan(jets))
-    return grid, jets, (np.abs(jets) <= BLOWUP_NORM).all(axis=(1, 2))
+    return grid, jets, ~_blown(jets).any(axis=1)
 
 
 def rk4_step_maps(a: np.ndarray, b: np.ndarray, h: float):
@@ -890,78 +894,66 @@ def rk4_step_maps(a: np.ndarray, b: np.ndarray, h: float):
     return eye + ha @ series, h * (series @ b)
 
 
-def linear_jet_response(linear, h: float, substeps: int, n_intervals: int):
-    """Output jets of RK4 on a linear plant as free plus forced response.
-
-    For x' = A x + B u with flat jet C x, ``substeps`` RK4 steps of length h
-    per ZOH interval and ``n_intervals`` intervals, the jets on the
-    K = n_intervals * substeps + 1 grid points are, for a start x0 and a
-    control stack ``values`` of shape (n_intervals, m),
-
-        jets.reshape(K * r*m) = (free @ x0).ravel() + values.ravel() @ forced
-
-    with ``free`` = C phi^k of shape (K, r*m, n) and ``forced`` of shape
-    (n_intervals * m, K * r*m) holding the ZOH step responses.  Column block
-    k of the response to interval p sums the impulse responses C phi^j gam
-    over the steps of p before k; it is taken as a difference of their
-    cumulative sums.
-    """
-    a, b, c_jet = linear
-    rm, n = c_jet.shape
-    m = b.shape[1]
-    phi, gam = rk4_step_maps(a, b, h)
-    n_grid = n_intervals * substeps + 1
-    free = np.empty((n_grid, rm, n))
-    free[0] = c_jet
-    for k in range(1, n_grid):
-        free[k] = free[k - 1] @ phi
-    # cum[i] = sum_{j < i} C phi^j gam, shape (K, r*m, m)
-    cum = np.zeros((n_grid, rm, m))
-    np.cumsum(free[:-1] @ gam, axis=0, out=cum[1:])
-    k = np.arange(n_grid)[None, :]
-    first = substeps * np.arange(n_intervals)[:, None]
-    resp = cum[np.maximum(k - first, 0)] - cum[np.maximum(k - first - substeps, 0)]
-    forced = resp.transpose(0, 3, 1, 2).reshape(n_intervals * m, n_grid * rm)
-    return free, forced
-
-
-
 class LinearPropagator:
-    """RK4 on a linear plant x' = A x + B u as exact maps of one grid.
+    """RK4 on a linear plant x' = A x + B u as exact state maps of one grid.
 
     The grid has ``n_intervals`` ZOH intervals of ``substeps`` steps of
-    length h, K = n_intervals * substeps + 1 points.  ``powers`` (K, n, n)
-    holds phi^k and ``forced`` (n_intervals * m, K * n) the state responses
-    to each interval's input: ``linear_jet_response`` with C = I.  ``free``
-    (K, r*m, n) is that function's jet response C phi^k.  The maps on fewer
-    intervals are the leading blocks.  The arrays are read-only.
+    length h, K = n_intervals * substeps + 1 points.  With phi and gam the
+    maps of one step (``rk4_step_maps``), ``powers`` (K, n, n) holds phi^k
+    and ``forced`` (n_intervals * m, K * n) the state responses to each
+    interval's input: from a start x0 under stacked controls v the grid
+    states are powers @ x0 + (v @ forced).reshape(K, n).  Column block k of
+    the response to interval p sums phi^j gam over the steps of p before k;
+    it is taken as a difference of their cumulative sums.  The maps on
+    fewer intervals are the leading blocks.  Output jets and chained errors
+    are read off these maps (``top_errors``).  The arrays are read-only.
     """
 
     def __init__(self, linear, h: float, substeps: int, n_intervals: int):
-        a, b, _ = linear
-        self.m, self.substeps, self.n_intervals = b.shape[1], substeps, n_intervals
-        self.powers, self.forced = linear_jet_response(
-            (a, b, np.eye(a.shape[0])), h, substeps, n_intervals
-        )
-        self.free, self._jet_forced = linear_jet_response(linear, h, substeps, n_intervals)
-        for arr in (self.powers, self.forced, self.free, self._jet_forced):
+        a, b, self.c_jet = linear
+        n, m = b.shape
+        self.m, self.substeps, self.n_intervals = m, substeps, n_intervals
+        phi, gam = rk4_step_maps(a, b, h)
+        n_grid = n_intervals * substeps + 1
+        powers = np.empty((n_grid, n, n))
+        powers[0] = np.eye(n)
+        for k in range(1, n_grid):
+            powers[k] = powers[k - 1] @ phi
+        # cum[i] = sum_{j < i} phi^j gam, shape (K, n, m)
+        cum = np.zeros((n_grid, n, m))
+        np.cumsum(powers[:-1] @ gam, axis=0, out=cum[1:])
+        k = np.arange(n_grid)[None, :]
+        first = substeps * np.arange(n_intervals)[:, None]
+        resp = cum[np.maximum(k - first, 0)] - cum[np.maximum(k - first - substeps, 0)]
+        self.powers = powers
+        self.forced = resp.transpose(0, 3, 1, 2).reshape(n_intervals * m, n_grid * n)
+        for arr in (self.powers, self.forced):
             arr.setflags(write=False)
         self._top_errors = {}
 
     def top_errors(self, gains: np.ndarray, n_intervals: int):
-        """(er_block, er_forced) of the chained errors with ``gains``:
-        e_r = jet @ er_block.T, and the stacked controls v of the first
-        ``n_intervals`` add (v @ er_forced).reshape(K, m) to it on their K
-        grid points.  Kept per gains and interval count."""
+        """(er_block, er_free, er_forced) of the chained errors with
+        ``gains`` on the K grid points of the first ``n_intervals`` intervals.
+
+        e_r = jet @ er_block.T.  With er_state = er_block C_jet (m, n), the
+        jets of a start x0 under stacked controls v give
+        er_free @ x0 + (v @ er_forced).reshape(K, m), before the reference's
+        part is subtracted: er_free (K, m, n) is er_state phi^k and
+        er_forced (n_intervals * m, K * m) is er_state applied to
+        ``forced``.  Kept per gains and interval count.
+        """
         key = (gains.tobytes(), n_intervals)
         if key not in self._top_errors:
-            er_block = top_error_rows(gains, self.m)
-            K, rm = n_intervals * self.substeps + 1, self.free.shape[1]
-            forced = self._jet_forced[: n_intervals * self.m, : K * rm].reshape(-1, K, rm)
-            er_forced = (forced @ er_block.T).reshape(-1, K * self.m)
-            for arr in (er_block, er_forced):
+            m, n = self.m, self.powers.shape[1]
+            K = n_intervals * self.substeps + 1
+            er_block = top_error_rows(gains, m)
+            er_state = er_block @ self.c_jet
+            er_free = er_state @ self.powers[:K]
+            forced = self.forced[: n_intervals * m, : K * n].reshape(-1, K, n)
+            er_forced = (forced @ er_state.T).reshape(-1, K * m)
+            for arr in (er_block, er_free, er_forced):
                 arr.setflags(write=False)
-            self._top_errors[key] = er_block, er_forced
+            self._top_errors[key] = er_block, er_free, er_forced
         return self._top_errors[key]
 
 
@@ -1020,8 +1012,7 @@ def _hold(plant, grid, h: float, substeps: int, states: np.ndarray, rows: np.nda
             free = prop.powers[(slice(1, k + 1),) + (None,) * len(batch)] @ states[lo][..., None]
             out = states[lo + 1 : lo + k + 1]
             out[:] = free[..., 0] + forced.reshape(batch + (k, n)).swapaxes(0, -2)
-            # NaN fails the comparison too, so this covers non-finite states
-            bad = ~(np.abs(out).max(axis=-1) <= BLOWUP_NORM)
+            bad = _blown(out)
             if states.ndim == 2 and bad.any():
                 count = lo + 1 + int(bad.argmax())
                 break
@@ -1063,8 +1054,7 @@ def _delay_windows(plant, grid, h: float, states: np.ndarray, inputs: np.ndarray
                 x = col[:-1]
                 slopes = x, x + (0.5 * h) * k1, x + (0.5 * h) * k2, x + h * k3
             new = states[i + 1 : i + size + 1]
-            # NaN fails the comparison too, so this covers non-finite states
-            bad = ~(np.abs(new).max(axis=-1) <= BLOWUP_NORM)
+            bad = _blown(new)
             good = int(bad.argmax()) if states.ndim == 2 and bad.any() else size
             if good:
                 history.extend(grid[i + 1 : i + good + 1], plant.output_jet(new[:good]))

@@ -112,5 +112,12 @@ def zero_reference():
     return constant_reference(0.0, r=1)
 
 
+def workspace_derivatives(ws, d):
+    """Gradient and Gauss-Newton Hessian of an OCP workspace's cost at the
+    stacked control d: the solver's linearize, gradient and hessian."""
+    ws.linearize(d)
+    return ws.gradient(d), ws.hessian()
+
+
 def make_integrator_plant(y0: float = 0.5):
     return make_plant(integrator_chain(1), 0.0, np.array([y0]))

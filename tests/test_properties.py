@@ -1,10 +1,11 @@
 """Property tests over randomly drawn small linear plants and control grids.
 
-The exact linear response (free response of the start plus a forced
-response matrix applied to the stacked controls) must reproduce batched RK4
-rollouts of the same plant for any matrices, steps, horizons and inputs,
-whether the plant is a state-space record or a normal form with a static
-operator or internal dynamics.
+The state maps of the linear propagator (powers of the RK4 step map applied
+to the start plus a forced response matrix applied to the stacked controls),
+and the e_r maps it reads off them for drawn positive gains, must reproduce
+batched RK4 rollouts of the same plant for any matrices, steps, horizons and
+inputs, whether the plant is a state-space record or a normal form with a
+static operator or internal dynamics.
 A funnel evaluated at a scalar time must return, bit for bit, the element
 of the same call on a one-element time array, for exponential sums and for
 the members of a built funnel chain.
@@ -65,7 +66,9 @@ from funnelmpc import (  # noqa: E402
     top_error_rows,
 )
 from funnelmpc.ocp import _Workspace  # noqa: E402
-from funnelmpc.sim import linear_jet_response, rollout_jets_batch  # noqa: E402
+from funnelmpc.sim import LinearPropagator, rollout_jets_batch  # noqa: E402
+
+from conftest import workspace_derivatives  # noqa: E402
 
 
 
@@ -155,13 +158,26 @@ def test_linear_response_matches_batched_rk4(
     _, rollout, alive = rollout_jets_batch(plant, values, step, h)
     assert alive.all()
 
-    free, forced = linear_jet_response(system.linear, h, substeps, n_intervals)
+    prop = LinearPropagator(system.linear, h, substeps, n_intervals)
     n_grid = n_intervals * substeps + 1
-    assert free.shape == (n_grid, r * m, dim)
-    assert forced.shape == (n_intervals * m, n_grid * r * m)
-    jets = ((free @ x0).ravel() + values.reshape(batch, -1) @ forced).reshape(rollout.shape)
+    assert prop.powers.shape == (n_grid, dim, dim)
+    assert prop.forced.shape == (n_intervals * m, n_grid * dim)
+    v = values.reshape(batch, -1)
+    states = prop.powers @ x0 + (v @ prop.forced).reshape(batch, n_grid, dim)
+    jets = states @ system.linear[2].T
     scale = float(np.max(np.abs(rollout)))
     assert float(np.max(np.abs(jets - rollout))) <= 1e-10 * scale
+
+    # e_r read off the state maps against e_r of the rollout's jets; r - 1
+    # gains, none at r = 1, where e_r is the output itself
+    gains = data.draw(arrays(float, r - 1, elements=st.floats(0.5, 5.0)))
+    er_block, er_free, er_forced = prop.top_errors(gains, n_intervals)
+    assert er_free.shape == (n_grid, m, dim)
+    assert er_forced.shape == (n_intervals * m, n_grid * m)
+    er = er_free @ x0 + (v @ er_forced).reshape(batch, n_grid, m)
+    # the jets' bound carried through the rows of er_block
+    row_sum = float(np.max(np.sum(np.abs(er_block), axis=1)))
+    assert float(np.max(np.abs(er - rollout @ er_block.T))) <= 1e-10 * scale * row_sum
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,7 +380,7 @@ def _linear_plant(data, kind):
     n_intervals=st.integers(1, 4),
     substeps=st.sampled_from([1, 2, 5]),
 )
-def test_exact_derivatives_match_central_differences(data, kind, n_intervals, substeps):
+def test_cost_derivatives_match_central_differences(data, kind, n_intervals, substeps):
     plant, gains, yref = _linear_plant(data, kind)
     theta = exponential_sum_funnel(
         data.draw(st.floats(2.0, 5.0)), [(data.draw(st.floats(0.0, 2.0)), 1.0)],
@@ -380,16 +396,17 @@ def test_exact_derivatives_match_central_differences(data, kind, n_intervals, su
     e = ws.er_free + (d @ ws.er_forced).reshape(ws.theta_sq.size, plant.m)
     assume(np.all(np.sum(e * e, axis=1) < 0.81 * ws.theta_sq))
 
-    grad, hess = ws.exact_derivatives(d)
+    grad, hess = workspace_derivatives(ws, d)
     step = 1e-5
     probes = d + step * np.concatenate([np.eye(d.size), -np.eye(d.size)])
     costs = ws.cost_batch(probes.reshape((-1,) + (n_intervals, plant.m)))
     fd_grad = (costs[: d.size] - costs[d.size :]) / (2.0 * step)
     # the quotient itself rounds to about 1e-16 J / step
-    cost = ws.cost_single(d.reshape(n_intervals, plant.m))
+    cost = ws.cost_batch(d.reshape(1, n_intervals, plant.m))[0]
     assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * np.max(np.abs(grad)) + 1e-9 * cost
     fd_hess = np.array([
-        (ws.exact_derivatives(d + step * unit)[0] - ws.exact_derivatives(d - step * unit)[0])
+        (workspace_derivatives(ws, d + step * unit)[0]
+         - workspace_derivatives(ws, d - step * unit)[0])
         / (2.0 * step)
         for unit in np.eye(d.size)
     ])

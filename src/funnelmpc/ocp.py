@@ -47,6 +47,7 @@ from .sim import (
     FeedbackLaw,
     _blown,
     _is_multiple,
+    _require_box,
     linear_propagator,
     rollout_jets_batch,
     zoh_feedback_rollout,
@@ -311,11 +312,13 @@ class _Workspace:
         grid state for the blow-up test.  Elsewhere the rows come from one
         sampled rollout on a clone (``zoh_feedback_rollout``).  Raises
         PreconditionViolation without a chain or gains, or when a state
-        blows up.
+        blows up, and on either path the ValueError of a ControlSignal when
+        the head leaves the saturation box.
         """
         if chain is None or gains is None:
             raise PreconditionViolation("no funnel chain to complete the start")
         spec, prop = self.spec, self.prop
+        _require_box(head, spec.saturation)
         if prop is None:
             traj, start = zoh_feedback_rollout(
                 self.plant.clone(), chain, gains, self.yref, (self.t0, self.t0 + spec.horizon),

@@ -70,8 +70,7 @@ class ControlSignal:
         if self.saturation is not None:
             if not self.saturation > 0.0:
                 raise ValueError("saturation level must be positive")
-            if np.max(np.abs(vals)) > self.saturation + 1e-12:
-                raise ValueError("control values exceed the saturation level")
+            _require_box(vals, self.saturation)
 
     @property
     def t_end(self) -> float:
@@ -86,6 +85,12 @@ class ControlSignal:
         if t < self.t_start - 1e-9 or t > self.t_end + 1e-9:
             raise ValueError(f"time {t} outside control coverage [{self.t_start}, {self.t_end}]")
         return self.values[self.index_at(t)]
+
+
+def _require_box(values: np.ndarray, saturation: float):
+    """Raise ValueError when an entry of values exceeds the saturation level."""
+    if values.size and np.max(np.abs(values)) > saturation + 1e-12:
+        raise ValueError("control values exceed the saturation level")
 
 
 @dataclass
@@ -103,10 +108,14 @@ class JetHistory:
     """Output-jet history: an initial segment plus appended integration samples.
 
     Queries at s <= t0 use the supplied initial segment, at a stored time
-    its sample, elsewhere cubic Lagrange interpolation over the four nearest
-    stored samples.  Queries beyond the newest sample raise
-    PreconditionViolation.  ``ts`` and ``jets`` view arrays that grow by
-    doubling; a batch's first (B, r*m) row broadcasts the stored past once.
+    its sample, elsewhere Lagrange interpolation over the stencil of the
+    four nearest stored samples, or of all while fewer are stored
+    (``_stencil``).  Queries beyond the newest sample raise
+    PreconditionViolation.  A call at one time gives, bit for bit, the
+    element of ``query`` at that time without building arrays.  ``ts`` and
+    ``jets`` view arrays that grow by doubling (``reserve``); a batch's
+    first (B, r*m) row broadcasts the stored past once.  A span of a delay
+    plant reserves its room and writes its samples there (``_delay_windows``).
     """
 
     __slots__ = ("t0", "segment", "size", "_ts", "_jets")
@@ -127,21 +136,26 @@ class JetHistory:
         return self._jets[: self.size]
 
     def append(self, t: float, jet: np.ndarray):
-        self.extend(np.array([t], dtype=float), np.asarray(jet, dtype=float)[None])
+        """Append the sample jet at a time t after the stored ones."""
+        jet = np.asarray(jet, dtype=float)
+        self.reserve(np.array([t], dtype=float), jet.shape)
+        self._jets[self.size] = jet
+        self.size += 1
 
-    def extend(self, ts: np.ndarray, jets: np.ndarray):
-        """Append the samples jets[k] at the increasing times ts[k]."""
+    def reserve(self, ts: np.ndarray, row: tuple):
+        """Make room for samples at the increasing times ts after the stored
+        ones, with rows of shape ``row``: the times are written past the
+        stored ones, and the stored rows broadcast to the shape the two
+        rows broadcast to.  The size is kept."""
         n, k = self.size, ts.size
         if not (ts[0] > self._ts[n - 1] and np.all(ts[1:] > ts[:-1])):
             raise ValueError("history samples must be appended in increasing time order")
-        row = np.broadcast_shapes(self._jets.shape[1:], jets.shape[1:])
+        row = np.broadcast_shapes(self._jets.shape[1:], row)
         if n + k > self._ts.size or row != self._jets.shape[1:]:
             grown_ts, grown = np.empty(2 * (n + k)), np.empty((2 * (n + k),) + row)
             grown_ts[:n], grown[:n] = self.ts, _unit_axes(self.jets, 1, len(row) + 1)
             self._ts, self._jets = grown_ts, grown
         self._ts[n : n + k] = ts
-        self._jets[n : n + k] = jets
-        self.size = n + k
 
     def latest(self) -> float:
         return float(self._ts[self.size - 1])
@@ -151,18 +165,11 @@ class JetHistory:
         out._ts, out._jets = self._ts.copy(), self._jets.copy()
         return out
 
-    def _locate(self, s: np.ndarray):
-        """Insertion points of the times s among the stored ones, and which
-        of them hit a stored time exactly."""
-        idx = np.searchsorted(self.ts, s)
-        return idx, self._ts[np.minimum(idx, self.size - 1)] == s
-
-    def settled(self, s: np.ndarray) -> np.ndarray:
-        """Whether the query at each time s reads the same after any later
-        append: it reads the initial segment, a stored time, or a full
-        stencil of four stored samples."""
-        idx, hit = self._locate(s)
-        return (s <= self.t0 + 1e-12) | hit | (np.maximum(idx - 2, 0) + 4 <= self.size)
+    def _segment_value(self, s: float) -> np.ndarray:
+        """The jet at a time s <= t0: the initial segment's, else the first sample."""
+        if self.segment is None:
+            return self._jets[0]
+        return np.asarray(self.segment(s), dtype=float).ravel()
 
     def query(self, s: np.ndarray) -> np.ndarray:
         """The jets at the times of an array s, shape s.shape + a sample's."""
@@ -171,33 +178,70 @@ class JetHistory:
             raise PreconditionViolation(
                 f"history queried at {np.max(s)} beyond newest sample {ts[-1]}"
             )
-        idx, hit = self._locate(s)
-        k = min(n, 4)
-        near = np.maximum(np.minimum(idx - 2, n - 4), 0)[..., None] + np.arange(k)
-        t = ts[near]
-        # sample j weighs the product of (s - t_l) / (t_j - t_l) over l != j,
-        # taken in the order of l, and the weighted samples add in order
-        col = np.arange(k - 1)
-        others = t[..., col + (col >= np.arange(k)[:, None])]
-        weights = ((s[..., None, None] - others) / (t[..., None] - others)).prod(axis=-1)
-        terms = _unit_axes(weights, s.ndim + 1, s.ndim + self._jets.ndim) * self._jets[near]
-        out = 0.0
-        for term in np.moveaxis(terms, s.ndim, 0):
-            out = out + term
+        idx = np.searchsorted(ts, s)
+        hit = self._ts[np.minimum(idx, n - 1)] == s
+        near, weights = _stencil(ts, s, idx, n, min(n, 4))
+        out = _weighted_sum(weights, self._jets[near])
         out[hit] = self._jets[idx[hit]]
         for pos in zip(*np.nonzero(s <= self.t0 + 1e-12)):
-            out[pos] = self._jets[0] if self.segment is None else np.asarray(
-                self.segment(float(s[pos])), dtype=float
-            ).ravel()
+            out[pos] = self._segment_value(float(s[pos]))
         return out
 
     def __call__(self, s: float) -> np.ndarray:
-        return self.query(np.array([s], dtype=float))[0]
+        """The jet at one time s: ``query``'s value there, bit for bit."""
+        s, n = float(s), self.size
+        if s > self._ts[n - 1] + 1e-9:
+            raise PreconditionViolation(
+                f"history queried at {s} beyond newest sample {self._ts[n - 1]}"
+            )
+        if s <= self.t0 + 1e-12:
+            out = np.empty(self._jets.shape[1:])
+            out[...] = self._segment_value(s)
+            return out
+        idx = int(np.searchsorted(self.ts, s))
+        if idx < n and self._ts[idx] == s:
+            return self._jets[idx].copy()
+        k = min(n, 4)
+        lo = max(min(idx - 2, n - 4), 0)
+        t = self._ts[lo : lo + k].tolist()
+        out = 0.0
+        for j in range(k):
+            # query's weight, its factors multiplied in the order of l
+            weight = 1.0
+            for l in range(k):
+                if l != j:
+                    weight = weight * ((s - t[l]) / (t[j] - t[l]))
+            out = out + weight * self._jets[lo + j]
+        return out
 
 
 def _unit_axes(a: np.ndarray, lead: int, ndim: int) -> np.ndarray:
     """a with unit axes after its first ``lead`` axes, up to ``ndim`` axes."""
     return a.reshape(a.shape[:lead] + (1,) * (ndim - a.ndim) + a.shape[lead:])
+
+
+def _stencil(ts: np.ndarray, s: np.ndarray, idx: np.ndarray, n, k: int):
+    """Interpolation stencils at the times of an array s, whose insertion
+    points among the n stored times ts are idx: the indices near
+    (k,) + s.shape of the k stored samples from max(min(idx - 2, n - 4), 0)
+    on, and the Lagrange weight of each at s, the same shape.  ``n`` may
+    be an array broadcast against s when k = 4."""
+    near = np.maximum(np.minimum(idx - 2, n - 4), 0) + _unit_axes(np.arange(k), 1, s.ndim + 1)
+    t = ts[near]
+    # sample j weighs the product of (s - t_l) / (t_j - t_l) over l != j,
+    # taken in the order of l
+    col = np.arange(k - 1)
+    others = t[col + (col >= np.arange(k)[:, None])]
+    return near, ((s - others) / (t[:, None] - others)).prod(axis=1)
+
+
+def _weighted_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] rows[j] over a stencil's k samples, added in order
+    from 0.0, for weights (k, ...) and rows (k, ...) + a sample's shape."""
+    out = 0.0
+    for term in _unit_axes(weights, weights.ndim, rows.ndim) * rows:
+        out = out + term
+    return out
 
 
 class _Plant:
@@ -866,7 +910,9 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
     clone's history, a blown member leaves the others untouched, and on a
     linear plant a member's rows do not depend on its batch.  Returns
     (grid, jets (B, K, r*m), inputs_ok) where inputs_ok flags batch members
-    that stayed finite and bounded.
+    that stayed finite and bounded.  A blown member's jets hold its rows as
+    they came out: from the blow-up on, entries above BLOWUP_NORM, inf or
+    NaN.
     """
     B, N, m = values.shape
     grid, substeps = _step_grid(plant, (plant.t, plant.t + N * step), h, step)
@@ -876,8 +922,6 @@ def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
     with np.errstate(over="ignore", invalid="ignore"):
         _hold(plant, grid, h, substeps, states, values.swapaxes(0, 1))
         jets = plant.output_jet(states.swapaxes(0, 1))
-    # a blown member's non-finite entries read inf, never NaN
-    np.copyto(jets, np.inf, where=np.isnan(jets))
     return grid, jets, ~_blown(jets).any(axis=1)
 
 
@@ -1024,43 +1068,82 @@ def _delay_windows(plant, grid, h: float, states: np.ndarray, inputs: np.ndarray
     """RK4 on a pure-delay plant by the method of steps: fills states[1:]
     (K, [B,] n) from states[0] under inputs[i] ([B,] m) held over step i.
 
-    A window takes the next step and every later one whose stage queries
-    the stored past already settles (``JetHistory.settled``), so it is one
-    history query.  Its top jet block's slopes are f(w) + g(w) u, each
-    lower block's follow from the block above, and a block's states are a
-    cumulative sum: the stage operations of ``_march`` in order, bit for bit.
-    A span without batch axes stops at a row that blows up, as ``_march``
-    does.  Returns the count of valid rows; the plant ends at the last one.
+    The span is planned once, before its first step.  Once crossed, the
+    history holds its stored times and then grid[1:], so each stage time
+    t + (0, h/2, h) - tau has a known insertion point, hit and segment
+    flag, and stored count from which its read stays fixed: the initial
+    segment, a stored time, or a full stencil of four.  A window takes the
+    next step and every later one whose reads are fixed by the count
+    stored when it starts, and each step reads the stencil and weights
+    ``JetHistory.query`` forms at that count (``_stencil``), clamped while
+    not full.  Per window: one gather of the stencils' samples, their sum
+    in query's order with the hit and segment reads written over it, top
+    block slopes f(w) + g(w) u, each lower block's from the block above,
+    a cumulative sum per block (the stage operations of ``_march`` in
+    order, bit for bit), and one write into history room reserved once per
+    span.  A span without batch axes stops at a row that blows up, as
+    ``_march`` does.  Returns the count of valid rows; the plant ends at
+    the last one.
     """
     system, history, m = plant.system, plant.history, plant.m
-    delay = system.T
+    delay, n_steps, n0 = system.T, grid.size - 1, history.size
     stage_times = (grid[:-1, None] + np.array([0.0, 0.5 * h, h])) - delay.tau
-    # a window spans at most one delay, so later steps are never settled
-    i, n_steps, reach = 0, grid.size - 1, math.ceil(delay.tau / h) + 1
+    seg = stage_times <= history.t0 + 1e-12
+    seg_values = np.array([history._segment_value(float(s)) for s in stage_times[seg]])
+    # the segment reads of steps i to j - 1 are seg_values[seg_at[i] : seg_at[j]];
+    # hit_at below counts the hits alike
+    seg_at = [0] + np.cumsum(seg.sum(axis=1)).tolist()
+    # a batch's first window reads the one past its members share
+    past = history._jets
+    history.reserve(grid[1:], states.shape[1:-1] + (plant.r * m,))
+    times = history._ts[: n0 + n_steps]
+    idx = np.searchsorted(times, stage_times)
+    hit = times[np.minimum(idx, times.size - 1)] == stage_times
+    # the stored count from which all three reads of a step are settled
+    settle = np.where(seg, 0, np.where(hit, idx + 1, np.maximum(idx + 2, 4))).max(axis=1)
+    starts = [0]
+    for j, count in enumerate(settle[1:].tolist(), 1):
+        if count > n0 + starts[-1]:
+            starts.append(j)
+    ends = starts[1:] + [n_steps]
+    # the count stored when each step's window starts, and the reads at it
+    stored = n0 + np.repeat(starts, np.subtract(ends, starts))[:, None]
+    idx = np.minimum(idx, stored)
+    hit &= idx < stored
+    hit_at = [0] + np.cumsum(hit.sum(axis=1)).tolist()
+    full = int(np.searchsorted(stored[:, 0], 4))
+    near, weights = _stencil(times, stage_times[full:], idx[full:], stored[full:], 4)
+    end = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while i < n_steps:
-            later = history.settled(stage_times[i + 1 : i + 1 + reach]).all(axis=1)
-            size = 1 + int(np.logical_and.accumulate(later).sum())
-            # a batch's first window reads the one past its members share
-            w = delay.func(_unit_axes(history.query(stage_times[i : i + size]), 2, states.ndim + 1))
+        for i, j in zip(starts, ends):
+            src = history._jets if i else past
+            if i < full:
+                stencil = _stencil(times, stage_times[i:j], idx[i:j], n0 + i, n0 + i)
+            else:
+                stencil = near[:, i - full : j - full], weights[:, i - full : j - full]
+            w = _weighted_sum(stencil[1], src[stencil[0]])
+            if hit_at[j] > hit_at[i]:
+                w[hit[i:j]] = src[idx[i:j][hit[i:j]]]
+            if seg_at[j] > seg_at[i]:
+                w[seg[i:j]] = _unit_axes(seg_values[seg_at[i] : seg_at[j]], 1, w.ndim - 1)
+            w = delay.func(_unit_axes(w, 2, states.ndim + 1))
             top = system.f(w) + _times_input(np.asarray(system.g(w), dtype=float),
-                                             inputs[i : i + size, None])
+                                             inputs[i:j, None])
             slopes = top[:, 0], top[:, 1], top[:, 1], top[:, 2]
             for block in range(plant.r - 1, -1, -1):
                 k1, k2, k3, k4 = slopes
-                col = states[i : i + size + 1, ..., block * m : (block + 1) * m]
+                col = states[i : j + 1, ..., block * m : (block + 1) * m]
                 col[1:] = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 np.cumsum(col, axis=0, out=col)
                 x = col[:-1]
                 slopes = x, x + (0.5 * h) * k1, x + (0.5 * h) * k2, x + h * k3
-            new = states[i + 1 : i + size + 1]
+            new = states[i + 1 : j + 1]
             bad = _blown(new)
-            good = int(bad.argmax()) if states.ndim == 2 and bad.any() else size
-            if good:
-                history.extend(grid[i + 1 : i + good + 1], plant.output_jet(new[:good]))
-                i += good
-            if good < size:
+            end = i + int(bad.argmax()) if states.ndim == 2 and bad.any() else j
+            history._jets[n0 + i : n0 + end] = plant.output_jet(new[: end - i])
+            history.size = n0 + end
+            if end < j:
                 break
-    if i:
-        plant.advance(grid[i], states[i].copy())
-    return i + 1
+    if end:
+        plant.advance(grid[end], states[end].copy())
+    return end + 1

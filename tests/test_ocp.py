@@ -27,6 +27,7 @@ from funnelmpc import (
     OcpInfeasibleError,
     OcpSpec,
     PreconditionViolation,
+    RelativeDegreeSystem,
     StageCost,
     brute_force_ocp,
     constant_reference,
@@ -38,6 +39,7 @@ from funnelmpc import (
     mass_on_car_state_space,
     solve_ocp,
     stage_cost,
+    static_operator,
     zoh_feedback_rollout,
 )
 from funnelmpc import errchain as errchain_module
@@ -182,6 +184,24 @@ def test_spec_needs_an_iteration_budget():
 
 
 # ── Projected solver against exhaustive search ──────────────────────────────
+
+
+def test_a_member_that_turns_nan_costs_inf(scalar_stage, zero_ref):
+    # y' = -y^3 + u under u = 1e150: the first RK4 step's stages overflow
+    # to -inf and +inf, and their sum is NaN.  The member's jets keep the
+    # NaN; the batched rollout flags it and cost_batch charges it inf,
+    # while the other member's cost stays finite
+    system = RelativeDegreeSystem(
+        m=1, r=1, f=lambda w: -w**3, g=lambda w: np.ones(np.shape(w)[:-1] + (1, 1)),
+        T=static_operator(lambda xi: xi, q=1),
+    )
+    plant = make_plant(system, 0.0, np.array([0.5]))
+    values = np.array([[[-1.0]], [[1e150]]])
+    _, jets, alive = sim_module.rollout_jets_batch(plant, values, 0.1, 0.01)
+    assert alive.tolist() == [True, False] and np.isnan(jets[1, 1:]).all()
+    ws = _Workspace(plant, scalar_stage, spec_for(ode_step=0.01), zero_ref)
+    costs = ws.cost_batch(values)
+    assert math.isfinite(costs[0]) and costs[1] == math.inf
 
 
 def test_solver_matches_brute_force_single_interval(scalar_stage, zero_ref, scalar_chain):
@@ -554,6 +574,16 @@ def test_start_that_blows_up_is_a_precondition_violation(rows):
             ws.feedback_values(config.chain, config.gains, np.full((rows, 1), 3.0))
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+def test_start_rejects_a_head_outside_the_box():
+    # both start builders give one answer for a head beyond the saturation
+    # level: the ValueError of a ControlSignal holding it
+    plant, config, yref = _shipped_showcase()
+    for record in (plant.system, dataclasses.replace(plant.system, linear=None)):
+        ws = _Workspace(make_plant(record, 0.0, plant.state), config.stage, config.spec, yref)
+        with pytest.raises(ValueError, match="control values exceed the saturation level"):
+            ws.feedback_values(config.chain, config.gains, np.full((14, 1), 1e9))
 
 
 def test_iterations_reuse_the_accepted_model(monkeypatch):

@@ -9,6 +9,9 @@ static operator or internal dynamics.
 A funnel evaluated at a scalar time must return, bit for bit, the element
 of the same call on a one-element time array, for exponential sums and for
 the members of a built funnel chain.
+On a pure-delay plant the planned windows must give the stage-wise RK4's
+states, plant and history bit for bit, for any delay of one to twelve
+steps, any stored past, one plant or a batch, and past a blow-up.
 A zero-order-hold control must pick the interval of every integration grid
 point the way the batched rollout does.  The funnel margins of the chained
 errors, taken through the chain matrix, must match the shift recursion, and
@@ -50,6 +53,7 @@ from funnelmpc import (  # noqa: E402
     cosine_reference,
     cost_functional,
     default_gamma,
+    delay_operator,
     error_variables,
     exponential_sum_funnel,
     gamma_margin,
@@ -66,6 +70,7 @@ from funnelmpc import (  # noqa: E402
     top_error_rows,
 )
 from funnelmpc.ocp import _Workspace  # noqa: E402
+from funnelmpc import sim  # noqa: E402
 from funnelmpc.sim import LinearPropagator, rollout_jets_batch  # noqa: E402
 
 from conftest import workspace_derivatives  # noqa: E402
@@ -178,6 +183,71 @@ def test_linear_response_matches_batched_rk4(
     # the jets' bound carried through the rows of er_block
     row_sum = float(np.max(np.sum(np.abs(er_block), axis=1)))
     assert float(np.max(np.abs(er - rollout @ er_block.T))) <= 1e-10 * scale * row_sum
+
+
+def _delay_plant(tau: float, r: int):
+    """y^(r) = -0.5 w_1 + 0.2 w_r^2 + (1 + 0.1 w_1^2) u with w = xi (1 + 0.1 xi)
+    of the jet xi delayed by tau, positioned at t = 0 on a cosine past."""
+    def f(w):
+        return -0.5 * w[..., :1] + 0.2 * w[..., -1:] ** 2
+
+    def g(w):
+        return (1.0 + 0.1 * w[..., :1] ** 2)[..., None]
+
+    def segment(s):
+        return 0.5 * np.array([np.cos(3.0 * s), -3.0 * np.sin(3.0 * s)])[:r]
+
+    system = RelativeDegreeSystem(
+        m=1, r=r, f=f, g=g, T=delay_operator(tau, lambda xi: xi * (1.0 + 0.1 * xi), q=r)
+    )
+    return make_plant(system, 0.0, segment(0.0), initial_segment=segment)
+
+
+def _march_kernel(plant, grid, h, states, inputs):
+    return sim._march(plant, grid, h, lambda i, t, x: inputs[i], states)[1]
+
+
+@settings(max_examples=80, deadline=2000)
+@given(
+    data=st.data(),
+    delay_steps=st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(1.0, 12.0)),
+    r=st.integers(1, 2),
+    batch=st.integers(0, 4),
+    stored=st.integers(0, 15),
+    n_steps=st.integers(1, 30),
+    blow=st.booleans(),
+    h=st.sampled_from([0.01, 2.0**-6]),
+)
+def test_delay_windows_match_the_rk4_stages(data, delay_steps, r, batch, stored, n_steps, blow, h):
+    # the planned windows give the states, the plant and the history the
+    # stage-wise RK4 gives, bit for bit, from a fresh or a stored past, at
+    # delays of one to twelve steps, for one plant or a batch of members,
+    # and past a row that blows up: a span stops there, a batch runs on.
+    # With a dyadic step and delay the reads at t and t + h hit stored
+    # times exactly, so the hit reads are taken too
+    plant = _delay_plant(delay_steps * h, r)
+    states = np.empty((stored + 1, r))
+    states[0] = plant.state
+    _march_kernel(plant, h * np.arange(stored + 1), h, states, np.sin(np.arange(stored))[:, None])
+    grid = plant.t + h * np.arange(n_steps + 1)
+    inputs = data.draw(arrays(float, (n_steps,) + (batch,) * (batch > 0) + (1,),
+                              elements=st.floats(-2.0, 2.0)))
+    if blow:
+        inputs[data.draw(st.integers(0, n_steps - 1))].flat[-1] = 1e12
+    runs = []
+    for kernel in (sim._delay_windows, _march_kernel):
+        member = plant.clone()
+        states = np.empty((grid.size,) + inputs.shape[1:-1] + (r,))
+        states[0] = member.state
+        count = kernel(member, grid, h, states, inputs)
+        runs.append((count, states[:count], member))
+    (count, states, member), (count_ref, states_ref, member_ref) = runs
+    assert count == count_ref
+    np.testing.assert_array_equal(states, states_ref)
+    assert member.t == member_ref.t
+    np.testing.assert_array_equal(member.state, member_ref.state)
+    np.testing.assert_array_equal(member.history.ts, member_ref.history.ts)
+    np.testing.assert_array_equal(member.history.jets, member_ref.history.jets)
 
 
 @settings(max_examples=200, deadline=None)

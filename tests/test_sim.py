@@ -172,6 +172,23 @@ def test_history_consults_initial_segment_and_guards_future():
         hist.append(0.05, np.array([2.0]))
 
 
+@pytest.mark.parametrize("segment", [lambda s: np.array([np.sin(s), s * s]), None])
+def test_history_call_matches_query_bit_for_bit(segment):
+    # the scalar call returns query's element at the same time, as bytes:
+    # on the initial segment, at stored samples, between them, and just
+    # past the newest, with full stencils and with clamped stencils of one
+    # to three stored samples
+    rng = np.random.default_rng(5)
+    hist = JetHistory(0.0, rng.normal(size=2), initial_segment=segment)
+    for t in np.cumsum(rng.uniform(0.01, 0.02, size=7)):
+        ts = hist.ts
+        probes = np.concatenate([[-0.3, 0.0], ts, 0.5 * (ts[:-1] + ts[1:]),
+                                 rng.uniform(0.0, ts[-1], size=5), [ts[-1] + 5e-10]])
+        for s, row in zip(probes, hist.query(probes)):
+            assert hist(s).tobytes() == row.tobytes()
+        hist.append(t, rng.normal(size=2))
+
+
 def test_history_clone_is_independent():
     hist = JetHistory(0.0, np.array([1.0]))
     copy = hist.clone()
@@ -1084,20 +1101,30 @@ def test_delay_windows_stop_where_the_rk4_stages_blow_up(tau):
 
 def test_delay_windows_take_every_step_the_stored_past_settles(monkeypatch):
     # tau = 10 h: after its first step a window takes the steps whose stage
-    # queries read full stencils of the stored past, at most 8 more, so a
-    # 50-step rollout is 6 history queries and no call of the plant's rhs
+    # reads the stored past settles (full stencils), at most 8 more, so a
+    # 50-step rollout is 6 windows, one call of the record's f each.  The
+    # span is planned up front: no history query, no call of the plant's
+    # rhs, and one reservation of history room for the whole span
+    windows = []
+
+    def f(w):
+        windows.append(np.shape(w)[0])
+        return -0.5 * np.asarray(w, dtype=float)
+
     system = RelativeDegreeSystem(
-        m=1, r=1, f=lambda w: -0.5 * np.asarray(w, dtype=float), g=lambda w: np.eye(1),
-        T=delay_operator(0.1, lambda xi: xi, q=1),
+        m=1, r=1, f=f, g=lambda w: np.eye(1), T=delay_operator(0.1, lambda xi: xi, q=1),
     )
     plant = make_plant(system, 0.0, np.array([0.5]), initial_segment=lambda s: np.array([0.5]))
     integrate_open_loop(plant, ControlSignal(0.0, 0.1, [[1.0], [-2.0]]), (0.0, 0.2), 0.01)
-    queries = []
-    monkeypatch.setattr(JetHistory, "query", lambda self, s, q=JetHistory.query: (
-        queries.append(s.shape[0]), q(self, s))[1])
+    windows.clear()
+    reserved = []
+    monkeypatch.setattr(JetHistory, "reserve", lambda self, ts, row, r=JetHistory.reserve: (
+        reserved.append(ts.size), r(self, ts, row))[1])
+    monkeypatch.setattr(JetHistory, "query", None)
     monkeypatch.setattr(NormalFormPlant, "rhs", None)
     rollout_jets_batch(plant, np.zeros((6, 5, 1)), 0.1, 0.01)
-    assert len(queries) == 6 and sum(queries) == 50 and max(queries) <= 9
+    assert len(windows) == 6 and sum(windows) == 50 and max(windows) <= 9
+    assert reserved == [50]
 
 
 def test_an_empty_held_span_takes_no_step(monkeypatch):

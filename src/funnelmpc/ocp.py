@@ -25,10 +25,11 @@ The Jacobian F = de_r/dd is
   costs the control itself.
 
 ``solve_ocp`` builds every start: the given rows completed by sampled
-funnel feedback, or the feedback alone.  On a linear plant the start's knot
-states are read off the same propagator, with no rollout; elsewhere the
-start is one sampled rollout on a clone.  A brute-force grid search over
-tiny decision spaces serves as an independent reference.
+funnel feedback, or the feedback alone, from the one knot loop in ``sim``
+(``_sampled_feedback``) run on a clone over the OCP's own grid; on a
+linear plant that loop steps the knots by the same propagator.  A
+brute-force grid search over tiny decision spaces serves as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -44,13 +45,10 @@ from .errors import OcpInfeasibleError, PreconditionViolation, SingularGainError
 from .funnel import FunnelFunction, chain_margins
 from .sim import (
     ControlSignal,
-    FeedbackLaw,
-    _blown,
     _is_multiple,
-    _require_box,
+    _sampled_feedback,
     linear_propagator,
     rollout_jets_batch,
-    zoh_feedback_rollout,
 )
 from .systems import ReferenceSignal
 
@@ -304,50 +302,22 @@ class _Workspace:
 
     def feedback_values(self, chain, gains, head: np.ndarray) -> np.ndarray:
         """N rows: the (k, m) ``head`` held from t0, then funnel feedback
-        sampled at the later knots of the OCP grid and clamped to the box.
+        sampled at the later knots of the OCP grid and clamped to the box,
+        from the one knot loop of ``sim._sampled_feedback`` on a clone.
 
-        On a plant with ``linear`` matrices the knot states are read off the
-        run's propagator: the first sampled knot's is one product, each later
-        one an interval map of the knot before, and one product gives every
-        grid state for the blow-up test.  Elsewhere the rows come from one
-        sampled rollout on a clone (``zoh_feedback_rollout``).  Raises
-        PreconditionViolation without a chain or gains, or when a state
-        blows up, and on either path the ValueError of a ControlSignal when
-        the head leaves the saturation box.
+        Raises PreconditionViolation without a chain or gains, or when a
+        state blows up, and the ValueError of a ControlSignal when the head
+        leaves the saturation box.
         """
         if chain is None or gains is None:
             raise PreconditionViolation("no funnel chain to complete the start")
-        spec, prop = self.spec, self.prop
-        _require_box(head, spec.saturation)
-        if prop is None:
-            traj, start = zoh_feedback_rollout(
-                self.plant.clone(), chain, gains, self.yref, (self.t0, self.t0 + spec.horizon),
-                spec.control_step, spec.ode_step, saturation=spec.saturation, head=head,
-            )
-            if traj.status != "completed":
-                raise PreconditionViolation(f"start blew up after t = {traj.grid[-1]:g}")
-            return start.values
-        # a linear record has no memory, so the law reads only the knot's
-        # state, whatever time and state the plant itself holds
-        law = FeedbackLaw(chain, gains, self.yref)
-        s, m, n, k = spec.substeps, self.m, self.plant.state_dim, head.shape[0]
-        K, x0 = self.grid.size, self.plant.state
-        values = np.empty((self.N, m))
-        values[:k] = head
-        i = k * s
-        x = prop.powers[i] @ x0 + head.ravel() @ prop.forced[: k * m, i * n : (i + 1) * n]
-        step_gain = prop.forced[:m, s * n : (s + 1) * n]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for knot in range(k, self.N):
-                u = np.atleast_1d(law(self.grid[knot * s], self.plant, x))
-                values[knot] = np.clip(u, -spec.saturation, spec.saturation)
-                x = prop.powers[s] @ x + values[knot] @ step_gain
-            states = prop.powers[1:K] @ x0 + (
-                values.ravel() @ prop.forced[: self.N * m, n : K * n]
-            ).reshape(K - 1, n)
-            bad = _blown(states)
-        if bad.any():
-            raise PreconditionViolation(f"start blew up after t = {self.grid[bad.argmax()]:g}")
+        spec = self.spec
+        values, _, count = _sampled_feedback(
+            self.plant.clone(), chain, gains, self.yref, self.grid, spec.ode_step,
+            spec.substeps, head, spec.saturation,
+        )
+        if count < self.grid.size:
+            raise PreconditionViolation(f"start blew up after t = {self.grid[count - 1]:g}")
         return values
 
 

@@ -107,15 +107,17 @@ class Trajectory:
 class JetHistory:
     """Output-jet history: an initial segment plus appended integration samples.
 
-    Queries at s <= t0 use the supplied initial segment, at a stored time
-    its sample, elsewhere Lagrange interpolation over the stencil of the
-    four nearest stored samples, or of all while fewer are stored
-    (``_stencil``).  Queries beyond the newest sample raise
-    PreconditionViolation.  A call at one time gives, bit for bit, the
-    element of ``query`` at that time without building arrays.  ``ts`` and
-    ``jets`` view arrays that grow by doubling (``reserve``); a batch's
-    first (B, r*m) row broadcasts the stored past once.  A span of a delay
-    plant reserves its room and writes its samples there (``_delay_windows``).
+    Queries at s <= t0 use the supplied initial segment, elsewhere Lagrange
+    interpolation over the stencil of the four nearest stored samples, or
+    of all while fewer are stored (``_stencil``); at a stored time that
+    stencil returns the sample itself, except that a -0.0 reads as +0.0
+    and a non-finite neighbour makes the read NaN.  Queries beyond the
+    newest sample raise PreconditionViolation.  A call at one time gives,
+    bit for bit, the element of ``query`` at that time without building
+    arrays.  ``ts`` and ``jets`` view arrays that grow by doubling
+    (``reserve``); a batch's first (B, r*m) row broadcasts the stored past
+    once.  A span of a delay plant reserves its room and writes its
+    samples there (``_delay_windows``).
     """
 
     __slots__ = ("t0", "segment", "size", "_ts", "_jets")
@@ -178,11 +180,8 @@ class JetHistory:
             raise PreconditionViolation(
                 f"history queried at {np.max(s)} beyond newest sample {ts[-1]}"
             )
-        idx = np.searchsorted(ts, s)
-        hit = self._ts[np.minimum(idx, n - 1)] == s
-        near, weights = _stencil(ts, s, idx, n, min(n, 4))
+        near, weights = _stencil(ts, s, np.searchsorted(ts, s), n, min(n, 4))
         out = _weighted_sum(weights, self._jets[near])
-        out[hit] = self._jets[idx[hit]]
         for pos in zip(*np.nonzero(s <= self.t0 + 1e-12)):
             out[pos] = self._segment_value(float(s[pos]))
         return out
@@ -199,8 +198,6 @@ class JetHistory:
             out[...] = self._segment_value(s)
             return out
         idx = int(np.searchsorted(self.ts, s))
-        if idx < n and self._ts[idx] == s:
-            return self._jets[idx].copy()
         k = min(n, 4)
         lo = max(min(idx - 2, n - 4), 0)
         t = self._ts[lo : lo + k].tolist()
@@ -860,37 +857,24 @@ def zoh_feedback_rollout(
 
     The (k, m) ``head`` rows are held as given over the first k ZOH
     intervals; at each later knot t_span[0] + h j the law is evaluated on
-    the running trajectory, optionally clamped to the saturation box, and
-    held for one interval.  The loop is open between knots, so the
+    the knot's state, optionally clamped to the saturation box, and held
+    for one interval (``_sampled_feedback``, the loop that also builds
+    every OCP start).  The loop is open between knots, so the
     conservation property of the continuous law does not transfer; this is
-    the implementable sampled controller; it builds the OCP starts of
-    plants without ``linear`` matrices.
-    The head is one held span (``_hold``) and each later knot one more,
-    with the law evaluated once per knot, on the knot's state.
+    the implementable sampled controller.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     grid, substeps = _step_grid(plant, t_span, h, zoh_step)
     step = float(zoh_step)
     if not _is_multiple(t1 - t0, step):
         raise ValueError(f"span length {t1 - t0} is not a multiple of the ZOH step {step}")
-    law = FeedbackLaw(chain, gains, yref)
-    values = np.empty((round((t1 - t0) / step), plant.m))
+    shape = (round((t1 - t0) / step), plant.m)
     head = np.empty((0, plant.m)) if head is None else np.asarray(head, dtype=float)
-    if head.shape[1:] != (plant.m,) or head.shape[0] > values.shape[0]:
-        raise ValueError(f"head {head.shape} does not fit the span's control {values.shape}")
-    values[: head.shape[0]] = head
-    states = np.empty((grid.size, plant.state_dim))
-    states[0] = plant.state
-    span = slice(0, head.shape[0] * substeps + 1)
-    count = _hold(plant, grid[span], h, substeps, states[span], head)
-    for knot in range(head.shape[0], values.shape[0]):
-        i = knot * substeps
-        if count <= i:
-            break
-        u = np.atleast_1d(law(grid[i], plant, states[i]))
-        values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
-        span = slice(i, i + substeps + 1)
-        count = i + _hold(plant, grid[span], h, substeps, states[span], values[[knot]])
+    if head.shape[1:] != shape[1:] or head.shape[0] > shape[0]:
+        raise ValueError(f"head {head.shape} does not fit the span's control {shape}")
+    values, states, count = _sampled_feedback(
+        plant, chain, gains, yref, grid, h, substeps, head, saturation
+    )
     inputs = np.empty((grid.size, plant.m))
     inputs[:-1] = np.repeat(values, substeps, axis=0)
     if count == grid.size:
@@ -899,6 +883,52 @@ def zoh_feedback_rollout(
         t_start=t0, step=step, values=values[: (count - 1) // substeps + 1], saturation=saturation
     )
     return _trajectory(plant, grid, states, inputs, count), control
+
+
+def _sampled_feedback(plant, chain, gains, yref, grid, h: float, substeps: int, head, saturation):
+    """The one knot loop of sampled funnel feedback, from the plant's state
+    over a grid of ZOH intervals of ``substeps`` steps of length h.
+
+    The (k, m) ``head`` rows are held over the first k intervals; at each
+    later knot the law is evaluated on the knot's state, clamped to the box
+    unless ``saturation`` is None, and held for one interval.  A linear
+    record has no memory, so there each knot's state is the propagator's
+    interval map of the knot before, and one ``_hold`` of the whole span
+    gives the grid states; elsewhere the head is one held span and each
+    knot one more.  Returns the (N, m) rows, the grid states and their
+    valid count as ``_hold`` gives it; rows past a blow-up are not to be
+    used.  Raises a ControlSignal's ValueError for a head outside the box.
+    """
+    if saturation is not None:
+        _require_box(head, saturation)
+    law = FeedbackLaw(chain, gains, yref)
+    N, k, m = (grid.size - 1) // substeps, head.shape[0], plant.m
+    values = np.empty((N, m))
+    values[:k] = head
+    states = np.empty((grid.size, plant.state_dim))
+    states[0] = plant.state
+    if plant.linear is None:
+        span = slice(0, k * substeps + 1)
+        count = _hold(plant, grid[span], h, substeps, states[span], head)
+        for knot in range(k, N):
+            i = knot * substeps
+            if count <= i:
+                break
+            u = np.atleast_1d(law(grid[i], plant, states[i]))
+            values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
+            span = slice(i, i + substeps + 1)
+            count = i + _hold(plant, grid[span], h, substeps, states[span], values[[knot]])
+        return values, states, count
+    prop = linear_propagator(plant, h, substeps, max(k, 1))
+    n, i = plant.state_dim, k * substeps
+    x = prop.powers[i] @ states[0] + head.ravel() @ prop.forced[: k * m, i * n : (i + 1) * n]
+    step_gain = prop.forced[:m, substeps * n : (substeps + 1) * n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for knot in range(k, N):
+            u = np.atleast_1d(law(grid[knot * substeps], plant, x))
+            values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
+            x = prop.powers[substeps] @ x + values[knot] @ step_gain
+    return values, states, _hold(plant, grid, h, substeps, states, values)
 
 
 def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):
@@ -1072,26 +1102,25 @@ def _delay_windows(plant, grid, h: float, states: np.ndarray, inputs: np.ndarray
     history holds its stored times and then grid[1:], so each stage time
     t + (0, h/2, h) - tau has a known insertion point, hit and segment
     flag, and stored count from which its read stays fixed: the initial
-    segment, a stored time, or a full stencil of four.  A window takes the
-    next step and every later one whose reads are fixed by the count
-    stored when it starts, and each step reads the stencil and weights
-    ``JetHistory.query`` forms at that count (``_stencil``), clamped while
-    not full.  Per window: one gather of the stencils' samples, their sum
-    in query's order with the hit and segment reads written over it, top
-    block slopes f(w) + g(w) u, each lower block's from the block above,
-    a cumulative sum per block (the stage operations of ``_march`` in
-    order, bit for bit), and one write into history room reserved once per
-    span.  A span without batch axes stops at a row that blows up, as
-    ``_march`` does.  Returns the count of valid rows; the plant ends at
-    the last one.
+    segment, a stored time (every stencil holding it returns its sample),
+    or a full stencil of four.  A window takes the next step and every
+    later one whose reads are fixed by the count stored when it starts,
+    and each step reads the stencil and weights ``JetHistory.query`` forms
+    at that count (``_stencil``), clamped while not full.  Per window: one
+    gather of the stencils' samples, their sum in query's order with the
+    segment reads written over it, top block slopes f(w) + g(w) u, each
+    lower block's from the block above, a cumulative sum per block (the
+    stage operations of ``_march`` in order, bit for bit), and one write
+    into history room reserved once per span.  A span without batch axes
+    stops at a row that blows up, as ``_march`` does.  Returns the count of
+    valid rows; the plant ends at the last one.
     """
     system, history, m = plant.system, plant.history, plant.m
     delay, n_steps, n0 = system.T, grid.size - 1, history.size
     stage_times = (grid[:-1, None] + np.array([0.0, 0.5 * h, h])) - delay.tau
     seg = stage_times <= history.t0 + 1e-12
     seg_values = np.array([history._segment_value(float(s)) for s in stage_times[seg]])
-    # the segment reads of steps i to j - 1 are seg_values[seg_at[i] : seg_at[j]];
-    # hit_at below counts the hits alike
+    # the segment reads of steps i to j - 1 are seg_values[seg_at[i] : seg_at[j]]
     seg_at = [0] + np.cumsum(seg.sum(axis=1)).tolist()
     # a batch's first window reads the one past its members share
     past = history._jets
@@ -1109,8 +1138,6 @@ def _delay_windows(plant, grid, h: float, states: np.ndarray, inputs: np.ndarray
     # the count stored when each step's window starts, and the reads at it
     stored = n0 + np.repeat(starts, np.subtract(ends, starts))[:, None]
     idx = np.minimum(idx, stored)
-    hit &= idx < stored
-    hit_at = [0] + np.cumsum(hit.sum(axis=1)).tolist()
     full = int(np.searchsorted(stored[:, 0], 4))
     near, weights = _stencil(times, stage_times[full:], idx[full:], stored[full:], 4)
     end = 0
@@ -1122,8 +1149,6 @@ def _delay_windows(plant, grid, h: float, states: np.ndarray, inputs: np.ndarray
             else:
                 stencil = near[:, i - full : j - full], weights[:, i - full : j - full]
             w = _weighted_sum(stencil[1], src[stencil[0]])
-            if hit_at[j] > hit_at[i]:
-                w[hit[i:j]] = src[idx[i:j][hit[i:j]]]
             if seg_at[j] > seg_at[i]:
                 w[seg[i:j]] = _unit_axes(seg_values[seg_at[i] : seg_at[j]], 1, w.ndim - 1)
             w = delay.func(_unit_axes(w, 2, states.ndim + 1))

@@ -503,68 +503,64 @@ def _counting(counts, name, fn):
 def test_linear_starts_are_read_off_the_propagator(monkeypatch):
     # every start the closed loop builds on the linear showcase, shifted
     # rows or the feedback alone, reads its knot states off the run's
-    # propagator: no sampled rollout, no held span and no step loop
+    # propagator: no step loop and no held span per knot, only one held
+    # span over the whole horizon for the grid states
     plant, config, yref = _shipped_showcase(t_end=0.4)
-    counts = {"rollouts": 0, "holds": 0, "marches": 0}
+    counts = {"marches": 0}
+    spans = []
     per_start = []
     feedback_values = _Workspace.feedback_values
+    hold = sim_module._hold
 
     def counting_start(ws, chain, gains, head):
-        before = dict(counts)
+        before = counts["marches"], len(spans)
         out = feedback_values(ws, chain, gains, head)
-        per_start.append((head.shape[0], *(counts[k] - before[k] for k in counts)))
+        per_start.append((head.shape[0], counts["marches"] - before[0],
+                          spans[before[1]:], ws.grid.size))
         return out
 
-    for module, name, key in ((ocp_module, "zoh_feedback_rollout", "rollouts"),
-                              (sim_module, "_hold", "holds"), (sim_module, "_march", "marches")):
-        monkeypatch.setattr(module, name, _counting(counts, key, getattr(module, name)))
+    def recording_hold(plant, grid, *args):
+        spans.append(grid.size)
+        return hold(plant, grid, *args)
+
+    monkeypatch.setattr(sim_module, "_march", _counting(counts, "marches", sim_module._march))
+    monkeypatch.setattr(sim_module, "_hold", recording_hold)
     monkeypatch.setattr(_Workspace, "feedback_values", counting_start)
     run_fmpc(plant, yref, config)
     assert [start[0] for start in per_start] == [0] + [14] * 9
-    assert all(start[1:] == (0, 0, 0) for start in per_start)
-
-
-@pytest.mark.parametrize("rows", [0, 1, 14])
-def test_linear_start_matches_the_sampled_rollout(rows):
-    # the rows read off the propagator are the sampled rollout's bit for
-    # bit, after no, one and N - 1 given rows; at t = 0 the feedback runs
-    # into the box, so the clamp is active at a sampled knot in each case
-    plant, config, yref = _shipped_showcase()
-    spec = config.spec
-    head = np.full((rows, 1), 3.0)
-    ws = _Workspace(plant, config.stage, spec, yref)
-    values = ws.feedback_values(config.chain, config.gains, head)
-    _, start = zoh_feedback_rollout(
-        plant.clone(), config.chain, config.gains, yref, (0.0, spec.horizon),
-        spec.control_step, spec.ode_step, saturation=spec.saturation, head=head,
-    )
-    np.testing.assert_array_equal(values, start.values)
-    assert np.any(np.abs(values[rows:]) == spec.saturation)
+    assert all(marches == 0 and held == [size] for _, marches, held, size in per_start)
 
 
 def test_start_without_linear_record_is_one_rollout(monkeypatch):
-    # a linear=None copy of the record still builds its start in one
-    # sampled RK4 rollout, which agrees with the propagator's rows up to
-    # the rounding of the steps, amplified by the feedback gains
+    # the one knot loop builds every start: on the shipped record it steps
+    # the knots by the propagator, on its linear=None copy by one held span
+    # per knot, and the two agree up to the rounding of the steps,
+    # amplified by the feedback gains, after no, one and N - 1 given rows;
+    # at t = 0 the feedback runs into the box, so the clamp is active at a
+    # sampled knot in each case
     plant, config, yref = _shipped_showcase()
     generic = make_plant(dataclasses.replace(plant.system, linear=None), 0.0, plant.state)
-    head = np.full((1, 1), 3.0)
-    counts = {"rollouts": 0}
-    monkeypatch.setattr(ocp_module, "zoh_feedback_rollout",
-                        _counting(counts, "rollouts", ocp_module.zoh_feedback_rollout))
-    rows = [
-        _Workspace(p, config.stage, config.spec, yref).feedback_values(
-            config.chain, config.gains, head)
-        for p in (generic, plant)
-    ]
-    assert counts["rollouts"] == 1
-    np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-11)
+    counts = {"loops": 0}
+    monkeypatch.setattr(ocp_module, "_sampled_feedback",
+                        _counting(counts, "loops", ocp_module._sampled_feedback))
+    for given in (0, 1, 14):
+        head = np.full((given, 1), 3.0)
+        rows = [
+            _Workspace(p, config.stage, config.spec, yref).feedback_values(
+                config.chain, config.gains, head)
+            for p in (generic, plant)
+        ]
+        np.testing.assert_array_equal(rows[1][:given], head)
+        assert np.any(np.abs(rows[1][given:]) == config.spec.saturation)
+        np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-11)
+    assert counts["loops"] == 6
 
 
 @pytest.mark.parametrize("rows", [0, 14])
 def test_start_that_blows_up_is_a_precondition_violation(rows):
     # a car position just below BLOWUP_NORM moving at 1e6 crosses it near
-    # t = 0.1; both start builders raise and name the same last good time
+    # t = 0.1; both branches of the start loop raise and name the same
+    # last good time
     plant, config, yref = _shipped_showcase()
     x0 = np.array([sim_module.BLOWUP_NORM - 1e5, 0.0, 1e6, 0.0])
     messages = []
@@ -577,8 +573,8 @@ def test_start_that_blows_up_is_a_precondition_violation(rows):
 
 
 def test_start_rejects_a_head_outside_the_box():
-    # both start builders give one answer for a head beyond the saturation
-    # level: the ValueError of a ControlSignal holding it
+    # both branches of the start loop give one answer for a head beyond
+    # the saturation level: the ValueError of a ControlSignal holding it
     plant, config, yref = _shipped_showcase()
     for record in (plant.system, dataclasses.replace(plant.system, linear=None)):
         ws = _Workspace(make_plant(record, 0.0, plant.state), config.stage, config.spec, yref)

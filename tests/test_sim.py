@@ -24,6 +24,8 @@ from funnelmpc import (
     SingularGainError,
     StateSpacePlant,
     NormalFormPlant,
+    OcpSpec,
+    StageCost,
     StateSpaceSystem,
     build_funnel_chain,
     constant_reference,
@@ -41,6 +43,7 @@ from funnelmpc import (
 )
 from funnelmpc import sim
 from funnelmpc.funnel import InitialJetData
+from funnelmpc.ocp import _Workspace
 from funnelmpc.sim import AFFINE_BLOCK, FEEDBACK_BLOCK, rollout_jets_batch
 from funnelmpc.systems import RelativeDegreeSystem
 
@@ -187,6 +190,41 @@ def test_history_call_matches_query_bit_for_bit(segment):
         for s, row in zip(probes, hist.query(probes)):
             assert hist(s).tobytes() == row.tobytes()
         hist.append(t, rng.normal(size=2))
+
+
+def test_history_reads_at_stored_times_come_from_the_stencil():
+    # a read at a stored time is the Lagrange stencil at one of its nodes:
+    # the node's weight is 1 and the others' 0, so it returns the sample
+    # bit for bit, with two corners: a -0.0 sample reads as +0.0, and a
+    # non-finite neighbour in the stencil makes the read NaN (0 * inf)
+    hist = JetHistory(0.0, np.array([1.0, 2.0]))
+    samples = np.array([[-0.0, 3.0], [0.5, np.inf], [-1.5, 4.0], [2.25, 5.0]])
+    for t, row in zip((0.25, 0.5, 0.75, 1.0), samples):
+        hist.append(t, row)
+    with np.errstate(invalid="ignore"):
+        reads = hist.query(hist.ts)
+        calls = [hist(s) for s in hist.ts]
+    np.testing.assert_array_equal(reads[:, 0], hist.jets[:, 0])
+    assert reads[1, 0] == 0.0 and not np.signbit(reads[1, 0])
+    # every stencil of five samples holds the inf at 0.5; t = 0 is the segment
+    np.testing.assert_array_equal(reads[:, 1], [2.0, np.nan, np.inf, np.nan, np.nan])
+    for call, row in zip(calls, reads):
+        assert call.tobytes() == row.tobytes()
+
+
+def test_delay_member_that_blows_up_leaves_the_others_bit_for_bit():
+    # at a dyadic step and delay every stage read at t and t + h lands on a
+    # stored time; a member driven to inf turns its stencils NaN, stays
+    # flagged, and the other members' rows are those of a batch without it
+    h = 2.0**-6
+    plant = _delay_plant(2.0 * h)
+    values = np.random.default_rng(4).uniform(-2.0, 2.0, size=(3, 6, 2))
+    values[1] = 1e308
+    _, jets, alive = rollout_jets_batch(plant, values, 4.0 * h, h)
+    _, alone, alone_alive = rollout_jets_batch(plant, values[[0, 2]], 4.0 * h, h)
+    assert alive.tolist() == [True, False, True] and alone_alive.all()
+    assert np.isnan(jets[1]).any()
+    np.testing.assert_array_equal(jets[[0, 2]], alone)
 
 
 def test_history_clone_is_independent():
@@ -703,7 +741,8 @@ def test_sampled_feedback_on_a_plant_with_memory_matches_manual_loop():
     # y'(t) = -y(t - 0.1) + u with y = 0.8 on (-inf, 0]: three given rows,
     # then the law sampled at 0.3, 0.4 and 0.5 and clipped to the box, each
     # step reading the rollout's own past; the mirror holds the head in one
-    # open loop and each sample in one more
+    # open loop and each sample in one more.  The OCP start on the same
+    # plant runs the same loop on a clone, so its rows are the rollout's
     psi, chain, yref = _scalar_decay_setup(0.8)
     system = RelativeDegreeSystem(
         m=1, r=1, f=lambda w: -np.asarray(w, dtype=float), g=lambda w: np.eye(1),
@@ -730,15 +769,44 @@ def test_sampled_feedback_on_a_plant_with_memory_matches_manual_loop():
         values.append(u)
         hold = ControlSignal(t_start=t, step=0.1, values=u.reshape(1, 1), saturation=0.5)
         integrate_open_loop(mirror, hold, (t, t + 0.1), 0.01)
-    # the knots t0 + h j and 0.1 k differ in the last bit, so the two loops
-    # agree to rounding, not bit for bit
-    np.testing.assert_array_equal(control.values[:3], head)
-    np.testing.assert_allclose(control.values, np.stack(values), rtol=0.0, atol=1e-13)
+    start = delayed()
+    spec = OcpSpec(horizon=0.6, control_step=0.1, saturation=0.5, ode_step=0.01)
+    ws = _Workspace(start, StageCost(chain.theta, 0.0, []), spec, yref)
+    entries = {"rollout": control.values, "start": ws.feedback_values(chain, [], head)}
+    assert start.t == 0.0 and start.history.size == 1
+    np.testing.assert_array_equal(entries["start"], entries["rollout"])
+    # the knots t0 + h j and 0.1 k differ in the last bit, so the loop and
+    # the mirror agree to rounding, not bit for bit
+    for rows in entries.values():
+        np.testing.assert_array_equal(rows[:3], head)
+        np.testing.assert_allclose(rows, np.stack(values), rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(plant.state, mirror.state, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(plant.history.ts, mirror.history.ts, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(
         np.stack(plant.history.jets), np.stack(mirror.history.jets), rtol=0.0, atol=1e-13
     )
+
+
+def test_sampled_feedback_rejects_a_head_outside_the_box_before_stepping():
+    # the knot loop checks the head once, before its first step, with the
+    # ValueError a ControlSignal raises for it: on a linear record, on its
+    # linear=None copy and on a plant with memory, none of which moves
+    psi, chain, yref = _scalar_decay_setup(0.8)
+    delay = RelativeDegreeSystem(
+        m=1, r=1, f=lambda w: -np.asarray(w, dtype=float), g=lambda w: np.eye(1),
+        T=delay_operator(0.1, lambda xi: xi, q=1),
+    )
+    plants = [
+        make_integrator_plant(0.8),
+        make_plant(dataclasses.replace(integrator_chain(1), linear=None), 0.0, np.array([0.8])),
+        make_plant(delay, 0.0, np.array([0.8]), initial_segment=lambda s: np.array([0.8])),
+    ]
+    for plant in plants:
+        with pytest.raises(ValueError, match="control values exceed the saturation level"):
+            zoh_feedback_rollout(plant, chain, [], yref, (0.0, 0.6), 0.1, 0.01,
+                                 saturation=0.5, head=np.array([[0.3], [-0.9]]))
+        assert plant.t == 0.0 and plant.state.tolist() == [0.8]
+    assert plants[2].history.size == 1
 
 
 def test_sampled_feedback_validates_span():

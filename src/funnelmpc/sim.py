@@ -107,17 +107,16 @@ class Trajectory:
 class JetHistory:
     """Output-jet history: an initial segment plus appended integration samples.
 
-    Queries at s <= t0 use the supplied initial segment, elsewhere Lagrange
+    ``query`` reads the jets at an array of times, a call its row at one
+    time.  Reads at s <= t0 use the supplied initial segment, else Lagrange
     interpolation over the stencil of the four nearest stored samples, or
     of all while fewer are stored (``_stencil``); at a stored time that
     stencil returns the sample itself, except that a -0.0 reads as +0.0
-    and a non-finite neighbour makes the read NaN.  Queries beyond the
-    newest sample raise PreconditionViolation.  A call at one time gives,
-    bit for bit, the element of ``query`` at that time without building
-    arrays.  ``ts`` and ``jets`` view arrays that grow by doubling
-    (``reserve``); a batch's first (B, r*m) row broadcasts the stored past
-    once.  A span of a delay plant reserves its room and writes its
-    samples there (``_delay_windows``).
+    and a non-finite neighbour makes the read NaN.  Reads beyond the
+    newest sample raise PreconditionViolation.  ``ts`` and ``jets`` view
+    arrays that grow by doubling (``reserve``); a batch's first (B, r*m)
+    row broadcasts the stored past once.  A span of a delay plant reserves
+    its room and writes its samples there (``_delay_windows``).
     """
 
     __slots__ = ("t0", "segment", "size", "_ts", "_jets")
@@ -187,29 +186,8 @@ class JetHistory:
         return out
 
     def __call__(self, s: float) -> np.ndarray:
-        """The jet at one time s: ``query``'s value there, bit for bit."""
-        s, n = float(s), self.size
-        if s > self._ts[n - 1] + 1e-9:
-            raise PreconditionViolation(
-                f"history queried at {s} beyond newest sample {self._ts[n - 1]}"
-            )
-        if s <= self.t0 + 1e-12:
-            out = np.empty(self._jets.shape[1:])
-            out[...] = self._segment_value(s)
-            return out
-        idx = int(np.searchsorted(self.ts, s))
-        k = min(n, 4)
-        lo = max(min(idx - 2, n - 4), 0)
-        t = self._ts[lo : lo + k].tolist()
-        out = 0.0
-        for j in range(k):
-            # query's weight, its factors multiplied in the order of l
-            weight = 1.0
-            for l in range(k):
-                if l != j:
-                    weight = weight * ((s - t[l]) / (t[j] - t[l]))
-            out = out + weight * self._jets[lo + j]
-        return out
+        """The jet at one time s: ``query``'s row there."""
+        return self.query(np.array([float(s)]))[0]
 
 
 def _unit_axes(a: np.ndarray, lead: int, ndim: int) -> np.ndarray:
@@ -222,7 +200,9 @@ def _stencil(ts: np.ndarray, s: np.ndarray, idx: np.ndarray, n, k: int):
     points among the n stored times ts are idx: the indices near
     (k,) + s.shape of the k stored samples from max(min(idx - 2, n - 4), 0)
     on, and the Lagrange weight of each at s, the same shape.  ``n`` may
-    be an array broadcast against s when k = 4."""
+    be an array broadcast against s when k = 4.  With ``_weighted_sum`` it
+    is the one interpolation behind every read of a history: ``query`` and
+    the planned windows (``_delay_windows``)."""
     near = np.maximum(np.minimum(idx - 2, n - 4), 0) + _unit_axes(np.arange(k), 1, s.ndim + 1)
     t = ts[near]
     # sample j weighs the product of (s - t_l) / (t_j - t_l) over l != j,
@@ -234,7 +214,8 @@ def _stencil(ts: np.ndarray, s: np.ndarray, idx: np.ndarray, n, k: int):
 
 def _weighted_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_j weights[j] rows[j] over a stencil's k samples, added in order
-    from 0.0, for weights (k, ...) and rows (k, ...) + a sample's shape."""
+    from 0.0, for weights (k, ...) and rows (k, ...) + a sample's shape:
+    the sum step of every read of a history (``_stencil``)."""
     out = 0.0
     for term in _unit_axes(weights, weights.ndim, rows.ndim) * rows:
         out = out + term

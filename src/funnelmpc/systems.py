@@ -69,10 +69,6 @@ class CausalOperator:
     def state_derivative(self, t, xi, state) -> np.ndarray:
         return np.zeros(0)
 
-    def probe_value(self, t, xi, state=None) -> np.ndarray:
-        """Evaluate against a history frozen at xi (used by bound probes)."""
-        return self.evaluate(t, xi, lambda s: xi, state)
-
 
 class _StaticOperator(CausalOperator):
     def __init__(self, func, q):
@@ -493,7 +489,8 @@ def estimate_dynamics_bounds(
         eta = sys.T.initial_state() if sys.T.state_dim else None
         for idx, t in enumerate(ts):
             xi = jets[idx]
-            w = sys.T.probe_value(t, xi, eta)
+            # against a history frozen at xi
+            w = sys.T.evaluate(t, xi, lambda s: xi, eta)
             f_max = max(f_max, float(np.linalg.norm(np.asarray(sys.f(w)).reshape(-1))))
             gmat = np.atleast_2d(np.asarray(sys.g(w), dtype=float))
             g_inv_max = max(g_inv_max, float(np.linalg.norm(np.linalg.inv(gmat), 2)))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from funnelmpc import (
+    FunnelChain,
     MassOnCarParams,
     PreconditionViolation,
     RelativeDegreeSystem,
@@ -340,3 +341,20 @@ def test_dynamics_bounds_are_deterministic(showcase_chain, showcase_yref):
         sys, showcase_chain, SHOWCASE["gains"], showcase_yref, (0.0, 5.0), **kwargs
     )
     assert first == second
+
+
+def test_dynamics_bounds_probe_a_plant_with_memory(unit_funnel, zero_reference):
+    # y' = -0.5 y(t - 0.1) + u: the delay operator reads the history the
+    # probe freezes at each sampled jet
+    sys = RelativeDegreeSystem(
+        m=1, r=1, f=lambda w: -0.5 * np.asarray(w, dtype=float), g=lambda w: np.eye(1),
+        T=delay_operator(0.1, lambda xi: xi, q=1),
+    )
+    chain = FunnelChain((unit_funnel,))
+    kwargs = dict(n_paths=4, steps_per_path=20)
+    first = estimate_dynamics_bounds(sys, chain, [], zero_reference, (0.0, 2.0), **kwargs)
+    second = estimate_dynamics_bounds(sys, chain, [], zero_reference, (0.0, 2.0), **kwargs)
+    f_max, g_max = first
+    assert g_max == 1.1
+    assert math.isfinite(f_max) and f_max > 0.0
+    assert np.asarray(first).tobytes() == np.asarray(second).tobytes()

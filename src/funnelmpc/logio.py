@@ -156,11 +156,11 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(vals) - lo) * (out_hi - out_lo) / span
 
 
-def _polyline(xs, ys, color, width=1.5, dash=None):
+def _polyline(xs, ys, color, dash=None):
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{dash_attr} '
+        f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash_attr} '
         f'points="{pts}"/>'
     )
 

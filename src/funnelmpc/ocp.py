@@ -26,8 +26,10 @@ The Jacobian F = de_r/dd is
 
 ``solve_ocp`` builds every start: the given rows completed by sampled
 funnel feedback, or the feedback alone, from the one knot loop in ``sim``
-(``_sampled_feedback``) run on a clone over the OCP's own grid; on a
-linear plant that loop steps the knots by the same propagator.  A
+(``_sampled_feedback``) run on a clone over the OCP's own grid.  The loop
+is the same on every plant: one held span for the given rows, the law's
+time terms at all knots at once, then per knot the law and one held span,
+which on a linear plant is one product with the same propagator.  A
 brute-force grid search over tiny decision spaces serves as an
 independent reference.
 """
@@ -302,8 +304,9 @@ class _Workspace:
 
     def feedback_values(self, chain, gains, head: np.ndarray) -> np.ndarray:
         """N rows: the (k, m) ``head`` held from t0, then funnel feedback
-        sampled at the later knots of the OCP grid and clamped to the box,
-        from the one knot loop of ``sim._sampled_feedback`` on a clone.
+        sampled at the later knots of the OCP grid, from time terms formed
+        once for all of them, and clamped to the box: the one knot loop of
+        ``sim._sampled_feedback`` on a clone.
 
         Raises PreconditionViolation without a chain or gains, or when a
         state blows up, and the ValueError of a ControlSignal when the head

@@ -511,48 +511,60 @@ class FeedbackLaw:
     u(t) = g^{-1} (-f + y_ref^(r)(t) - sum_j k_j e_j^{(r-j)}(t)
                    + e_r(t) * theta'(t)/theta(t))
 
-    All derivative terms are exact linear functions of the current jet, with
-    coefficients the chain keeps per gains, so they are assembled once per
-    chain and gains rather than once per law.  The law does not check
-    funnel membership; ``feasibility_feedback`` and ``feedback_rollout`` do.
+    With zeta = jet - ref, e_r = lock @ zeta and the sum is correction @
+    zeta, for (m, r*m) maps the chain keeps per gains and m.  So u = g^{-1}
+    (-f - correction @ jet + w lock @ jet + shift), where w = theta'/theta
+    and shift = y_ref^(r) - w lock @ ref + correction @ ref depend on t
+    only: ``time_terms`` forms them on an array of times for every reader
+    of the law, ``evaluate`` applies them at a state, and a call does both
+    at one time.  The law does not check funnel membership;
+    ``feasibility_feedback`` and ``feedback_rollout`` do.
     """
 
     def __init__(self, chain: FunnelChain, gains, yref: ReferenceSignal):
         self.chain = chain
         self.gains = np.asarray(gains, dtype=float)
         self.yref = yref
-        r = chain.r
+        r, m = chain.r, yref.m
         if self.gains.size != r - 1:
             raise ValueError(f"need {r - 1} gains, got {self.gains.size}")
         self.r = r
-        key = ("feedback law rows", self.gains.tobytes())
+        key = ("feedback law maps", self.gains.tobytes(), m)
         if key not in chain.cache:
-            # e_r as ascending jet-block coefficients, those of p_{r-1}(s)
-            top = top_error_rows(self.gains)[0]
-            # sum_j k_j e_j^{(r-j)} = e_r' - e^{(r)}: the coefficients of
+            # e_r: the blocks of p_{r-1}(s), ascending
+            lock = top_error_rows(self.gains, m)
+            # sum_j k_j e_j^{(r-j)} = e_r' - e^{(r)}: the blocks of
             # s p_{r-1}(s) - s^r, which stay inside the jet
-            correction = np.concatenate(([0.0], top[:-1]))
-            for row in (top, correction):
-                row.setflags(write=False)
-            chain.cache[key] = top, correction
-        self.top_row, self.correction_row = chain.cache[key]
+            correction = np.zeros_like(lock)
+            correction[:, m:] = lock[:, :-m]
+            for arr in (lock, correction):
+                arr.setflags(write=False)
+            chain.cache[key] = lock, correction
+        self.lock, self.correction = chain.cache[key]
 
-    def __call__(self, t, plant, x):
-        jet_mat = plant.output_jet(x).reshape(self.r, plant.m)
-        ref = self.yref.jet(t, self.r + 1)
-        zeta = jet_mat - ref[: self.r]
+    def time_terms(self, ts: np.ndarray):
+        """w = theta'/theta (K,) and the reference part shift (K, m) of the
+        law at the K times of an array."""
+        r, m = self.r, self.yref.m
+        ext = self.yref.jet_array(ts, r + 1).reshape(ts.size, (r + 1) * m)
+        ref, ref_high = ext[:, : r * m], ext[:, r * m :]
         theta = self.chain.theta
+        w = np.divide(theta.derivative(ts), theta.value(ts), dtype=float)
+        return w, ref_high - w[:, None] * (ref @ self.lock.T) + ref @ self.correction.T
+
+    def evaluate(self, t, plant, x, w, shift):
+        """The law at (t, x) from its time terms w and shift at t."""
         fval, gmat = plant.yr_parts(t, x)
-        target = (
-            -fval
-            + ref[self.r]
-            - self.correction_row @ zeta
-            + (self.top_row @ zeta) * (float(theta.derivative(t)) / float(theta.value(t)))
-        )
+        jet = plant.output_jet(x)
+        target = -fval - self.correction @ jet + w * (self.lock @ jet) + shift
         gmat = _guard_gain_matrix(gmat)
         if gmat.shape == (1, 1):
             return target / float(gmat[0, 0])
         return np.linalg.solve(gmat, target)
+
+    def __call__(self, t, plant, x):
+        w, shift = self.time_terms(np.array([float(t)]))
+        return self.evaluate(t, plant, x, w[0], shift[0])
 
 
 def _require_membership(chain: FunnelChain, gains, ts, zeta):
@@ -568,11 +580,10 @@ def _require_membership(chain: FunnelChain, gains, ts, zeta):
         )
 
 
-def feasibility_feedback(plant, chain: FunnelChain, gains, yref: ReferenceSignal, t, x=None):
-    """Evaluate the funnel feedback at one point after checking membership there."""
-    x = plant.state if x is None else np.asarray(x, dtype=float)
-    _require_membership(chain, gains, t, plant.output_jet(x) - yref.jet(t, chain.r).ravel())
-    return FeedbackLaw(chain, gains, yref)(t, plant, x)
+def feasibility_feedback(plant, chain: FunnelChain, gains, yref: ReferenceSignal, t):
+    """The funnel feedback at the plant's state at time t, after checking membership there."""
+    _require_membership(chain, gains, t, plant.output_jet() - yref.jet(t, chain.r).ravel())
+    return FeedbackLaw(chain, gains, yref)(t, plant, plant.state)
 
 
 def feedback_rollout(
@@ -623,10 +634,11 @@ def _affine_feedback(law: FeedbackLaw, plant, grid, h: float, states: np.ndarray
 
     The law is affine in the state there, so every RK4 step is an affine
     map x+ = M_i x + v_i whose four stages still apply the law at t_i,
-    t_i + h/2 and t_i + h.  Each block of FEEDBACK_BLOCK steps evaluates
-    its augmented maps [[M_i, v_i], [0, 1]] as one product with the
-    record's step polynomial (``_step_polynomial``) and composes them from
-    the block's first state by ``_scan``.
+    t_i + h/2 and t_i + h.  Each block of FEEDBACK_BLOCK steps forms the
+    law's time terms at its stage times (``FeedbackLaw.time_terms``),
+    evaluates its augmented maps [[M_i, v_i], [0, 1]] as one product with
+    the record's step polynomial (``_step_polynomial``) and composes them
+    from the block's first state by ``_scan``.
 
     Fills states[1:] from states[0], leaves the plant at the last good
     point and returns (inputs, count) as ``_march`` does.
@@ -642,7 +654,8 @@ def _affine_feedback(law: FeedbackLaw, plant, grid, h: float, states: np.ndarray
             hi = min(lo + FEEDBACK_BLOCK, n_steps)
             k = hi - lo
             # the terms at the steps' stages a, b and c, then at the block's end
-            w, c = poly.time_terms(law, np.append(grid[lo:hi] + stages, grid[hi]))
+            w, shift = law.time_terms(np.append(grid[lo:hi] + stages, grid[hi]))
+            c = shift @ poly.gain_inverse.T
             w_at[lo:hi], c_at[lo:hi], w_at[hi], c_at[hi] = w[:k], c[:k], w[-1], c[-1]
             maps = poly.maps(w[:-1].reshape(3, k), c[:-1].reshape(3, k, -1))
             block = states[lo + 1 : hi + 1]
@@ -691,7 +704,9 @@ class _StepPolynomial:
     one polynomial in the law's time terms.
 
     With F = C_{r-1} A and g = C_{r-1} B the law is affine in the state,
-    u = (k0 + w(t) k1) x + c(t) with w = theta'/theta, so the closed loop
+    u = (k0 + w(t) k1) x + c(t) with k0 = -g^{-1} (F + correction C_jet),
+    k1 = g^{-1} lock C_jet from the law's maps, and with w = theta'/theta
+    and c = g^{-1} shift from its ``time_terms``, so the closed loop
     is x' = (P0 + w P1) x + B c with P0 = A + B k0 and P1 = B k1.  Its
     augmented stage matrices S = [[P0 + w P1, B c], [0, 0]] are linear in
     (1, w, c), and the RK4 step map
@@ -712,14 +727,11 @@ class _StepPolynomial:
         a, b, c_jet = linear
         n, m = b.shape
         top = c_jet[(law.r - 1) * m :]
-        self.m, self.d = m, n + 1
+        self.d = n + 1
         gmat = _guard_gain_matrix(top @ b)
         self.gain_inverse = np.linalg.inv(gmat)
-        # the zeta terms of the law as (m, r*m) maps of the flat jet error
-        self.lock = top_error_rows(law.gains, m)
-        self.correction = np.kron(law.correction_row, np.eye(m))
-        self.k0 = np.linalg.solve(gmat, -top @ a - self.correction @ c_jet)
-        self.k1 = np.linalg.solve(gmat, self.lock @ c_jet)
+        self.k0 = np.linalg.solve(gmat, -top @ a - law.correction @ c_jet)
+        self.k1 = np.linalg.solve(gmat, law.lock @ c_jet)
 
         # a matrix polynomial maps (e_a, e_b, e_c, col) to the coefficient of
         # w_a^e_a w_b^e_b w_c^e_c times entry col of the stacked (c_a, c_b,
@@ -774,20 +786,8 @@ class _StepPolynomial:
         self.coef = np.zeros((len(rows), d * d))
         for key, coef in step.items():
             self.coef[rows[key]] = coef.ravel()
-        for arr in (self.gain_inverse, self.lock, self.correction, self.k0, self.k1, self.coef):
+        for arr in (self.gain_inverse, self.k0, self.k1, self.coef):
             arr.setflags(write=False)
-
-    def time_terms(self, law: FeedbackLaw, ts: np.ndarray):
-        """w(t) = theta'/theta and c(t) of the law on a time array."""
-        r, m = law.r, self.m
-        ext = law.yref.jet_array(ts, r + 1).reshape(ts.size, (r + 1) * m)
-        ref, ref_high = ext[:, : r * m], ext[:, r * m :]
-        theta = law.chain.theta
-        w = np.asarray(theta.derivative(ts), dtype=float) / np.asarray(
-            theta.value(ts), dtype=float
-        )
-        shift = ref_high - w[:, None] * (ref @ self.lock.T) + ref @ self.correction.T
-        return w, shift @ self.gain_inverse.T
 
     def maps(self, w: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Augmented step maps (L, n+1, n+1) from the stage values of L
@@ -838,9 +838,10 @@ def zoh_feedback_rollout(
 
     The (k, m) ``head`` rows are held as given over the first k ZOH
     intervals; at each later knot t_span[0] + h j the law is evaluated on
-    the knot's state, optionally clamped to the saturation box, and held
-    for one interval (``_sampled_feedback``, the loop that also builds
-    every OCP start).  The loop is open between knots, so the
+    the knot's state, from its time terms formed once for all knots,
+    optionally clamped to the saturation box, and held for one interval
+    (``_sampled_feedback``, the loop that also builds every OCP start, the
+    same on every plant).  The loop is open between knots, so the
     conservation property of the continuous law does not transfer; this is
     the implementable sampled controller.
     """
@@ -870,46 +871,37 @@ def _sampled_feedback(plant, chain, gains, yref, grid, h: float, substeps: int, 
     """The one knot loop of sampled funnel feedback, from the plant's state
     over a grid of ZOH intervals of ``substeps`` steps of length h.
 
-    The (k, m) ``head`` rows are held over the first k intervals; at each
-    later knot the law is evaluated on the knot's state, clamped to the box
-    unless ``saturation`` is None, and held for one interval.  A linear
-    record has no memory, so there each knot's state is the propagator's
-    interval map of the knot before, and one ``_hold`` of the whole span
-    gives the grid states; elsewhere the head is one held span and each
-    knot one more.  Returns the (N, m) rows, the grid states and their
-    valid count as ``_hold`` gives it; rows past a blow-up are not to be
-    used.  Raises a ControlSignal's ValueError for a head outside the box.
+    The (k, m) ``head`` rows are held over the first k intervals as one
+    ``_hold``; the law's time terms are formed once, at every later knot
+    (``FeedbackLaw.time_terms``), and at each such knot the law is
+    evaluated from them on the knot's state, clamped to the box unless
+    ``saturation`` is None, and held for one interval by one more
+    ``_hold``, so a plant with memory reads its own past.  Returns the
+    (N, m) rows, the grid states and their valid count as ``_hold`` gives
+    it; rows past a blow-up are not to be used.  Raises a ControlSignal's
+    ValueError for a head outside the box.
     """
     if saturation is not None:
         _require_box(head, saturation)
     law = FeedbackLaw(chain, gains, yref)
-    N, k, m = (grid.size - 1) // substeps, head.shape[0], plant.m
-    values = np.empty((N, m))
+    N, k = (grid.size - 1) // substeps, head.shape[0]
+    values = np.empty((N, plant.m))
     values[:k] = head
     states = np.empty((grid.size, plant.state_dim))
     states[0] = plant.state
-    if plant.linear is None:
-        span = slice(0, k * substeps + 1)
-        count = _hold(plant, grid[span], h, substeps, states[span], head)
-        for knot in range(k, N):
-            i = knot * substeps
-            if count <= i:
-                break
-            u = np.atleast_1d(law(grid[i], plant, states[i]))
-            values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
-            span = slice(i, i + substeps + 1)
-            count = i + _hold(plant, grid[span], h, substeps, states[span], values[[knot]])
-        return values, states, count
-    prop = linear_propagator(plant, h, substeps, max(k, 1))
-    n, i = plant.state_dim, k * substeps
-    x = prop.powers[i] @ states[0] + head.ravel() @ prop.forced[: k * m, i * n : (i + 1) * n]
-    step_gain = prop.forced[:m, substeps * n : (substeps + 1) * n]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for knot in range(k, N):
-            u = np.atleast_1d(law(grid[knot * substeps], plant, x))
-            values[knot] = u if saturation is None else np.clip(u, -saturation, saturation)
-            x = prop.powers[substeps] @ x + values[knot] @ step_gain
-    return values, states, _hold(plant, grid, h, substeps, states, values)
+    span = slice(0, k * substeps + 1)
+    count = _hold(plant, grid[span], h, substeps, states[span], head)
+    knots = grid[k * substeps : -1 : substeps]
+    w, shift = law.time_terms(knots)
+    for j, t in enumerate(knots):
+        i = (k + j) * substeps
+        if count <= i:
+            break
+        u = law.evaluate(t, plant, states[i], w[j], shift[j])
+        values[k + j] = u if saturation is None else np.clip(u, -saturation, saturation)
+        span = slice(i, i + substeps + 1)
+        count = i + _hold(plant, grid[span], h, substeps, states[span], values[[k + j]])
+    return values, states, count
 
 
 def rollout_jets_batch(plant, values: np.ndarray, step: float, h: float):

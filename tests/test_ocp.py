@@ -472,18 +472,18 @@ def test_start_samples_the_feedback_on_the_ocp_grid(monkeypatch):
     cold = solve_ocp(plant, config.stage, config.spec, yref, **solve)
     warm = ControlSignal(t_start=0.0, step=0.04, values=cold.control.values[:14])
     times, grids = [], []
-    law_call = FeedbackLaw.__call__
+    law_terms = FeedbackLaw.time_terms
     ws_init = _Workspace.__init__
 
-    def recording_law(self, t, plant, x):
-        times.append(t)
-        return law_call(self, t, plant, x)
+    def recording_terms(self, ts):
+        times.extend(ts)
+        return law_terms(self, ts)
 
     def recording_init(ws, *args, **kwargs):
         ws_init(ws, *args, **kwargs)
         grids.append(ws.grid)
 
-    monkeypatch.setattr(FeedbackLaw, "__call__", recording_law)
+    monkeypatch.setattr(FeedbackLaw, "time_terms", recording_terms)
     monkeypatch.setattr(_Workspace, "__init__", recording_init)
     sol = solve_ocp(plant, config.stage, config.spec, yref, warm_start=warm, **solve)
     assert sol.status == "converged"
@@ -502,21 +502,22 @@ def _counting(counts, name, fn):
 
 def test_linear_starts_are_read_off_the_propagator(monkeypatch):
     # every start the closed loop builds on the linear showcase, shifted
-    # rows or the feedback alone, reads its knot states off the run's
-    # propagator: no step loop and no held span per knot, only one held
-    # span over the whole horizon for the grid states
+    # rows or the feedback alone, runs the one knot loop: no step loop,
+    # one held span for the given rows and one per sampled knot, each one
+    # product with the run's propagator, and the law's time terms formed
+    # once for all knots
     plant, config, yref = _shipped_showcase(t_end=0.4)
-    counts = {"marches": 0}
+    counts = {"marches": 0, "terms": 0}
     spans = []
     per_start = []
     feedback_values = _Workspace.feedback_values
     hold = sim_module._hold
 
     def counting_start(ws, chain, gains, head):
-        before = counts["marches"], len(spans)
+        before = counts["marches"], counts["terms"], len(spans)
         out = feedback_values(ws, chain, gains, head)
         per_start.append((head.shape[0], counts["marches"] - before[0],
-                          spans[before[1]:], ws.grid.size))
+                          counts["terms"] - before[1], spans[before[2]:]))
         return out
 
     def recording_hold(plant, grid, *args):
@@ -525,19 +526,24 @@ def test_linear_starts_are_read_off_the_propagator(monkeypatch):
 
     monkeypatch.setattr(sim_module, "_march", _counting(counts, "marches", sim_module._march))
     monkeypatch.setattr(sim_module, "_hold", recording_hold)
+    monkeypatch.setattr(FeedbackLaw, "time_terms",
+                        _counting(counts, "terms", FeedbackLaw.time_terms))
     monkeypatch.setattr(_Workspace, "feedback_values", counting_start)
     run_fmpc(plant, yref, config)
     assert [start[0] for start in per_start] == [0] + [14] * 9
-    assert all(marches == 0 and held == [size] for _, marches, held, size in per_start)
+    s, N = config.spec.substeps, config.spec.n_intervals
+    for given, marches, terms, held in per_start:
+        assert marches == 0 and terms == 1
+        assert held == [given * s + 1] + [s + 1] * (N - given)
 
 
 def test_start_without_linear_record_is_one_rollout(monkeypatch):
-    # the one knot loop builds every start: on the shipped record it steps
-    # the knots by the propagator, on its linear=None copy by one held span
-    # per knot, and the two agree up to the rounding of the steps,
-    # amplified by the feedback gains, after no, one and N - 1 given rows;
-    # at t = 0 the feedback runs into the box, so the clamp is active at a
-    # sampled knot in each case
+    # the one knot loop builds every start, one held span per knot: on the
+    # shipped record each span is one product with the propagator, on its
+    # linear=None copy an RK4 step loop, and the two agree up to the
+    # rounding of the steps, amplified by the feedback gains, after no, one
+    # and N - 1 given rows; at t = 0 the feedback runs into the box, so the
+    # clamp is active at a sampled knot in each case
     plant, config, yref = _shipped_showcase()
     generic = make_plant(dataclasses.replace(plant.system, linear=None), 0.0, plant.state)
     counts = {"loops": 0}

@@ -45,7 +45,7 @@ from funnelmpc import sim
 from funnelmpc.funnel import InitialJetData
 from funnelmpc.ocp import _Workspace
 from funnelmpc.sim import AFFINE_BLOCK, FEEDBACK_BLOCK, rollout_jets_batch
-from funnelmpc.systems import RelativeDegreeSystem
+from funnelmpc.systems import ReferenceSignal, RelativeDegreeSystem
 
 from conftest import SHOWCASE, make_integrator_plant
 
@@ -355,15 +355,19 @@ def test_feedback_law_validates_gain_count(showcase_chain, showcase_yref):
 @pytest.mark.parametrize("r", range(1, 6))
 def test_feedback_law_correction_row_on_eigenfunction_jets(r, showcase_psi):
     # along e(t) = v e^{lambda t}: e_r' = lambda e_r and e^(r) = lambda^r v, so
-    # the correction sum_j k_j e_j^(r-j) = e_r' - e^(r) is lambda e_r - lambda^r v
+    # the correction sum_j k_j e_j^(r-j) = e_r' - e^(r) is lambda e_r - lambda^r v;
+    # with two channels the (m, r*m) maps act on the flat jet
     gains = np.array([2.0, 3.0, 5.0, 0.5])[: r - 1]
     lam = -0.7
     v = np.array([1.5, -0.25])
     zeta = np.stack([lam**l * v for l in range(r)])
-    law = FeedbackLaw(FunnelChain((showcase_psi,) * r), gains, constant_reference(0.0, r=r))
+    law = FeedbackLaw(FunnelChain((showcase_psi,) * r), gains,
+                      constant_reference(np.zeros(2), r=r))
+    assert law.correction.shape == law.lock.shape == (2, 2 * r)
     e_r = error_variables(zeta, gains)[-1]
+    np.testing.assert_allclose(law.lock @ zeta.ravel(), e_r, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        law.correction_row @ zeta, lam * e_r - lam**r * v, rtol=1e-12, atol=1e-12
+        law.correction @ zeta.ravel(), lam * e_r - lam**r * v, rtol=1e-12, atol=1e-12
     )
 
 
@@ -573,6 +577,56 @@ def test_step_polynomial_matches_the_stage_products(m, showcase_chain, showcase_
     assert (maps[:, n] == np.eye(n + 1)[n]).all()
 
 
+def _two_channel_sines(r: int) -> ReferenceSignal:
+    """y_ref = sin(omega t + phi) per channel, for two channels."""
+    omega, phase = np.array([1.3, 0.7]), np.array([0.2, -1.1])
+
+    def jet_array(ts, order=r):
+        # d^n/dt^n sin(omega t + phi) = omega^n sin(omega t + phi + n pi / 2)
+        n = np.arange(order)[:, None]
+        return omega**n * np.sin(omega * np.asarray(ts)[:, None, None] + phase + n * np.pi / 2)
+
+    return ReferenceSignal(r=r, m=2, jet_array=jet_array)
+
+
+@pytest.mark.parametrize("case", ["state space", "normal form", "two integrators"])
+def test_feedback_law_readers_agree(case, request, showcase_chain, showcase_yref, showcase_psi):
+    # the law's readers at random (t, x): a call at one time, the
+    # evaluation from time terms formed on an array of times, the step
+    # polynomial's affine form (k0 + w k1) x + shift g^{-T}, and the law
+    # written on the jet error zeta = jet - ref, as the formula states it
+    if case == "two integrators":
+        plant = make_plant(integrator_chain(2, m=2), 0.0, np.zeros(4))
+        chain, gains, yref = FunnelChain((showcase_psi,) * 2), [20.0], _two_channel_sines(2)
+    else:
+        plant = request.getfixturevalue(
+            "showcase_plant" if case == "state space" else "showcase_plant_nf"
+        )
+        chain, gains, yref = showcase_chain, SHOWCASE["gains"], showcase_yref
+    law = FeedbackLaw(chain, gains, yref)
+    poly = sim._step_polynomial(law, plant, 1e-3)
+    rng = np.random.default_rng(len(case))
+    ts = rng.uniform(0.0, 3.0, 25)
+    xs = rng.uniform(-2.0, 2.0, (25, plant.state_dim))
+    w, shift = law.time_terms(ts)
+    affine = xs @ poly.k0.T + w[:, None] * (xs @ poly.k1.T) + shift @ poly.gain_inverse.T
+    called = np.array([law(t, plant, x) for t, x in zip(ts, xs)])
+    evaluated = np.array([law.evaluate(t, plant, x, w[i], shift[i])
+                          for i, (t, x) in enumerate(zip(ts, xs))])
+    direct = []
+    for t, x in zip(ts, xs):
+        ext = yref.jet(t, law.r + 1).ravel()
+        zeta = plant.output_jet(x) - ext[: -plant.m]
+        fval, gmat = plant.yr_parts(t, x)
+        ratio = chain.theta.derivative(t) / chain.theta.value(t)
+        direct.append(np.linalg.solve(
+            gmat, -fval + ext[-plant.m :] - law.correction @ zeta + ratio * (law.lock @ zeta)
+        ))
+    tol = 1e-12 * np.abs(called).max()
+    for other in (evaluated, affine, np.array(direct)):
+        np.testing.assert_allclose(other, called, rtol=0.0, atol=tol)
+
+
 @pytest.mark.parametrize("n_maps", [1, 49, 50], ids=["one-map", "square", "one-past-a-chunk"])
 def test_scan_composes_as_the_maps_in_sequence(n_maps):
     # 49 maps fill 7 chunks of 7; 50 maps take 8 chunks of 7, the last one
@@ -602,7 +656,8 @@ def test_affine_feedback_composes_its_maps_across_outer_blocks(showcase_chain, s
     assert traj.status == "completed" and traj.grid.size == steps + 1
     poly = sim._step_polynomial(law, plant, h)
     grid = traj.grid
-    w, c = poly.time_terms(law, np.append(grid[:-1] + np.array([[0.0], [0.5 * h], [h]]), grid[-1]))
+    w, shift = law.time_terms(np.append(grid[:-1] + np.array([[0.0], [0.5 * h], [h]]), grid[-1]))
+    c = shift @ poly.gain_inverse.T
     x, expected = np.append(traj.state[0], 1.0), [traj.state[0]]
     for step in poly.maps(w[:-1].reshape(3, steps), c[:-1].reshape(3, steps, 1)):
         x = step @ x

@@ -1,13 +1,14 @@
 """Receding-horizon funnel MPC loop and closed-loop guarantee checks.
 
 Each cycle measures the plant state, solves the barrier OCP over the
-prediction horizon, applies the first delta of the optimal input, then
-hands the remaining optimum, shifted by delta, to the next cycle's solver.
-The solver builds every start: it completes those rows with sampled funnel
-feedback, or falls back to the feedback alone (``ocp.solve_ocp``).  An
-infeasible OCP aborts the run loudly: with exact arithmetic it cannot
-happen, so it flags a discretization artifact rather than a tolerable
-condition.
+prediction horizon, applies the first delta of the optimal input as one
+held span (``sim._hold``) written straight into the run's one trajectory,
+then hands the remaining optimum, shifted by delta, to the next cycle's
+solver.  The solver builds every start: it completes those rows with
+sampled funnel feedback, or falls back to the feedback alone
+(``ocp.solve_ocp``).  An infeasible OCP aborts the run loudly: with exact
+arithmetic it cannot happen, so it flags a discretization artifact rather
+than a tolerable condition.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import OcpInfeasibleError, RecursiveFeasibilityViolation
 from .funnel import FunnelChain, FunnelFunction, chain_margins
 from .ocp import OcpSpec, StageCost, solve_ocp
-from .sim import ControlSignal, Trajectory, _is_multiple, integrate_open_loop
+from .sim import ControlSignal, Trajectory, _hold, _is_multiple, _step_grid, _trajectory
 from .systems import ReferenceSignal
 
 __all__ = [
@@ -81,25 +82,6 @@ class ClosedLoopLog:
         return self.trajectory.status
 
 
-def _concat_segments(segments) -> Trajectory:
-    """One trajectory from the cycle segments, which share their end knots.
-
-    The row at a knot holds the input applied from that knot on, so it
-    comes from the later segment; the last row holds the final interval's.
-    """
-    grids = [segments[0].grid] + [s.grid[1:] for s in segments[1:]]
-    states = [segments[0].state] + [s.state[1:] for s in segments[1:]]
-    jets = [segments[0].output_jet] + [s.output_jet[1:] for s in segments[1:]]
-    inputs = [s.input[:-1] for s in segments[:-1]] + [segments[-1].input]
-    return Trajectory(
-        grid=np.concatenate(grids),
-        state=np.concatenate(states),
-        output_jet=np.concatenate(jets),
-        input=np.concatenate(inputs),
-        status=segments[-1].status,
-    )
-
-
 def _shifted_warm_start(config: MpcConfig, previous: ControlSignal, t_next: float):
     """The previous optimum from t_next on: its rows after the first delta.
 
@@ -115,30 +97,29 @@ def _shifted_warm_start(config: MpcConfig, previous: ControlSignal, t_next: floa
 def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
     """Closed-loop funnel MPC over [t0, t_end] on a plant positioned at t0.
 
-    The applied inputs are ``log.trajectory.input``, one row per grid point;
+    Each cycle's applied span starts from ``plant.state`` and is crossed by
+    one ``_hold`` of the optimum's first delta into arrays kept for the
+    whole run; a span that blows up ends the run there, with status
+    'blow-up'.  The applied inputs are ``log.trajectory.input``, one row per
+    grid point, a knot's row holding the input applied from that knot on;
     ``log.records`` holds each cycle's ``OcpSolution``.
     """
     if abs(plant.t - config.t0) > 1e-9:
         raise ValueError(f"plant positioned at t = {plant.t}, run starts at {config.t0}")
 
-    spec = config.spec
+    spec, h = config.spec, config.spec.ode_step
     n_head = round(config.delta / spec.control_step)
-    segments = []
+    n_span = round(config.delta / h)
+    size = config.n_cycles * n_span + 1
+    grid, states = np.empty(size), np.empty((size, plant.state_dim))
+    inputs = np.empty((size, plant.m))
     records = []
     warm = None
 
     for k in range(config.n_cycles):
         t_hat = config.t0 + k * config.delta
         try:
-            sol = solve_ocp(
-                plant,
-                config.stage,
-                spec,
-                yref,
-                warm_start=warm,
-                chain=config.chain,
-                gains=config.gains,
-            )
+            sol = solve_ocp(plant, config.stage, spec, yref, warm_start=warm, chain=config.chain)
         except OcpInfeasibleError as exc:
             raise RecursiveFeasibilityViolation(
                 f"OCP infeasible at t = {t_hat:g}: {exc}",
@@ -150,19 +131,20 @@ def run_fmpc(plant, yref: ReferenceSignal, config: MpcConfig) -> ClosedLoopLog:
             "fmpc t=%.4f cost=%.6e iters=%d status=%s", t_hat, sol.cost, sol.iterations, sol.status
         )
         t_next = config.t0 + (k + 1) * config.delta
-        head = ControlSignal(
-            t_start=t_hat,
-            step=spec.control_step,
-            values=sol.control.values[:n_head],
-            saturation=spec.saturation,
-        )
-        segment = integrate_open_loop(plant, head, (t_hat, t_next), spec.ode_step)
-        segments.append(segment)
-        if segment.status != "completed":
+        span_grid, substeps = _step_grid(plant, (t_hat, t_next), h, spec.control_step)
+        lo, hi = k * n_span, (k + 1) * n_span
+        head = sol.control.values[:n_head]
+        grid[lo : hi + 1], states[lo] = span_grid, plant.state
+        inputs[lo:hi] = np.repeat(head, substeps, axis=0)
+        count = lo + _hold(plant, span_grid, h, substeps, states[lo : hi + 1], head)
+        if count <= hi:
             break
         warm = _shifted_warm_start(config, sol.control, t_next)
+    else:
+        inputs[-1] = head[-1]
 
-    return ClosedLoopLog(trajectory=_concat_segments(segments), records=records, yref=yref)
+    log = _trajectory(plant, grid, states, inputs, count)
+    return ClosedLoopLog(trajectory=log, records=records, yref=yref)
 
 
 @dataclass

@@ -302,21 +302,21 @@ class _Workspace:
         hess.flat[:: hess.shape[0] + 1] += self.mu
         return hess
 
-    def feedback_values(self, chain, gains, head: np.ndarray) -> np.ndarray:
+    def feedback_values(self, chain, head: np.ndarray) -> np.ndarray:
         """N rows: the (k, m) ``head`` held from t0, then funnel feedback
         sampled at the later knots of the OCP grid, from time terms formed
         once for all of them, and clamped to the box: the one knot loop of
         ``sim._sampled_feedback`` on a clone.
 
-        Raises PreconditionViolation without a chain or gains, or when a
-        state blows up, and the ValueError of a ControlSignal when the head
-        leaves the saturation box.
+        The law's gains are the stage cost's.  Raises PreconditionViolation
+        without a chain or when a state blows up, and the ValueError of a
+        ControlSignal when the head leaves the saturation box.
         """
-        if chain is None or gains is None:
+        if chain is None:
             raise PreconditionViolation("no funnel chain to complete the start")
         spec = self.spec
         values, _, count = _sampled_feedback(
-            self.plant.clone(), chain, gains, self.yref, self.grid, spec.ode_step,
+            self.plant.clone(), chain, self.sc.gains, self.yref, self.grid, spec.ode_step,
             spec.substeps, head, spec.saturation,
         )
         if count < self.grid.size:
@@ -378,7 +378,6 @@ def solve_ocp(
     yref: ReferenceSignal,
     warm_start: ControlSignal | None = None,
     chain=None,
-    gains=None,
 ) -> OcpSolution:
     """Projected Gauss-Newton solution of the funnel OCP from the plant's state.
 
@@ -392,12 +391,12 @@ def solve_ocp(
 
     The warm start's rows from the plant's time, on the OCP's ZOH grid and
     clamped to the box, are the start: as they are when they cover the
-    horizon, else completed by sampled funnel feedback
-    (``_Workspace.feedback_values``); without rows the feedback alone.  Given
-    rows that cannot be completed (a blow-up or a singular input gain) or
-    cost inf give way to the feedback alone; if the last start fails the
-    problem is declared infeasible.  The returned cost never exceeds the
-    starting cost.  The status is ``converged`` (projected gradient residual
+    horizon, else completed by sampled funnel feedback with the stage
+    cost's gains (``_Workspace.feedback_values``); without rows the feedback
+    alone.  Given rows that cannot be completed (a blow-up or a singular
+    input gain) or cost inf give way to the feedback alone; if the last
+    start fails the problem is declared infeasible.  The returned cost never
+    exceeds the starting cost.  The status is ``converged`` (projected gradient residual
     at most 1e-6), ``budget-exhausted`` (iteration budget spent),
     ``no-descent`` (the line search found no decrease, or a
     forward-difference probe blew up) or, whatever the stop,
@@ -416,7 +415,7 @@ def solve_ocp(
     for attempt, rows in enumerate(attempts):
         cause = None
         try:
-            d = (rows if rows.shape[0] == N else ws.feedback_values(chain, gains, rows)).ravel()
+            d = (rows if rows.shape[0] == N else ws.feedback_values(chain, rows)).ravel()
             J = ws.linearize(d)
         except (PreconditionViolation, SingularGainError) as exc:
             cause = exc
@@ -429,7 +428,7 @@ def solve_ocp(
     else:
         # margins of the measured start to psi_1..psi_r
         margins = None if chain is None else chain_margins(
-            chain, gains, ws.t0, plant.output_jet() - ws.ref_flat[0]
+            chain, sc.gains, ws.t0, plant.output_jet() - ws.ref_flat[0]
         )[0]
         reason = (f"funnel feedback start could not be built: {cause}" if cause is not None
                   else "clamped funnel feedback start has infinite cost")

@@ -604,7 +604,8 @@ def feedback_rollout(
     On a plant whose ``linear`` matrices are set the same law is applied
     as affine RK4 step maps, one product with the record's step polynomial
     per block, composed by one scan (``_affine_feedback``); on any other
-    plant ``_march`` evaluates it stage by stage.
+    plant ``_march`` evaluates it stage by stage from time terms formed
+    once for the span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     step = h if zoh_step is None else float(zoh_step)
@@ -615,11 +616,17 @@ def feedback_rollout(
     if plant.linear is not None:
         inputs, count = _affine_feedback(law, plant, grid, h, states)
     else:
-        inputs, count = _march(
-            plant, grid, h, lambda i, t, x: np.atleast_1d(law(t, plant, x)), states
-        )
+        # the law's time terms at the stages t, t + h/2 and t + h of every
+        # step, then at t1, formed once for the span
+        w, shift = law.time_terms(np.append(grid[:-1, None] + np.array([0.0, 0.5 * h, h]), t1))
+
+        def u_of(i, t, x):
+            j = 3 * i + round(2.0 * (t - grid[i]) / h)
+            return law.evaluate(t, plant, x, w[j], shift[j])
+
+        inputs, count = _march(plant, grid, h, u_of, states)
         if count == grid.size:
-            inputs[-1] = np.atleast_1d(law(t1, plant, states[-1]))
+            inputs[-1] = law.evaluate(t1, plant, states[-1], w[-1], shift[-1])
 
     trajectory = _trajectory(plant, grid, states, inputs, count)
     ref = yref.jet_array(trajectory.grid, chain.r).reshape(count, -1)

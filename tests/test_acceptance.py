@@ -216,7 +216,7 @@ def test_criterion_05_solver_matches_brute_force():
         )
         sol = solve_ocp(
             make_integrator_plant(y0), sc, spec, yref,
-            chain=chain, gains=np.array([]),
+            chain=chain,
         )
         # cost increase across one grid cell around the exhaustive argmin
         gap = 0.0

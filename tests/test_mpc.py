@@ -41,6 +41,7 @@ from funnelmpc import mpc as mpc_module
 from funnelmpc.systems import RelativeDegreeSystem
 from funnelmpc.cli import ResolvedRun
 from funnelmpc.ocp import _Workspace
+from funnelmpc.sim import BLOWUP_NORM
 
 from conftest import config_path, make_integrator_plant
 
@@ -131,6 +132,49 @@ def test_logged_input_at_a_knot_is_the_one_applied_from_it(decay_psi):
     assert np.all(u[knots[1:]] != u[knots[1:] - 1])
 
 
+def test_applied_span_that_blows_up_ends_the_run(monkeypatch, decay_psi):
+    # a solve checks its whole horizon, so no finite-cost solve leads into a
+    # blow-up; here the plant is pushed to 3.5 steps short of BLOWUP_NORM
+    # along the input of cycle k after its solve, so the fourth step of
+    # the applied span crosses it
+    config = scalar_mpc_config(decay_psi)
+    k, steps, h = 3, round(config.delta / config.spec.ode_step), config.spec.ode_step
+    solve = mpc_module.solve_ocp
+    pushed = []
+
+    def solve_then_push(plant, *args, **kwargs):
+        sol = solve(plant, *args, **kwargs)
+        if len(pushed) == k:
+            u = float(sol.control.values[0, 0])
+            assert abs(u) > 1e-3
+            plant.state = np.array([math.copysign(BLOWUP_NORM - 3.5 * abs(u) * h, u)])
+        pushed.append(plant.state.copy())
+        return sol
+
+    monkeypatch.setattr(mpc_module, "solve_ocp", solve_then_push)
+    plant = make_integrator_plant(0.5)
+    log = run_fmpc(plant, constant_reference(0.0, r=1), config)
+    traj = log.trajectory
+    assert log.status == "blow-up"
+    assert len(log.records) == len(pushed) == k + 1
+    # the rows end at the last good point, three steps into cycle k
+    assert traj.grid.size == traj.state.shape[0] == traj.input.shape[0] == k * steps + 4
+    # the span of cycle k runs from the pushed state
+    u = log.records[k].control.values[0, 0]
+    np.testing.assert_allclose(traj.state[k * steps + 1 :, 0],
+                               pushed[k][0] + u * h * np.arange(1, 4), rtol=1e-15)
+    assert np.all(np.abs(traj.state) <= BLOWUP_NORM)
+    assert traj.grid[-1] == pytest.approx(k * config.delta + 3 * h)
+    # each knot row, and every row after it, holds the input applied from that knot on
+    for j, rec in enumerate(log.records):
+        rows = traj.input[j * steps : (j + 1) * steps]
+        assert rows.shape[0] == (steps if j < k else 4)
+        assert np.all(rows == rec.control.values[0])
+    # the plant is left at the last good point
+    assert plant.t == traj.grid[-1]
+    np.testing.assert_array_equal(plant.state, traj.state[-1])
+
+
 def test_closed_loop_statuses_settle_after_first_cycle(decay_psi):
     config = scalar_mpc_config(decay_psi)
     log = run_fmpc(make_integrator_plant(0.5), constant_reference(0.0, r=1), config)
@@ -149,11 +193,11 @@ def test_shifted_start_that_cannot_be_completed_is_recorded(monkeypatch, decay_p
     feedback_values = _Workspace.feedback_values
     failed = []
 
-    def fail_first_completion(ws, chain, gains, head):
+    def fail_first_completion(ws, chain, head):
         if len(head) and not failed:
             failed.append(ws.t0)
             raise PreconditionViolation("completion blew up")
-        return feedback_values(ws, chain, gains, head)
+        return feedback_values(ws, chain, head)
 
     monkeypatch.setattr(_Workspace, "feedback_values", fail_first_completion)
     config = scalar_mpc_config(decay_psi, t_end=0.5)

@@ -212,7 +212,7 @@ def test_solver_matches_brute_force_single_interval(scalar_stage, zero_ref, scal
     )
     sol = solve_ocp(
         make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
-        chain=scalar_chain, gains=np.array([]),
+        chain=scalar_chain,
     )
     assert sol.status == "converged"
     assert sol.cost <= brute.cost + 1e-9
@@ -228,7 +228,7 @@ def test_solver_matches_brute_force_two_intervals(scalar_stage, zero_ref, scalar
     )
     sol = solve_ocp(
         make_integrator_plant(0.4), scalar_stage, spec, zero_ref,
-        chain=scalar_chain, gains=np.array([]),
+        chain=scalar_chain,
     )
     assert sol.cost <= brute.cost + 1e-9
     assert abs(sol.cost - brute.cost) < 5e-3
@@ -252,7 +252,7 @@ def test_solver_reports_budget_exhaustion(scalar_stage, zero_ref, scalar_chain):
     spec = spec_for(saturation=2.0, ode_step=5e-3, max_iterations=1)
     sol = solve_ocp(
         make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
-        chain=scalar_chain, gains=np.array([]),
+        chain=scalar_chain,
     )
     assert sol.status == "budget-exhausted"
     assert math.isfinite(sol.cost)
@@ -267,7 +267,7 @@ def test_solver_reports_a_failed_line_search(monkeypatch, scalar_stage, zero_ref
     system = dataclasses.replace(integrator_chain(1), linear=None)
     spec = spec_for(saturation=2.0, ode_step=5e-3)
     plant = make_plant(system, 0.0, np.array([0.5]))
-    sol = solve_ocp(plant, scalar_stage, spec, zero_ref, chain=scalar_chain, gains=np.array([]))
+    sol = solve_ocp(plant, scalar_stage, spec, zero_ref, chain=scalar_chain)
     assert sol.status == "no-descent"
     assert sol.iterations <= 2
     assert sol.residual > 1e-6
@@ -290,7 +290,7 @@ def test_solver_stops_when_a_probe_blows_up(monkeypatch, scalar_stage, zero_ref,
     system = dataclasses.replace(integrator_chain(1), linear=None)
     spec = spec_for(horizon=0.2, saturation=2.0, ode_step=5e-3)
     plant = make_plant(system, 0.0, np.array([0.5]))
-    sol = solve_ocp(plant, scalar_stage, spec, zero_ref, chain=scalar_chain, gains=np.array([]))
+    sol = solve_ocp(plant, scalar_stage, spec, zero_ref, chain=scalar_chain)
     assert sol.status == "no-descent"
     assert sol.iterations == 1
     assert math.isfinite(sol.cost)
@@ -394,7 +394,7 @@ def test_solver_recovers_from_infinite_warm_start(scalar_stage, zero_ref, scalar
     bad = ControlSignal(t_start=0.0, step=0.1, values=[[20.0]])
     sol = solve_ocp(
         make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
-        warm_start=bad, chain=scalar_chain, gains=np.array([]),
+        warm_start=bad, chain=scalar_chain,
     )
     assert sol.status == "infeasible-start-recovered"
     assert math.isfinite(sol.cost)
@@ -408,7 +408,7 @@ def test_failed_start_names_infinite_cost(caplog, scalar_stage, zero_ref, scalar
     caplog.set_level(logging.DEBUG, logger=ocp_module.__name__)
     sol = solve_ocp(
         make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
-        warm_start=bad, chain=scalar_chain, gains=np.array([]),
+        warm_start=bad, chain=scalar_chain,
     )
     assert sol.status == "infeasible-start-recovered"
     failed = [rec.getMessage() for rec in caplog.records if rec.msg.startswith("start of")]
@@ -436,7 +436,7 @@ def test_short_warm_start_is_completed_by_sampled_feedback(monkeypatch, scalar_s
     sol = solve_ocp(
         make_integrator_plant(0.5), stage, spec, zero_ref,
         warm_start=ControlSignal(t_start=0.0, step=0.1, values=given),
-        chain=chain, gains=np.array([]),
+        chain=chain,
     )
     assert sol.status != "infeasible-start-recovered"
     assert math.isfinite(sol.cost)
@@ -468,7 +468,7 @@ def test_start_samples_the_feedback_on_the_ocp_grid(monkeypatch):
     # feedback completes the last interval from the cost grid's knot
     # 28 h = 0.56, not from 0.6 - 0.04 = 0.5599999999999999
     plant, config, yref = _shipped_showcase()
-    solve = dict(chain=config.chain, gains=config.gains)
+    solve = dict(chain=config.chain)
     cold = solve_ocp(plant, config.stage, config.spec, yref, **solve)
     warm = ControlSignal(t_start=0.0, step=0.04, values=cold.control.values[:14])
     times, grids = [], []
@@ -513,9 +513,9 @@ def test_linear_starts_are_read_off_the_propagator(monkeypatch):
     feedback_values = _Workspace.feedback_values
     hold = sim_module._hold
 
-    def counting_start(ws, chain, gains, head):
+    def counting_start(ws, chain, head):
         before = counts["marches"], counts["terms"], len(spans)
-        out = feedback_values(ws, chain, gains, head)
+        out = feedback_values(ws, chain, head)
         per_start.append((head.shape[0], counts["marches"] - before[0],
                           counts["terms"] - before[1], spans[before[2]:]))
         return out
@@ -552,8 +552,7 @@ def test_start_without_linear_record_is_one_rollout(monkeypatch):
     for given in (0, 1, 14):
         head = np.full((given, 1), 3.0)
         rows = [
-            _Workspace(p, config.stage, config.spec, yref).feedback_values(
-                config.chain, config.gains, head)
+            _Workspace(p, config.stage, config.spec, yref).feedback_values(config.chain, head)
             for p in (generic, plant)
         ]
         np.testing.assert_array_equal(rows[1][:given], head)
@@ -573,7 +572,7 @@ def test_start_that_blows_up_is_a_precondition_violation(rows):
     for record in (plant.system, dataclasses.replace(plant.system, linear=None)):
         ws = _Workspace(make_plant(record, 0.0, x0), config.stage, config.spec, yref)
         with pytest.raises(PreconditionViolation, match="start blew up after t = ") as exc:
-            ws.feedback_values(config.chain, config.gains, np.full((rows, 1), 3.0))
+            ws.feedback_values(config.chain, np.full((rows, 1), 3.0))
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
@@ -585,7 +584,7 @@ def test_start_rejects_a_head_outside_the_box():
     for record in (plant.system, dataclasses.replace(plant.system, linear=None)):
         ws = _Workspace(make_plant(record, 0.0, plant.state), config.stage, config.spec, yref)
         with pytest.raises(ValueError, match="control values exceed the saturation level"):
-            ws.feedback_values(config.chain, config.gains, np.full((14, 1), 1e9))
+            ws.feedback_values(config.chain, np.full((14, 1), 1e9))
 
 
 def test_iterations_reuse_the_accepted_model(monkeypatch):
@@ -611,8 +610,7 @@ def test_iterations_reuse_the_accepted_model(monkeypatch):
 
     monkeypatch.setattr(_Workspace, "gradient", recording_gradient)
     monkeypatch.setattr(_Workspace, "hessian", recording_hessian)
-    sol = solve_ocp(plant, config.stage, config.spec, yref, chain=config.chain,
-                    gains=config.gains)
+    sol = solve_ocp(plant, config.stage, config.spec, yref, chain=config.chain)
     monkeypatch.undo()
     assert sol.status == "converged"
     assert sol.iterations > 2
@@ -657,7 +655,7 @@ def test_run_builds_its_constants_once_per_record(monkeypatch):
     other, other_config, _ = _shipped_showcase(t_end=0.4)
     assert other.system is not plant.system
     solve_ocp(other, other_config.stage, other_config.spec, yref,
-              chain=other_config.chain, gains=other_config.gains)
+              chain=other_config.chain)
     assert len(builds) == 2
     assert other.system.cache[key] is builds[1] is not builds[0]
 
@@ -673,7 +671,7 @@ def test_solver_rejects_a_warm_start_that_misses_the_plant_time(
     warm = ControlSignal(t_start=t_start, step=0.1, values=[[-1.0], [-1.0]])
     with pytest.raises(ValueError, match="warm start does not cover"):
         solve_ocp(plant, scalar_stage, spec, zero_ref, warm_start=warm,
-                  chain=scalar_chain, gains=np.array([]))
+                  chain=scalar_chain)
 
 
 def test_solver_rejects_a_warm_start_off_the_ocp_grid(scalar_stage, zero_ref, scalar_chain):
@@ -685,7 +683,7 @@ def test_solver_rejects_a_warm_start_off_the_ocp_grid(scalar_stage, zero_ref, sc
     for warm, match in ((finer, "the OCP by"), (offset, "no knot")):
         with pytest.raises(ValueError, match=match):
             solve_ocp(make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
-                      warm_start=warm, chain=scalar_chain, gains=np.array([]))
+                      warm_start=warm, chain=scalar_chain)
 
 
 def test_solver_raises_without_any_feasible_start(scalar_stage, zero_ref, scalar_chain):
@@ -700,7 +698,7 @@ def test_solver_raises_without_any_feasible_start(scalar_stage, zero_ref, scalar
     with pytest.raises(OcpInfeasibleError):
         solve_ocp(
             make_integrator_plant(1.5), scalar_stage, spec, zero_ref,
-            chain=scalar_chain, gains=np.array([]),
+            chain=scalar_chain,
         )
 
 
@@ -708,7 +706,7 @@ def test_solver_residual_small_at_convergence(scalar_stage, zero_ref, scalar_cha
     spec = spec_for(saturation=2.0, ode_step=5e-3)
     sol = solve_ocp(
         make_integrator_plant(0.5), scalar_stage, spec, zero_ref,
-        chain=scalar_chain, gains=np.array([]),
+        chain=scalar_chain,
     )
     assert sol.status == "converged"
     assert sol.residual <= 1e-6
@@ -729,7 +727,7 @@ def test_reported_cost_is_the_cost_of_the_returned_control(
     spec = spec_for(horizon=0.3, saturation=2.0, ode_step=5e-3)
     sol = solve_ocp(
         make_plant(system, 0.0, np.array([y0])), scalar_stage, spec, zero_ref,
-        chain=scalar_chain, gains=np.array([]),
+        chain=scalar_chain,
     )
     assert sol.iterations > 1
     assert sol.cost == cost_functional(
@@ -838,7 +836,7 @@ def test_linear_response_solve_matches_rk4_solve(showcase_chain, showcase_yref):
     x0 = np.array([0.0, 0.0, 2.0, 0.0])
     fast, slow = (
         solve_ocp(make_plant(record, 0.0, x0), stage, spec, showcase_yref,
-                  chain=showcase_chain, gains=SHOWCASE["gains"])
+                  chain=showcase_chain)
         for record in (linear, generic)
     )
     for sol in (fast, slow):

@@ -825,7 +825,7 @@ def test_sampled_feedback_on_a_plant_with_memory_matches_manual_loop():
     start = delayed()
     spec = OcpSpec(horizon=0.6, control_step=0.1, saturation=0.5, ode_step=0.01)
     ws = _Workspace(start, StageCost(chain.theta, 0.0, []), spec, yref)
-    entries = {"rollout": control.values, "start": ws.feedback_values(chain, [], head)}
+    entries = {"rollout": control.values, "start": ws.feedback_values(chain, head)}
     assert start.t == 0.0 and start.history.size == 1
     np.testing.assert_array_equal(entries["start"], entries["rollout"])
     # the knots t0 + h j and 0.1 k differ in the last bit, so the loop and

@@ -10,6 +10,7 @@ front end (``cli``).
 
 from .errchain import (
     chain_matrix,
+    chain_step,
     error_variables,
     highest_error_identity_check,
     jet_matrix,

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "jet_matrix",
     "error_variables",
+    "chain_step",
     "polynomial_coefficients",
     "chain_matrix",
     "top_error_rows",
@@ -69,6 +70,19 @@ def error_variables(xi, gains) -> list[np.ndarray]:
     return values
 
 
+def chain_step(coeffs, k: float, m: int = 1) -> np.ndarray:
+    """One link of the chain: the ascending coefficients of (s + k) * p(s).
+
+    ``coeffs`` holds those of p(s) along its last axis, each as a block of m
+    columns; a block row c_0 I, ..., c_n I maps jet blocks 0..n to p(d/dt) e.
+    Every chain weight of the package is formed by this step, one per gain.
+    """
+    out = np.zeros(coeffs.shape[:-1] + (coeffs.shape[-1] + m,))
+    out[..., :-m] = k * coeffs
+    out[..., m:] += coeffs
+    return out
+
+
 def polynomial_coefficients(gains, i: int) -> np.ndarray:
     """Ascending coefficients of p_i(s) = (s + k_1) * ... * (s + k_i).
 
@@ -78,9 +92,9 @@ def polynomial_coefficients(gains, i: int) -> np.ndarray:
     k = _validated_gains(gains)
     if not 1 <= i <= k.size:
         raise ValueError(f"polynomial index {i} outside 1..{k.size}")
-    coeffs = np.array([1.0])
-    for j in range(i):
-        coeffs = np.convolve(coeffs, np.array([k[j], 1.0]))
+    coeffs = np.ones(1)
+    for kj in k[:i]:
+        coeffs = chain_step(coeffs, kj)
     return coeffs
 
 
@@ -88,20 +102,18 @@ def chain_matrix(gains, r: int, m: int = 1) -> np.ndarray:
     """Block matrix mapping the stacked jet to the stacked error variables.
 
     Block row i holds the ascending coefficients of p_{i-1} times the m x m
-    identity, so the matrix is unit lower triangular with determinant one.
+    identity, each row one ``chain_step`` from the one above, so the matrix
+    is unit lower triangular with determinant one.
     """
     k = _validated_gains(gains)
     if k.size != r - 1:
         raise ValueError(f"need {r - 1} gains for a chain of length {r}, got {k.size}")
     if m < 1:
         raise ValueError("block size m must be at least 1")
-    eye = np.eye(m)
     mat = np.zeros((r * m, r * m))
-    mat[0:m, 0:m] = eye
-    for i in range(2, r + 1):
-        coeffs = polynomial_coefficients(k, i - 1)
-        for l, c in enumerate(coeffs):
-            mat[(i - 1) * m : i * m, l * m : (l + 1) * m] = c * eye
+    for i in range(r):
+        row = np.eye(m) if i == 0 else chain_step(row, k[i - 1], m)
+        mat[i * m : (i + 1) * m, : (i + 1) * m] = row
     return mat
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errchain import chain_matrix, top_error_rows
+from .errchain import chain_matrix, chain_step
 from .errors import PreconditionViolation
 
 __all__ = [
@@ -124,21 +124,6 @@ class InitialJetData:
         return self.y0_jet - self.yref_jet
 
 
-def _initial_chain_values(error_jet: np.ndarray, gains: np.ndarray, i: int):
-    """(e_i^0, de_i^0/dt) from the error jet, using gains k_1..k_{i-1} only.
-
-    e_i(t) = p_{i-1}(d/dt) e(t), so its value and first derivative at t0 are
-    the last block row of the length-i chain matrix applied to jet blocks
-    0..i-1 and 1..i; the derivative touches block i, which exists as long
-    as i <= r-1.
-    """
-    r, m = error_jet.shape
-    if not 1 <= i <= r - 1:
-        raise ValueError(f"chain index {i} outside 1..{r - 1}")
-    rows = top_error_rows(gains[: i - 1], m)
-    return rows @ error_jet[:i].ravel(), rows @ error_jet[1 : i + 1].ravel()
-
-
 def funnel_from_callables(
     value: Callable,
     derivative: Callable,
@@ -211,23 +196,23 @@ def _exponential_sum(offset: float, terms, t0: float):
 
 
 def _decaying_exponential_funnel(
-    amplitude: float, rate: float, floor: float, alpha: float, beta: float, t0: float
+    amplitude: float, floor: float, psi: FunnelFunction, t0: float
 ) -> FunnelFunction:
-    """amplitude * exp(-rate(t-t0)) + floor with analytic sup norms.
+    """amplitude * exp(-alpha(t-t0)) + floor with psi's certificate (alpha, beta).
 
     Requires amplitude >= 0 and floor > 0, so the value is monotone
-    nonincreasing with supremum at t0 and |derivative| supremum rate*amplitude.
+    nonincreasing with supremum at t0 and |derivative| supremum alpha*amplitude.
     """
     if amplitude < 0.0 or floor <= 0.0:
         raise ValueError("need amplitude >= 0 and floor > 0")
-    value, derivative = _exponential_sum(floor, [(amplitude, rate)], t0)
+    value, derivative = _exponential_sum(floor, [(amplitude, psi.alpha)], t0)
     return FunnelFunction(
         value=value,
         derivative=derivative,
-        alpha=alpha,
-        beta=beta,
+        alpha=psi.alpha,
+        beta=psi.beta,
         sup_norm=amplitude + floor,
-        sup_norm_derivative=rate * amplitude,
+        sup_norm_derivative=psi.alpha * amplitude,
     )
 
 
@@ -298,21 +283,14 @@ class GainSelection:
     bounds: np.ndarray
 
 
-def gain_lower_bounds(
-    data: InitialJetData,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    psi_t0: float,
-    r: int,
-    gains=None,
-) -> np.ndarray:
-    """Lower bounds for the chain gains, evaluated sequentially in i.
+def _gain_walk(data: InitialJetData, alpha, beta, gamma, psi_t0, r: int, gains=None):
+    """Yield (bound, gain, ||e_i^0||, ||de_i^0/dt||) for i = 1..r-1, in one walk.
 
-    The bound for k_i depends on e_i^0 and de_i^0/dt, which in turn depend on
-    k_1..k_{i-1}.  When ``gains`` is given those values are used as the fixed
-    prefix (validation mode); otherwise each k_i is fixed at its bound
-    rounded up to an integer, ceil(bound - 1e-12) (selection mode).
+    e_i = p_{i-1}(d/dt) e, so e_i^0 and de_i^0/dt are the block row of
+    p_{i-1} applied to jet blocks 0..i-1 and 1..i; the bound for k_i needs
+    them, and one ``chain_step`` with k_{i-1} gives that row.  The gain is
+    the given one, else the bound rounded up, ceil(bound - 1e-12).  The
+    inputs are checked before the first index, so also when r = 1.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -324,24 +302,39 @@ def gain_lower_bounds(
         raise ValueError(f"initial data has r = {data.r}, expected {r}")
     if gains is not None and len(gains) != r - 1:
         raise ValueError(f"need {r - 1} gains, got {len(gains)}")
+    if gains is not None and any(not float(k) > 0.0 for k in gains):
+        raise ValueError("all chain gains must be positive")
     ej = data.error_jet
-    bounds = []
-    fixed = []
     for i in range(1, r):
+        row = np.eye(data.m) if i == 1 else chain_step(row, k, data.m)
+        e_norm = float(np.linalg.norm(row @ ej[:i].ravel()))
+        edot_norm = float(np.linalg.norm(row @ ej[1 : i + 1].ravel()))
         if i == 1:
-            edot_norm = float(np.linalg.norm(ej[1]))
             b = 2.0 * edot_norm / (gamma ** (r - 1) * (1.0 - gamma) * psi_t0)
             b += 2.0 * (alpha + gamma ** (1 - r)) / (1.0 - gamma)
         else:
-            e0, edot0 = _initial_chain_values(ej, np.asarray(fixed), i)
-            denom = (1.0 - gamma) * (
-                float(np.linalg.norm(e0)) + beta / (alpha * gamma ** (i - 2))
-            )
-            b = 2.0 * gamma * float(np.linalg.norm(edot0)) / denom
-            b += 2.0 * (1.0 + alpha) / (1.0 - gamma)
-        bounds.append(b)
-        fixed.append(float(math.ceil(b - 1e-12)) if gains is None else float(gains[i - 1]))
-    return np.asarray(bounds)
+            denom = (1.0 - gamma) * (e_norm + beta / (alpha * gamma ** (i - 2)))
+            b = 2.0 * gamma * edot_norm / denom + 2.0 * (1.0 + alpha) / (1.0 - gamma)
+        k = float(math.ceil(b - 1e-12)) if gains is None else float(gains[i - 1])
+        yield b, k, e_norm, edot_norm
+
+
+def gain_lower_bounds(
+    data: InitialJetData,
+    alpha: float,
+    beta: float,
+    gamma: float,
+    psi_t0: float,
+    r: int,
+    gains=None,
+) -> np.ndarray:
+    """Lower bounds for the chain gains k_1..k_{r-1}, read off the chain walk.
+
+    When ``gains`` is given (all positive, else ValueError) they fix the
+    prefix each bound depends on (validation mode); otherwise each k_i is
+    fixed at its bound rounded up to an integer (selection mode).
+    """
+    return np.asarray([b for b, *_ in _gain_walk(data, alpha, beta, gamma, psi_t0, r, gains)])
 
 
 def select_gains(
@@ -349,16 +342,14 @@ def select_gains(
 ) -> GainSelection:
     """Pick gains meeting the lower bounds, keeping user values when given.
 
-    Without user values each gain is its bound rounded up to an integer,
-    ceil(bound - 1e-12).  A user gain that is not positive raises ValueError.
+    Gains and bounds come from one chain walk; without user values each gain
+    is its bound rounded up to an integer, ceil(bound - 1e-12).  A user gain
+    that is not positive raises ValueError.
     """
-    if user_gains is not None and any(not float(k) > 0.0 for k in user_gains):
-        raise ValueError("all chain gains must be positive")
-    bounds = gain_lower_bounds(
-        data, psi.alpha, psi.beta, gamma, float(psi.value(data.t0)), data.r, gains=user_gains
-    )
-    gains = np.ceil(bounds - 1e-12) if user_gains is None else np.asarray(user_gains, dtype=float)
-    return GainSelection(gains=gains, bounds=bounds)
+    walk = list(_gain_walk(data, psi.alpha, psi.beta, gamma, float(psi.value(data.t0)),
+                           data.r, user_gains))
+    return GainSelection(gains=np.asarray([k for _, k, *_ in walk]),
+                         bounds=np.asarray([b for b, *_ in walk]))
 
 
 def build_funnel_chain(
@@ -373,39 +364,21 @@ def build_funnel_chain(
         psi_{i+1}(t) = (||de_i^0/dt|| + k_i ||e_i^0||) / gamma^(r-i)
                         * exp(-alpha (t - t0)) + beta / (alpha gamma^(r-1)).
 
-    The gains are validated against their lower bounds; a gain below its
-    bound by more than 1e-12 raises PreconditionViolation naming its index.
+    One chain walk checks the inputs, at every r, and yields each gain's
+    bound next to e_i^0 and de_i^0/dt; a gain below its bound by more than
+    1e-12 raises PreconditionViolation naming its index.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
     if r < 1:
         raise ValueError("relative degree must be at least 1")
-    if r == 1:
-        return FunnelChain((psi,))
-    k = np.asarray(gains, dtype=float)
-    if k.size != r - 1:
-        raise ValueError(f"need {r - 1} gains, got {k.size}")
-    bounds = gain_lower_bounds(
-        data, psi.alpha, psi.beta, gamma, float(psi.value(data.t0)), r, gains=k
-    )
-    for idx in range(r - 1):
-        if k[idx] < bounds[idx] - 1e-12:
-            raise PreconditionViolation(
-                f"gain k_{idx + 1} = {k[idx]:g} is below its lower bound {bounds[idx]:.6g}"
-            )
-    floor = psi.beta / (psi.alpha * gamma ** (r - 1))
+    gains = np.asarray(gains, dtype=float)
     members = [psi]
-    ej = data.error_jet
-    for i in range(1, r):
-        e0, edot0 = _initial_chain_values(ej, k, i)
-        amplitude = (
-            float(np.linalg.norm(edot0)) + k[i - 1] * float(np.linalg.norm(e0))
-        ) / gamma ** (r - i)
-        members.append(
-            _decaying_exponential_funnel(
-                amplitude, psi.alpha, floor, psi.alpha, psi.beta, data.t0
-            )
-        )
+    walk = _gain_walk(data, psi.alpha, psi.beta, gamma, float(psi.value(data.t0)), r, gains)
+    for i, (bound, k, e_norm, edot_norm) in enumerate(walk, start=1):
+        if k < bound - 1e-12:
+            raise PreconditionViolation(f"gain k_{i} = {k:g} is below its lower bound {bound:.6g}")
+        floor = psi.beta / (psi.alpha * gamma ** (r - 1))
+        amplitude = (edot_norm + k * e_norm) / gamma ** (r - i)
+        members.append(_decaying_exponential_funnel(amplitude, floor, psi, data.t0))
     return FunnelChain(tuple(members))
 
 

@@ -60,7 +60,7 @@ class MpcConfig:
             raise ValueError("empty closed-loop interval")
         if not _is_multiple(self.t_end - self.t0, self.delta):
             raise ValueError("interval length must be a multiple of the time shift")
-        # starts and infeasibility margins use gains, the cost stage.gains
+        # the solver reads stage.gains alone; gains must agree with them
         if not np.array_equal(self.gains, self.stage.gains):
             raise ValueError("gains differ from the stage cost's gains")
 

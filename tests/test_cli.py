@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from funnelmpc.cli import EXIT_CONFIG, EXIT_GUARANTEE, EXIT_OK, EXIT_RUNTIME, ResolvedRun, main
+from funnelmpc.funnel import saturation_bound
 from funnelmpc.logio import read_trajectory_csv
 from funnelmpc.mpc import run_fmpc
 
@@ -541,3 +542,125 @@ def test_verify_missing_log_is_a_config_error(capsys):
         "--config", config_path("integrator.json"),
     )
     assert code == EXIT_CONFIG
+
+
+# ── Multi-channel runs and the remaining config paths ────────────────────────
+
+
+def _mimo_integrator_config():
+    cfg = load_integrator_config()
+    cfg["plant"] = {"kind": "integrator_chain", "params": {"r": 2, "m": 2},
+                    "x0": [0.1, -0.05, 0.0, 0.0]}
+    cfg["reference"] = {"kind": "constant", "value": [0.0, 0.0]}
+    cfg["t_span"] = [0.0, 1.0]
+    return cfg
+
+
+def test_mimo_integrator_simulate_and_verify(tmp_path, capsys):
+    # two channels: the log holds one y, y_ref and u column per channel, and
+    # e and e_r are the norms over both channels
+    path = write_config(tmp_path, "mimo.json", _mimo_integrator_config())
+    out_dir = os.path.join(tmp_path, "run")
+    code, out, _ = run_cli(capsys, "simulate", "--config", path, "--out", out_dir, "--json")
+    assert code == EXIT_OK
+    summary = json.loads(out)
+    assert summary["passed"] is True and summary["rows"] == 101
+    csv_path = os.path.join(out_dir, "trajectory.csv")
+    cols, echo_lines = read_trajectory_csv(csv_path)
+    for name in ("y_1", "y_2", "y_ref_1", "y_ref_2", "u_1", "u_2"):
+        assert name in cols
+    assert "y" not in cols and "u" not in cols
+    y = np.stack([cols["y_1"], cols["y_2"]], axis=1)
+    y_ref = np.stack([cols["y_ref_1"], cols["y_ref_2"]], axis=1)
+    np.testing.assert_allclose(cols["e"], np.linalg.norm(y - y_ref, axis=1), rtol=1e-12)
+    # at t0 the jet is (y, y') = ((0.1, -0.05), 0), so e_2 = k_1 y
+    k_1 = json.loads("".join(line[2:] + "\n" for line in echo_lines))["gains"][0]
+    assert cols["e_r"][0] == pytest.approx(k_1 * math.hypot(0.1, 0.05), rel=1e-12)
+    assert np.all(cols["e_r"] >= 0.0)
+
+    code, out, _ = run_cli(capsys, "verify", csv_path, "--config", path, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["passed"] is True
+
+    # one u_2 entry past M = 5 fails the input bound
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    column = lines[header].rstrip("\n").split(",").index("u_2")
+    fields = lines[header + 50].rstrip("\n").split(",")
+    fields[column] = "5.5"
+    lines[header + 50] = ",".join(fields) + "\n"
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    code, out, _ = run_cli(capsys, "verify", csv_path, "--config", path, "--json")
+    assert code == EXIT_GUARANTEE
+    assert json.loads(out)["max_input"] == 5.5
+
+
+def _state_space_without_saturation():
+    with open(config_path("mass_on_car.json"), "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    del cfg["saturation"]
+    return cfg
+
+
+def test_state_space_saturation_is_derived_from_explicit_bounds(tmp_path, capsys):
+    cfg = _state_space_without_saturation()
+    cfg["bounds"] = {"f_max": 60.0, "g_max": 10.0}
+    code, out, _ = run_cli(capsys, "gains", "--config", write_config(tmp_path, "b.json", cfg),
+                           "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    res = ResolvedRun(cfg)
+    # the cosine reference of amplitude 1 has sup |y_ref''| = 1
+    assert payload["saturation"] == saturation_bound(60.0, 10.0, res.gains, res.chain, 1.0)
+    assert payload["saturation"] == pytest.approx(13094.36, rel=1e-12)
+    assert payload["saturation_source"] == "derived"
+    assert payload["bound_probe"] == {"f_max": 60.0, "g_max": 10.0}
+
+
+def test_state_space_without_saturation_or_bounds_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, "nob.json", _state_space_without_saturation())
+    code, _, err = run_cli(capsys, "gains", "--config", path)
+    assert code == EXIT_CONFIG
+    assert "'saturation'" in err and "'bounds'" in err
+
+
+def _with_two_channels(cfg, value):
+    cfg["plant"] = {"kind": "integrator_chain", "params": {"r": 1, "m": 2}, "x0": [0.1, 0.0]}
+    cfg["reference"]["value"] = value
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda cfg: _with_two_channels(cfg, [0.0, 0.0, 0.0]),
+                 "reference value has length 3, plant has m = 2", id="reference-length"),
+    pytest.param(lambda cfg: cfg.update(t_span=[1.0, 0.5]),
+                 "t_span must be an increasing [t0, t_end] pair", id="t-span"),
+    pytest.param(lambda cfg: cfg["funnel"].update(terms=[[1.0, 0.0]]),
+                 "bad funnel definition: exponential rates must be positive", id="funnel"),
+    pytest.param(lambda cfg: cfg.update(gains=[5.0]),
+                 "gain selection failed: need 0 gains, got 1", id="gain-selection"),
+])
+def test_resolver_errors_are_config_errors(tmp_path, capsys, edit, message):
+    cfg = load_integrator_config()
+    edit(cfg)
+    code, _, err = run_cli(capsys, "gains", "--config", write_config(tmp_path, "e.json", cfg))
+    assert code == EXIT_CONFIG
+    assert message in err
+
+
+def test_scalar_reference_value_is_broadcast_to_every_channel():
+    cfg = load_integrator_config()
+    _with_two_channels(cfg, 0.3)
+    res = ResolvedRun(cfg)
+    assert res.echo["reference"]["value"] == [0.3, 0.3]
+    assert np.array_equal(res.yref.jet(0.0), [[0.3, 0.3]])
+
+
+def test_verify_log_missing_a_column_is_a_config_error(tmp_path, capsys):
+    path = os.path.join(tmp_path, "no_theta.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# {}\nt,y,y_ref,e,psi,e_r,u\n0.0,0.5,0.0,0.5,1.2,0.5,0.0\n")
+    code, _, err = run_cli(capsys, "verify", path, "--config", config_path("integrator.json"))
+    assert code == EXIT_CONFIG
+    assert "log CSV is missing columns: ['theta']" in err

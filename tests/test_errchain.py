@@ -15,6 +15,7 @@ import pytest
 
 from funnelmpc import (
     chain_matrix,
+    chain_step,
     error_variables,
     highest_error_identity_check,
     polynomial_coefficients,
@@ -58,6 +59,17 @@ def test_polynomial_leading_coefficient_is_exactly_one():
             coeffs = polynomial_coefficients(gains, i)
             assert coeffs.size == i + 1
             assert coeffs[-1] == 1.0
+
+
+def test_chain_step_hand_expanded_and_blockwise():
+    # (s + 3)(s + 2) = s^2 + 5s + 6; with blocks of width m = 2 every
+    # coefficient c becomes c * I, so the step on a block row of p gives the
+    # block row of (s + k) p
+    assert np.array_equal(chain_step(np.array([2.0, 1.0]), 3.0), [6.0, 5.0, 1.0])
+    row = chain_step(chain_step(np.eye(2), 2.0, 2), 3.0, 2)
+    expected = np.hstack([c * np.eye(2) for c in (6.0, 5.0, 1.0)])
+    assert np.array_equal(row, expected)
+    assert np.array_equal(chain_matrix([2.0, 3.0], 3, 2)[4:], expected)
 
 
 def test_polynomial_index_range_is_enforced():

@@ -214,6 +214,59 @@ def test_build_chain_single_link_returns_psi(showcase_psi, showcase_data):
     assert chain.theta is showcase_psi
 
 
+def test_build_chain_checks_its_inputs_at_r_one(showcase_psi, showcase_data):
+    # r = 1 walks no gain, yet its gain count and the initial data's r are
+    # checked as at r >= 2
+    data_r1 = InitialJetData(0.0, np.array([[0.0]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="need 0 gains, got 1"):
+        build_funnel_chain(showcase_psi, data_r1, [5.0], 0.5, r=1)
+    with pytest.raises(ValueError, match="initial data has r = 2, expected 1"):
+        build_funnel_chain(showcase_psi, showcase_data, [], 0.5, r=1)
+
+
+@pytest.mark.parametrize("gains", [[-14.0], [0.0]])
+def test_a_gain_that_is_not_positive_is_rejected_by_every_reader(
+    showcase_psi, showcase_data, gains
+):
+    with pytest.raises(ValueError, match="positive"):
+        gain_lower_bounds(showcase_data, 1.5, 0.15, 0.5, 4.1, 2, gains)
+    with pytest.raises(ValueError, match="positive"):
+        build_funnel_chain(showcase_psi, showcase_data, gains, 0.5, r=2)
+
+
+def test_gain_bounds_and_chain_at_r_three_by_hand():
+    # psi(0) = 1, gamma = 1/2, alpha = 1, beta = 1/2, error jet (0.1, 0.2, 0.4):
+    #   k_1 >= 2 * 0.2 / (1/4 * 1/2 * 1) + 2 (1 + 4) / (1/2) = 3.2 + 20 = 23.2,
+    #   so k_1 = 24, e_2^0 = 0.2 + 24 * 0.1 = 2.6, de_2^0/dt = 0.4 + 24 * 0.2 = 5.2;
+    #   k_2 >= 2 * 1/2 * 5.2 / (1/2 (2.6 + 1/2)) + 2 * 2 / (1/2) = 8 + 104/31,
+    #   so k_2 = 12; floor 1/2 / (1/4) = 2, psi_2 amplitude (0.2 + 2.4) / (1/4)
+    #   = 10.4 and psi_3 amplitude (5.2 + 12 * 2.6) / (1/2) = 72.8.
+    # With k_1 = 25: e_2^0 = 2.7, de_2^0/dt = 5.4, k_2 >= 5.4 / 1.6 + 8 = 11.375.
+    psi = exponential_sum_funnel(0.5, [(0.5, 1.0)], alpha=1.0, beta=0.5)
+    data = InitialJetData(0.0, np.array([[0.1], [0.2], [0.4]]), np.zeros((3, 1)))
+    derived = [23.2, 8.0 + 104.0 / 31.0]
+    np.testing.assert_allclose(gain_lower_bounds(data, 1.0, 0.5, 0.5, 1.0, r=3), derived,
+                               rtol=1e-12, atol=0.0)
+    sel = select_gains(data, psi, 0.5)
+    assert tuple(sel.gains) == (24.0, 12.0)
+    np.testing.assert_allclose(sel.bounds, derived, rtol=1e-12, atol=0.0)
+    user = [23.2, 11.375]
+    np.testing.assert_allclose(gain_lower_bounds(data, 1.0, 0.5, 0.5, 1.0, 3, [25.0, 13.0]),
+                               user, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(select_gains(data, psi, 0.5, [25.0, 13.0]).bounds, user,
+                               rtol=1e-12, atol=0.0)
+
+    chain = build_funnel_chain(psi, data, sel.gains, 0.5, r=3)
+    assert chain.members[0] is psi
+    ts = np.linspace(0.0, 4.0, 9)
+    for member, amp in zip(chain.members[1:], (10.4, 72.8)):
+        np.testing.assert_allclose(member.value(ts), amp * np.exp(-ts) + 2.0, rtol=1e-12)
+        np.testing.assert_allclose(member.derivative(ts), -amp * np.exp(-ts), rtol=1e-12)
+        assert (member.alpha, member.beta) == (1.0, 0.5)
+        assert member.sup_norm == pytest.approx(amp + 2.0, rel=1e-12)
+        assert member.sup_norm_derivative == pytest.approx(amp, rel=1e-12)
+
+
 def test_chain_validates_shape_and_gamma(showcase_psi, showcase_data):
     with pytest.raises(ValueError):
         FunnelChain(())
